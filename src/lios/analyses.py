@@ -521,6 +521,13 @@ def load_rules(source) -> list[TaintRule]:
     return out
 
 
+def run_detectors(graph, rules) -> list[Finding]:
+    """The built-in detectors plus the taint `rules`, as sorted findings."""
+    return sort_findings(
+        detect_webview_bridge(graph) + ats_check(graph) + run_rules(graph, rules)
+    )
+
+
 def run_rules(graph, rules) -> list[Finding]:
     findings = []
     for rule in rules:

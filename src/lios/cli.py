@@ -112,12 +112,8 @@ def cmd_query(args) -> int:
 
 def cmd_report(args) -> int:
     graph = load(args.graph)
-    findings = []
-    findings.extend(analyses.detect_webview_bridge(graph))
-    findings.extend(analyses.ats_check(graph))
-    if args.rules:
-        findings.extend(analyses.run_rules(graph, analyses.load_rules(args.rules)))
-    findings = analyses.sort_findings(findings)
+    rules = analyses.load_rules(args.rules) if args.rules else []
+    findings = analyses.run_detectors(graph, rules)
     _print_findings(findings, sys.stdout)
     return 1 if any(f.severity == "critical" for f in findings) else 0
 

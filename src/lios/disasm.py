@@ -502,7 +502,6 @@ class FunctionBody:
     name: str
     blocks: list[BasicBlock]
     end_ea: int
-    use_def: set[tuple[int, int, Loc]] = field(default_factory=set)
     objc_class_name: str | None = None
     objc_selector: str | None = None
     objc_is_class_method: bool = False
@@ -539,12 +538,15 @@ def build_function(
     model=None,
 ) -> FunctionBody:
     """Decode [entry_ea, end_ea) and shape it into basic blocks."""
-    if end_ea <= entry_ea:
-        raise EmptyRange(f"function range [{entry_ea:#x}, {end_ea:#x}) is empty")
     offset = va_to_offset(image, entry_ea)
     if offset is None:
         raise EmptyRange(f"entry {entry_ea:#x} is not mapped")
-    count = (end_ea - entry_ea) // 4
+    # only the whole words the file holds: a truncated image can end mid-word
+    count = min(end_ea - entry_ea, len(image.data) - offset) // 4
+    if count <= 0:
+        raise EmptyRange(
+            f"function range [{entry_ea:#x}, {end_ea:#x}) holds no whole word"
+        )
     instructions = [
         decode(image.data[offset + 4 * i : offset + 4 * i + 4], entry_ea + 4 * i)
         for i in range(count)
@@ -697,7 +699,6 @@ def compute_effects(fn: FunctionBody, call_effects: dict | None = None) -> _Effe
     preds = fn.predecessors()
     block_in: dict[int, dict] = {}
     block_out: dict[int, dict] = {}
-    order = [b.ea for b in fn.blocks]
 
     def transfer(state: dict, ins: Instruction) -> dict:
         state = dict(state)
@@ -752,8 +753,8 @@ def compute_effects(fn: FunctionBody, call_effects: dict | None = None) -> _Effe
     while changed and rounds < len(fn.blocks) + 8:
         changed = False
         rounds += 1
-        for ea in order:
-            block = fn.block_at(ea)
+        for block in fn.blocks:
+            ea = block.ea
             if ea == fn.entry_ea:
                 state = {"sp": _SP}
             else:
@@ -843,10 +844,14 @@ def compute_effects(fn: FunctionBody, call_effects: dict | None = None) -> _Effe
 
 
 def compute_use_def(
-    fn: FunctionBody, call_effects: dict | None = None
+    fn: FunctionBody, effects: _Effects | None = None
 ) -> set[tuple[int, int, Loc]]:
-    """Reaching-definitions edges (use ea, def ea, location) over the CFG."""
-    eff = compute_effects(fn, call_effects)
+    """Reaching-definitions edges (use ea, def ea, location) over the CFG.
+
+    `effects` defaults to `compute_effects(fn)`, which assumes no call
+    effects; pass the with-calls effects when the call sites are known.
+    """
+    eff = effects if effects is not None else compute_effects(fn)
     preds = fn.predecessors()
 
     gen: dict[int, dict[Loc, set[int]]] = {}
@@ -888,7 +893,6 @@ def compute_use_def(
                     edges.add((ins.ea, def_ea, loc))
             for loc in eff.eff_defs[ins.ea]:
                 reaching[loc] = {ins.ea}
-    fn.use_def = edges
     return edges
 
 
@@ -1171,6 +1175,7 @@ def devirtualize(
     if selmap is None and model is not None:
         selmap = model.selmap
     sites: list[CallSite] = []
+    effects = None  # computed at the first msgSend site, shared by the rest
     for ins in fn.instructions():
         target = ins.branch_target
         if ins.kind == "call" and ins.mnemonic == "bl":
@@ -1194,15 +1199,17 @@ def devirtualize(
             )
             continue
         if stub.startswith("objc_msgSend"):
-            sites.extend(_resolve_msgsend(fn, ins, model, depth, functions))
+            if effects is None:
+                effects = compute_effects(fn)
+            sites.extend(_resolve_msgsend(fn, ins, model, depth, functions, effects))
         else:
             sites.append(CallSite(ins.ea, "external", None, stub))
     return sites
 
 
-def _resolve_msgsend(fn, ins, model, depth, functions) -> list[CallSite]:
-    receivers = backtrace(fn, reg("x0"), ins.ea, model, depth, functions)
-    selectors = backtrace(fn, reg("x1"), ins.ea, model, depth, functions)
+def _resolve_msgsend(fn, ins, model, depth, functions, eff) -> list[CallSite]:
+    receivers = backtrace(fn, reg("x0"), ins.ea, model, depth, functions, _effects=eff)
+    selectors = backtrace(fn, reg("x1"), ins.ea, model, depth, functions, _effects=eff)
 
     def selector_text(value: ResolvedValue) -> str | None:
         if value.variant == "const_string":

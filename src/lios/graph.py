@@ -140,7 +140,6 @@ class PropertyGraph:
         self._next_node = 0
         self._next_edge = 0
         self._by_label: dict[str, list[int]] = {}
-        self._prop_index: dict[tuple, list[int]] = {}
         self._out: dict[int, list[int]] = {}
         self._in: dict[int, list[int]] = {}
         self._edge_keys: dict[tuple, int] = {}
@@ -159,24 +158,12 @@ class PropertyGraph:
         self._by_label.setdefault(label, []).append(node_id)
         self._out[node_id] = []
         self._in[node_id] = []
-        for key, value in props.items():
-            self._prop_index.setdefault(
-                (label, key, _freeze(value)), []
-            ).append(node_id)
         return node_id
 
     def set_node_prop(self, node_id: int, key: str, value) -> None:
         node = self._nodes[node_id]
         _check_properties(node.label, {key: value})
-        old = node.properties.get(key)
-        if old is not None:
-            bucket = self._prop_index.get((node.label, key, _freeze(old)))
-            if bucket and node_id in bucket:
-                bucket.remove(node_id)
         node.properties[key] = value
-        self._prop_index.setdefault(
-            (node.label, key, _freeze(value)), []
-        ).append(node_id)
 
     def add_edge(
         self, src: int, dst: int, label: str, properties: dict | None = None
@@ -248,8 +235,7 @@ class PropertyGraph:
         return [self._nodes[e.src] for e in self.in_edges(node_id, label)]
 
     def find_nodes(self, label: str, key: str, value):
-        ids = self._prop_index.get((label, key, _freeze(value)), [])
-        return [self._nodes[i] for i in ids]
+        return [n for n in self.nodes(label) if n.get(key) == value]
 
     def node_count(self) -> int:
         return len(self._nodes)
@@ -351,10 +337,6 @@ class PropertyGraph:
                     g._by_label.setdefault(label, []).append(node_id)
                     g._out[node_id] = []
                     g._in[node_id] = []
-                    for key, value in props.items():
-                        g._prop_index.setdefault(
-                            (label, key, _freeze(value)), []
-                        ).append(node_id)
                     g._next_node = max(g._next_node, node_id + 1)
                 elif rec["t"] == "e":
                     src, dst, label = rec["s"], rec["d"], rec["l"]
@@ -492,9 +474,8 @@ def build_from_frontends(
         fn = functions[entry]
         fid = fn_nodes[entry]
         sites = devirtualize(fn, model, functions=functions, depth=depth)
-        call_effects = call_effects_from_sites(sites)
-        compute_use_def(fn, call_effects)
-        effects = compute_effects(fn, call_effects)
+        effects = compute_effects(fn, call_effects_from_sites(sites))
+        use_def = compute_use_def(fn, effects)
 
         bb_nodes: dict[int, int] = {}
         for block in fn.blocks:
@@ -518,12 +499,10 @@ def build_from_frontends(
         for block in fn.blocks:
             for nxt in block.successors:
                 g.add_edge(bb_nodes[block.ea], bb_nodes[nxt], "succ")
-        for use_ea, def_ea, loc in sorted(
-            fn.use_def, key=lambda t: (t[0], t[1], str(t[2]))
+        for use_ea, def_ea, var in sorted(
+            (use_ea, def_ea, str(loc)) for use_ea, def_ea, loc in use_def
         ):
-            g.add_edge(
-                instr_nodes[use_ea], instr_nodes[def_ea], "def", {"var": str(loc)}
-            )
+            g.add_edge(instr_nodes[use_ea], instr_nodes[def_ea], "def", {"var": var})
         for ins in fn.instructions():
             if ins.xref is not None and ins.xref in fn_nodes:
                 g.add_edge(instr_nodes[ins.ea], fn_nodes[ins.xref], "xref")

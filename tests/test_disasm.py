@@ -764,7 +764,7 @@ class TestDevirtualize:
         uses, defs = effects[call_ea]
         assert uses == {"x0", "x1"}
         assert defs == {"x0", "x30"}
-        edges = compute_use_def(fn, effects)
+        edges = compute_use_def(fn, compute_effects(fn, effects))
         sel_def = manifest["functions"]["msg_const"] + 12
         assert (call_ea, sel_def, reg("x1")) in edges
 

@@ -1,10 +1,19 @@
 """Graph store invariants, frontend assembly, passes, and persistence."""
 
 import json
+from collections import Counter
 
 import pytest
 
+import lios.disasm
+import lios.graph
 from conftest import lift_fixture
+from lios.disasm import (
+    call_effects_from_sites,
+    compute_effects,
+    compute_use_def,
+    devirtualize,
+)
 from lios.errors import (
     LabelDomainViolation,
     MalformedDump,
@@ -36,6 +45,25 @@ def build_suite():
 @pytest.fixture(scope="module")
 def suite_graph():
     return build_suite()
+
+
+@pytest.mark.parametrize("builder", [corpus.msgsend_suite, corpus.listing_one_app])
+def test_effects_computed_at_most_twice_per_function(builder, monkeypatch):
+    """Once for devirtualization, once with call effects for use-def and
+    assembly: neither backtraces nor use-def recompute them."""
+    blob, manifest = builder()
+    image, model, functions = lift_fixture(blob, manifest)
+    runs = Counter()
+
+    def counted(fn, *args, **kwargs):
+        runs[fn.entry_ea] += 1
+        return compute_effects(fn, *args, **kwargs)
+
+    monkeypatch.setattr(lios.disasm, "compute_effects", counted)
+    monkeypatch.setattr(lios.graph, "compute_effects", counted)
+    build_from_frontends(image, model, functions)
+    assert set(runs) == set(functions)
+    assert max(runs.values()) <= 2, runs.most_common(3)
 
 
 @pytest.fixture(scope="module")
@@ -273,7 +301,11 @@ class TestBuildSuite:
                         got.add(
                             (ins.get("ea"), g.node(e.dst).get("ea"), e.get("var"))
                         )
-            want = {(u, d, str(loc)) for (u, d, loc) in fn.use_def}
+            sites = devirtualize(fn, model, functions=functions)
+            use_def = compute_use_def(
+                fn, compute_effects(fn, call_effects_from_sites(sites))
+            )
+            want = {(u, d, str(loc)) for (u, d, loc) in use_def}
             assert got == want, fn.name
 
     def test_direct_call_gets_xref_edge(self, suite_graph):

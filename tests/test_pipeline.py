@@ -1,6 +1,7 @@
 """Pipeline tests: ingest routes, function discovery, artifact determinism."""
 
 import json
+import struct
 import zipfile
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from lios.errors import MissingExecutable, NotAnIpa
 from lios.fixtures import corpus
 from lios.fixtures.builder import MachoBuilder
 from lios.graph import load
-from lios.macho import parse_macho
+from lios.macho import LC_FUNCTION_STARTS, encode_uleb128, parse_macho
 from lios.objc import load_model
 from lios.pipeline import (
     AnalysisConfig,
@@ -220,6 +221,44 @@ class TestLift:
         )
         assert graph.nodes("Program")[0].get("entltl") == "<plist><dict/></plist>"
 
+    def test_text_running_past_end_of_file(self, tmp_path):
+        # a __text size that runs past the end of the file leaves the last
+        # function's final word cut short; only whole words are decoded
+        blob = bytearray(corpus.benign_app()[0])
+        header = blob.find(b"__text".ljust(16, b"\0") + b"__TEXT".ljust(16, b"\0"))
+        struct.pack_into("<Q", blob, header + 40, 0x10000)
+        path = tmp_path / "long_text.bin"
+        path.write_bytes(blob)
+        graph, _, _ = lift(AnalysisConfig(input=str(path)))
+        assert "main" in {n.get("name") for n in graph.nodes("Function")}
+
+    def test_function_range_shorter_than_one_word(self, tmp_path):
+        # function starts two bytes apart: a range that holds no whole word
+        # is skipped, and the rest of the app still lifts
+        blob = bytearray(corpus.msgsend_suite()[0])
+        image = parse_macho(bytes(blob))
+        first = image.function_starts[0]
+        offset = 32
+        for _ in range(struct.unpack_from("<I", blob, 16)[0]):
+            cmd, size = struct.unpack_from("<II", blob, offset)
+            if cmd == LC_FUNCTION_STARTS:
+                data_off, data_size = struct.unpack_from("<II", blob, offset + 8)
+            offset += size
+        payload = encode_uleb128(first - image.image_base) + encode_uleb128(2)
+        blob[data_off : data_off + data_size] = payload.ljust(data_size, b"\0")
+        path = tmp_path / "close_starts.bin"
+        path.write_bytes(blob)
+        graph, _, _ = lift(AnalysisConfig(input=str(path)))
+        decoded = {
+            n.get("ea")
+            for n in graph.nodes("Function")
+            if graph.out_edges(n.id, "has_bb")
+        }
+        mutated = parse_macho(bytes(blob))
+        ranges = discover_functions(mutated, load_model(mutated))
+        assert first in ranges and first not in decoded
+        assert decoded == {s for s, (_, e) in ranges.items() if e - s >= 4}
+
 
 class TestRunPipeline:
     def test_vulnerable_ipa(self, tmp_path):
@@ -263,7 +302,10 @@ class TestRunPipeline:
             ).read_bytes()
         # wall-clock timings go to the log, not the compared artifacts
         entry = json.loads((outs[0] / "lift.log").read_text().splitlines()[0])
-        assert set(entry["timings_ms"]) >= {"ingest", "parse", "disasm", "total"}
+        timings = entry["timings_ms"]
+        assert set(timings) >= {"ingest", "parse", "disasm", "artifacts", "total"}
+        parts = sum(v for k, v in timings.items() if k != "total")
+        assert timings["total"] >= parts
 
     def test_sanitized_ipa_exits_zero(self, tmp_path):
         path, _ = write_ipa(tmp_path, name="clean.ipa", sanitized=True)
