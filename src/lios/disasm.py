@@ -674,6 +674,13 @@ class _Effects:
     eff_uses: dict[int, set[Loc]]
     assign: dict[int, tuple]  # ea -> ("const", v) | ("copy", Loc) | ("load", Loc) | ("call",) | ("opaque",)
 
+    def add_call_uses(self, call_uses: dict[int, set[str]]) -> None:
+        """Add the argument registers of resolved call sites to the uses of
+        their `call` instructions; a tail-call `b` keeps its own uses."""
+        for ea, regs in call_uses.items():
+            if self.assign.get(ea) == ("call",):
+                self.eff_uses[ea] |= {reg(r) for r in regs}
+
 
 def _merge_states(states: list[dict]) -> dict:
     if not states:
@@ -693,9 +700,12 @@ def _value_after_add(value, imm: int, negate: bool):
     return (kind, v - imm if negate else v + imm)
 
 
-def compute_effects(fn: FunctionBody, call_effects: dict | None = None) -> _Effects:
-    """Forward constant/stack-offset propagation to a fixpoint over the CFG."""
-    call_effects = call_effects or {}
+def compute_effects(fn: FunctionBody, call_uses: dict | None = None) -> _Effects:
+    """Forward constant/stack-offset propagation to a fixpoint over the CFG.
+
+    A call clobbers x0 and x30 and reads x0, plus any argument registers
+    `call_uses` (from `call_effects_from_sites`) adds; those change no
+    block state, so the fixpoint does not depend on them."""
     preds = fn.predecessors()
     block_in: dict[int, dict] = {}
     block_out: dict[int, dict] = {}
@@ -728,10 +738,8 @@ def compute_effects(fn: FunctionBody, call_effects: dict | None = None) -> _Effe
             else:
                 state[ins.rd] = value
         elif ins.kind == "call":
-            effect = call_effects.get(ins.ea)
-            clobbered = effect[1] if effect else {RETURN_REG, LINK_REG}
-            for r in clobbered:
-                state.pop(r, None)
+            state.pop(RETURN_REG, None)
+            state.pop(LINK_REG, None)
         elif ins.mem_mode in ("pre", "post") and ins.mem_base is not None:
             value = _value_after_add(state.get(ins.mem_base), ins.mem_offset, False)
             if value is None:
@@ -788,13 +796,8 @@ def compute_effects(fn: FunctionBody, call_effects: dict | None = None) -> _Effe
             uses = set(ins.uses)
             m = ins.mnemonic
             if ins.kind == "call":
-                effect = call_effects.get(ins.ea)
-                if effect:
-                    uses |= {reg(r) for r in effect[0]}
-                    defs |= {reg(r) for r in effect[1]}
-                else:
-                    uses |= {reg(RETURN_REG)}
-                    defs |= {reg(RETURN_REG)}
+                uses.add(reg(RETURN_REG))
+                defs.add(reg(RETURN_REG))
                 assign[ins.ea] = ("call",)
             elif ins.is_load or ins.is_store:
                 pivot = ins.mem_offset if ins.mem_mode != "post" else 0
@@ -836,7 +839,9 @@ def compute_effects(fn: FunctionBody, call_effects: dict | None = None) -> _Effe
             eff_defs[ins.ea] = defs
             eff_uses[ins.ea] = uses
             state = transfer(state, ins)
-    return _Effects(eff_defs, eff_uses, assign)
+    effects = _Effects(eff_defs, eff_uses, assign)
+    effects.add_call_uses(call_uses or {})
+    return effects
 
 
 # ---------------------------------------------------------------------------
@@ -848,8 +853,8 @@ def compute_use_def(
 ) -> set[tuple[int, int, Loc]]:
     """Reaching-definitions edges (use ea, def ea, location) over the CFG.
 
-    `effects` defaults to `compute_effects(fn)`, which assumes no call
-    effects; pass the with-calls effects when the call sites are known.
+    `effects` defaults to `compute_effects(fn)`, whose calls read x0 only;
+    pass effects with the call sites' argument uses when those are known.
     """
     eff = effects if effects is not None else compute_effects(fn)
     preds = fn.predecessors()
@@ -1166,16 +1171,16 @@ def _flatten_receiver(value: ResolvedValue) -> ResolvedValue:
 def devirtualize(
     fn: FunctionBody,
     model=None,
-    selmap=None,
     functions: dict[int, FunctionBody] | None = None,
     depth: int = 2,
+    effects: _Effects | None = None,
 ) -> list[CallSite]:
-    """Resolve direct calls, stubs, and objc_msgSend dispatches to targets."""
+    """Resolve direct calls, stubs, and objc_msgSend dispatches to targets;
+    every msgSend backtrace reads `effects`, by default `compute_effects(fn)`."""
     image = model.image if model is not None else None
-    if selmap is None and model is not None:
-        selmap = model.selmap
+    if effects is None:
+        effects = compute_effects(fn)
     sites: list[CallSite] = []
-    effects = None  # computed at the first msgSend site, shared by the rest
     for ins in fn.instructions():
         target = ins.branch_target
         if ins.kind == "call" and ins.mnemonic == "bl":
@@ -1199,8 +1204,6 @@ def devirtualize(
             )
             continue
         if stub.startswith("objc_msgSend"):
-            if effects is None:
-                effects = compute_effects(fn)
             sites.extend(_resolve_msgsend(fn, ins, model, depth, functions, effects))
         else:
             sites.append(CallSite(ins.ea, "external", None, stub))
@@ -1256,7 +1259,7 @@ def _resolve_msgsend(fn, ins, model, depth, functions, eff) -> list[CallSite]:
                 )
             )
     if not sites:
-        sites.append(
+        return [
             CallSite(
                 ins.ea,
                 "external",
@@ -1265,35 +1268,22 @@ def _resolve_msgsend(fn, ins, model, depth, functions, eff) -> list[CallSite]:
                 selector=min(seen_selectors) if seen_selectors else None,
                 receiver=min(seen_receivers) if seen_receivers else None,
             )
-        )
-    return _dedup(sites)
+        ]
+    # the value sets iterate in hash order, which varies between processes
+    return sorted(set(sites), key=lambda s: (s.target_ea, s.target_name))
 
 
-def _dedup(sites: list[CallSite]) -> list[CallSite]:
-    seen = set()
-    out = []
-    for s in sites:
-        key = (s.caller_ea, s.kind, s.target_ea, s.target_name, s.selector, s.receiver)
-        if key not in seen:
-            seen.add(key)
-            out.append(s)
-    return out
-
-
-def call_effects_from_sites(sites: list[CallSite]) -> dict[int, tuple[set, set]]:
-    """Per-call-site argument/clobber registers for use-def construction."""
-    effects: dict[int, tuple[set, set]] = {}
+def call_effects_from_sites(sites: list[CallSite]) -> dict[int, set[str]]:
+    """Argument registers each call site reads, by caller address."""
+    uses_at: dict[int, set[str]] = {}
     for s in sites:
         uses = {"x0"}
         if s.selector is not None or s.target_name.startswith("objc_msgSend"):
             uses = {"x0", "x1"}
             if s.selector:
                 uses |= {f"x{2 + i}" for i in range(s.selector.count(":"))}
-        prior = effects.get(s.caller_ea)
-        if prior:
-            uses |= prior[0]
-        effects[s.caller_ea] = (uses, {RETURN_REG, LINK_REG})
-    return effects
+        uses_at.setdefault(s.caller_ea, set()).update(uses)
+    return uses_at
 
 
 # ---------------------------------------------------------------------------

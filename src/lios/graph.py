@@ -125,14 +125,6 @@ def _check_properties(label: str, properties: dict) -> None:
             )
 
 
-def _freeze(value):
-    return value if not isinstance(value, bytes) else ("__bytes__", value)
-
-
-def _props_key(properties: dict) -> tuple:
-    return tuple(sorted((k, _freeze(v)) for k, v in properties.items()))
-
-
 class PropertyGraph:
     def __init__(self):
         self._nodes: dict[int, Node] = {}
@@ -142,7 +134,6 @@ class PropertyGraph:
         self._by_label: dict[str, list[int]] = {}
         self._out: dict[int, list[int]] = {}
         self._in: dict[int, list[int]] = {}
-        self._edge_keys: dict[tuple, int] = {}
         self.warnings: list[str] = []
 
     # ---- mutation ----
@@ -183,16 +174,9 @@ class PropertyGraph:
         for value in props.values():
             if not isinstance(value, _SCALARS):
                 raise TypeError("edge property values are text/int/bool/bytes")
-        # a true duplicate (same endpoints, label, and properties) coalesces;
-        # parallel edges that differ in label or properties stay distinct
-        key = (src, dst, label, _props_key(props))
-        existing = self._edge_keys.get(key)
-        if existing is not None:
-            return existing
         edge_id = self._next_edge
         self._next_edge += 1
         self._edges[edge_id] = Edge(edge_id, src, dst, label, props)
-        self._edge_keys[key] = edge_id
         self._out[src].append(edge_id)
         self._in[dst].append(edge_id)
         return edge_id
@@ -473,8 +457,11 @@ def build_from_frontends(
     for entry in sorted(functions):
         fn = functions[entry]
         fid = fn_nodes[entry]
-        sites = devirtualize(fn, model, functions=functions, depth=depth)
-        effects = compute_effects(fn, call_effects_from_sites(sites))
+        effects = compute_effects(fn)
+        sites = devirtualize(
+            fn, model, functions=functions, depth=depth, effects=effects
+        )
+        effects.add_call_uses(call_effects_from_sites(sites))
         use_def = compute_use_def(fn, effects)
 
         bb_nodes: dict[int, int] = {}
@@ -511,6 +498,7 @@ def build_from_frontends(
                     instr_nodes[ins.ea], fn_nodes[ins.branch_target], "xref"
                 )
 
+        callees: set[int] = set()
         for site in sites:
             if site.kind == "in_image":
                 target = in_image_node(site.target_ea, site.target_name)
@@ -522,7 +510,9 @@ def build_from_frontends(
             if site.receiver:
                 props["recv"] = site.receiver
             g.add_edge(instr_nodes[site.caller_ea], target, "calls", props)
-            g.add_edge(fid, target, "calls")
+            if target not in callees:
+                callees.add(target)
+                g.add_edge(fid, target, "calls")
 
     if model is not None:
         _build_objc(g, model)

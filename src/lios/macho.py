@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     BadMagic,
+    DanglingReference,
     MalformedLoadCommand,
     OverlongUleb,
     TruncatedFile,
@@ -441,6 +442,15 @@ def read_cstring(image: MachoImage, va: int, limit: int = 4096) -> str | None:
     if end < 0:
         return None
     return image.data[off:end].decode("utf-8", "replace")
+
+
+def read_struct(image: MachoImage, fmt: str, offset: int) -> tuple:
+    """`struct.unpack_from(fmt)` at a file offset; a record that does not lie
+    wholly inside the file raises DanglingReference."""
+    size = struct.calcsize(fmt)
+    if offset < 0 or offset + size > len(image.data):
+        raise DanglingReference(f"{size} bytes at {offset:#x} lie past the end of the file")
+    return struct.unpack_from(fmt, image.data, offset)
 
 
 def read_u64(image: MachoImage, va: int) -> int | None:

@@ -17,6 +17,7 @@ from .errors import CyclicSuperclassChain, DanglingReference
 from .macho import (
     MachoImage,
     read_cstring,
+    read_struct,
     read_u64,
     section_bytes,
     strip_pac,
@@ -173,7 +174,7 @@ def _read_method_list(image: MachoImage, va: int, in_image: bool) -> list[ObjcMe
     off = va_to_offset(image, va)
     if off is None:
         raise DanglingReference(f"method list at {va:#x} unmapped")
-    entsize_flags, count = struct.unpack_from("<II", image.data, off)
+    entsize_flags, count = read_struct(image, "<II", off)
     relative = bool(entsize_flags & METHOD_LIST_RELATIVE)
     direct = bool(entsize_flags & METHOD_LIST_DIRECT_SELECTORS)
     methods = []
@@ -183,8 +184,8 @@ def _read_method_list(image: MachoImage, va: int, in_image: bool) -> list[ObjcMe
             raise DanglingReference(f"relative method list entsize {entry_size}")
         for i in range(count):
             base = va + 8 + i * 12
-            name_off, types_off, imp_off = struct.unpack_from(
-                "<iii", image.data, off + 8 + i * 12
+            name_off, types_off, imp_off = read_struct(
+                image, "<iii", off + 8 + i * 12
             )
             name_target = base + name_off
             if not direct:
@@ -198,8 +199,8 @@ def _read_method_list(image: MachoImage, va: int, in_image: bool) -> list[ObjcMe
             methods.append(ObjcMethod(selector, types, impl))
         return methods
     for i in range(count):
-        name_ptr, types_ptr, imp_ptr = struct.unpack_from(
-            "<QQQ", image.data, off + 8 + i * 24
+        name_ptr, types_ptr, imp_ptr = read_struct(
+            image, "<QQQ", off + 8 + i * 24
         )
         selector = read_cstring(image, strip_pac(name_ptr)) or ""
         types = read_cstring(image, strip_pac(types_ptr)) or ""
@@ -214,7 +215,7 @@ def _read_protocol_refs(image: MachoImage, va: int) -> list[int]:
     off = va_to_offset(image, va)
     if off is None:
         raise DanglingReference(f"protocol list at {va:#x} unmapped")
-    count = struct.unpack_from("<Q", image.data, off)[0]
+    count = read_struct(image, "<Q", off)[0]
     if count > 0x10000:
         raise DanglingReference(f"protocol list count {count} implausible")
     refs = []
@@ -232,11 +233,11 @@ def _read_ivars(image: MachoImage, va: int) -> list[tuple[str, str, int]]:
     off = va_to_offset(image, va)
     if off is None:
         raise DanglingReference(f"ivar list at {va:#x} unmapped")
-    _entsize, count = struct.unpack_from("<II", image.data, off)
+    _entsize, count = read_struct(image, "<II", off)
     out = []
     for i in range(count):
-        offset_ptr, name_ptr, type_ptr, _align, _size = struct.unpack_from(
-            "<QQQII", image.data, off + 8 + i * 32
+        offset_ptr, name_ptr, type_ptr, _align, _size = read_struct(
+            image, "<QQQII", off + 8 + i * 32
         )
         name = read_cstring(image, strip_pac(name_ptr)) or ""
         type_enc = read_cstring(image, strip_pac(type_ptr)) or ""
@@ -244,7 +245,7 @@ def _read_ivars(image: MachoImage, va: int) -> list[tuple[str, str, int]]:
         if offset_ptr:
             slot = va_to_offset(image, strip_pac(offset_ptr))
             if slot is not None:
-                ivar_offset = struct.unpack_from("<I", image.data, slot)[0]
+                ivar_offset = read_struct(image, "<I", slot)[0]
         out.append((name, type_enc, ivar_offset))
     return out
 
@@ -255,10 +256,10 @@ def _read_properties(image: MachoImage, va: int) -> list[tuple[str, str]]:
     off = va_to_offset(image, va)
     if off is None:
         raise DanglingReference(f"property list at {va:#x} unmapped")
-    _entsize, count = struct.unpack_from("<II", image.data, off)
+    _entsize, count = read_struct(image, "<II", off)
     out = []
     for i in range(count):
-        name_ptr, attr_ptr = struct.unpack_from("<QQ", image.data, off + 8 + i * 16)
+        name_ptr, attr_ptr = read_struct(image, "<QQ", off + 8 + i * 16)
         out.append(
             (
                 read_cstring(image, strip_pac(name_ptr)) or "",
@@ -279,14 +280,14 @@ def _parse_class_t(
     ro_off = va_to_offset(image, ro)
     if ro_off is None:
         raise DanglingReference(f"class_ro at {ro:#x} unmapped")
-    flags = struct.unpack_from("<I", image.data, ro_off)[0]
+    flags = read_struct(image, "<I", ro_off)[0]
     # class_ro: 16 bytes of scalars, then ivarLayout(16), name(24),
     # baseMethodList(32), baseProtocols(40), ivars(48), weakIvarLayout(56),
     # baseProperties(64)
-    name_ptr, methods_ptr, protocols_ptr, ivars_ptr = struct.unpack_from(
-        "<QQQQ", image.data, ro_off + 24
+    name_ptr, methods_ptr, protocols_ptr, ivars_ptr = read_struct(
+        image, "<QQQQ", ro_off + 24
     )
-    props_ptr = struct.unpack_from("<Q", image.data, ro_off + 64)[0]
+    props_ptr = read_struct(image, "<Q", ro_off + 64)[0]
     name = read_cstring(image, strip_pac(name_ptr)) or f"class@{address:#x}"
 
     superclass_ref: int | None = superclass or None

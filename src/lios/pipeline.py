@@ -181,11 +181,12 @@ def lift(config: AnalysisConfig):
 
     t = time.perf_counter()
     functions = {}
+    skipped = []
     for start, (s, e) in discover_functions(image, model).items():
         try:
             functions[start] = build_function(image, s, e, model=model)
-        except EmptyRange:
-            continue
+        except EmptyRange as exc:
+            skipped.append(f"function {start:#x} skipped: {exc}")
     timings["disasm"] = time.perf_counter() - t
     log.info("decoded %d functions", len(functions))
 
@@ -203,6 +204,7 @@ def lift(config: AnalysisConfig):
         entitlements=entitlements,
         depth=config.depth,
     )
+    graph.warnings.extend(skipped)
     program = graph.nodes("Program")[0]
     if ingested.info_error:
         graph.set_node_prop(program.id, "info_error", ingested.info_error)

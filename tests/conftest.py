@@ -1,4 +1,5 @@
 import pathlib
+import struct
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
@@ -29,3 +30,17 @@ def graph_bundle(builder, linked=False, **kwargs):
         link_pass(g)
         mark_entrypoints(g)
     return manifest, image, model, functions, g
+
+
+def segment_fileoff_field(blob, segname):
+    """File offset of the `fileoff` field of a named LC_SEGMENT_64 command."""
+    from lios.macho import LC_SEGMENT_64
+
+    offset = 32
+    for _ in range(struct.unpack_from("<I", blob, 16)[0]):
+        cmd, size = struct.unpack_from("<II", blob, offset)
+        name = blob[offset + 8 : offset + 24].rstrip(b"\0").decode()
+        if cmd == LC_SEGMENT_64 and name == segname:
+            return offset + 40
+        offset += size
+    raise AssertionError(f"no segment {segname}")

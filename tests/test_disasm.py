@@ -759,12 +759,12 @@ class TestDevirtualize:
         image, manifest, model = call_image
         fn = self._fn(image, manifest, "msg_const", 6)
         sites = devirtualize(fn, model)
-        effects = call_effects_from_sites(sites)
+        call_uses = call_effects_from_sites(sites)
         call_ea = manifest["functions"]["msg_const"] + 16
-        uses, defs = effects[call_ea]
-        assert uses == {"x0", "x1"}
-        assert defs == {"x0", "x30"}
-        edges = compute_use_def(fn, compute_effects(fn, effects))
+        assert call_uses[call_ea] == {"x0", "x1"}
+        eff = compute_effects(fn, call_uses)
+        assert eff.eff_defs[call_ea] == {reg("x0"), reg("x30")}
+        edges = compute_use_def(fn, eff)
         sel_def = manifest["functions"]["msg_const"] + 12
         assert (call_ea, sel_def, reg("x1")) in edges
 

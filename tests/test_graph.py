@@ -7,7 +7,7 @@ import pytest
 
 import lios.disasm
 import lios.graph
-from conftest import lift_fixture
+from conftest import graph_bundle, lift_fixture
 from lios.disasm import (
     call_effects_from_sites,
     compute_effects,
@@ -49,21 +49,53 @@ def suite_graph():
 
 @pytest.mark.parametrize("builder", [corpus.msgsend_suite, corpus.listing_one_app])
 def test_effects_computed_at_most_twice_per_function(builder, monkeypatch):
-    """Once for devirtualization, once with call effects for use-def and
-    assembly: neither backtraces nor use-def recompute them."""
+    """The builder computes a function's own effects once and shares them
+    between devirtualization, use-def and assembly. A caller that traces a
+    return value through a callee computes the callee's effects again."""
     blob, manifest = builder()
     image, model, functions = lift_fixture(blob, manifest)
-    runs = Counter()
+    runs, own = Counter(), Counter()
+    building = [None]  # the function the builder last handed to a layer
 
     def counted(fn, *args, **kwargs):
         runs[fn.entry_ea] += 1
+        if fn is building[0]:
+            own[fn.entry_ea] += 1
         return compute_effects(fn, *args, **kwargs)
 
+    def builder_step(layer):
+        def step(fn, *args, **kwargs):
+            building[0] = fn
+            return layer(fn, *args, **kwargs)
+
+        return step
+
     monkeypatch.setattr(lios.disasm, "compute_effects", counted)
-    monkeypatch.setattr(lios.graph, "compute_effects", counted)
+    monkeypatch.setattr(lios.graph, "compute_effects", builder_step(counted))
+    monkeypatch.setattr(lios.graph, "devirtualize", builder_step(devirtualize))
     build_from_frontends(image, model, functions)
-    assert set(runs) == set(functions)
+    assert own == Counter(set(functions)), own.most_common(3)
     assert max(runs.values()) <= 2, runs.most_common(3)
+
+
+@pytest.mark.parametrize(
+    "builder, kwargs",
+    [
+        (corpus.msgsend_suite, {}),
+        (corpus.listing_one_app, {}),
+        (corpus.perf_app, {"functions": 4}),
+    ],
+    ids=["msgsend_suite", "listing_one", "perf_app"],
+)
+def test_builder_emits_each_edge_once(builder, kwargs):
+    """The store keeps every edge it is given, so the builder and the passes
+    must not repeat one: no two edges share endpoints, label and properties."""
+    *_, g = graph_bundle(builder, linked=True, **kwargs)
+    keys = Counter(
+        (e.src, e.dst, e.label, tuple(sorted(e.properties.items())))
+        for e in g.edges()
+    )
+    assert [key for key, n in keys.items() if n > 1] == []
 
 
 @pytest.fixture(scope="module")
@@ -146,18 +178,6 @@ class TestStore:
         g.add_edge(root_meta, root_meta, "isa")
         assert g.out_nodes(root_meta, "isa")[0].id == root_meta
         assert g.validate() == []
-
-    def test_exact_duplicate_edges_coalesce(self):
-        g = PropertyGraph()
-        a = g.add_node("Function", {"ea": 1, "name": "a", "is_ext": False})
-        b = g.add_node("Function", {"ea": 2, "name": "b", "is_ext": False})
-        first = g.add_edge(a, b, "calls", {"selector": "go"})
-        again = g.add_edge(a, b, "calls", {"selector": "go"})
-        other = g.add_edge(a, b, "calls", {"selector": "stop"})
-        bare = g.add_edge(a, b, "calls")
-        assert first == again
-        assert len({first, other, bare}) == 3
-        assert g.edge_count() == 3
 
     def test_known_property_types_enforced(self):
         g = PropertyGraph()

@@ -8,6 +8,7 @@ import struct
 
 import pytest
 
+from conftest import segment_fileoff_field
 from lios.fixtures.builder import MachoBuilder
 from lios.fixtures.scaffold import (
     CategorySpec,
@@ -16,7 +17,7 @@ from lios.fixtures.scaffold import (
     ProtocolSpec,
     Scaffold,
 )
-from lios.macho import parse_macho
+from lios.macho import parse_macho, read_u64, va_to_offset
 from lios.objc import (
     build_hierarchy,
     load_model,
@@ -358,6 +359,33 @@ class TestMalformedMetadata:
         broken = next(c for c in classes if c.name == "Broken")
         assert broken.malformed
         assert any("Broken" in w for w in image.warnings)
+
+    def test_method_list_running_past_end_of_file(self, two_class):
+        # a method count far beyond the file: the entries run out of bytes
+        image, _ = two_class
+        alpha = next(c for c in parse_classlist(image) if c.name == "Alpha")
+        blob = bytearray(image.data)
+        ro = va_to_offset(image, read_u64(image, alpha.address + 32) & ~0x7)
+        methods = va_to_offset(image, struct.unpack_from("<Q", blob, ro + 32)[0])
+        struct.pack_into("<I", blob, methods + 4, 0x7FFFFFFF)
+        mutated = parse_macho(bytes(blob))
+        broken = next(c for c in parse_classlist(mutated) if c.name == "Alpha")
+        assert broken.malformed
+        assert any(w.startswith("class Alpha: ") for w in mutated.warnings)
+
+    @pytest.mark.parametrize(
+        "fileoff", [1 << 40, 1 << 63], ids=["past_end", "past_ssize_t"]
+    )
+    def test_class_ro_past_end_of_file(self, fileoff):
+        # the segment holding class_ro claims a file offset far past the end
+        # of the file, and past what a C offset can hold
+        blob = bytearray(two_class_scaffold().build()[0])
+        field = segment_fileoff_field(blob, "__DATA_CONST")
+        struct.pack_into("<Q", blob, field, fileoff)
+        image = parse_macho(bytes(blob))
+        in_image = [c for c in parse_classlist(image) if not c.is_external]
+        assert in_image and all(c.name.startswith("malformed@") for c in in_image)
+        assert any("past the end of the file" in w for w in image.warnings)
 
     def test_no_objc_sections_is_empty_model(self):
         b = MachoBuilder()

@@ -1,12 +1,17 @@
 """Pipeline tests: ingest routes, function discovery, artifact determinism."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 import zipfile
 from pathlib import Path
 
 import pytest
 
+import lios
+from conftest import segment_fileoff_field
 from lios.errors import MissingExecutable, NotAnIpa
 from lios.fixtures import corpus
 from lios.fixtures.builder import MachoBuilder
@@ -306,6 +311,42 @@ class TestRunPipeline:
         assert set(timings) >= {"ingest", "parse", "disasm", "artifacts", "total"}
         parts = sum(v for k, v in timings.items() if k != "total")
         assert timings["total"] >= parts
+
+    def test_graph_bytes_do_not_depend_on_hash_seed(self, tmp_path):
+        # set and dict iteration order over strings follows the process's
+        # hash seed, so only separate processes can show an order leak
+        path = tmp_path / "suite.bin"
+        path.write_bytes(corpus.msgsend_suite()[0])
+        env = dict(os.environ, PYTHONPATH=str(Path(lios.__file__).parents[1]))
+        graphs = []
+        for seed in ("1", "2", "3"):
+            out = tmp_path / f"seed{seed}"
+            subprocess.run(
+                [sys.executable, "-m", "lios.cli", "lift", str(path), "--out", str(out)],
+                env=dict(env, PYTHONHASHSEED=seed),
+                check=True,
+                capture_output=True,
+                timeout=120,
+            )
+            graphs.append((out / "graph.jsonl").read_bytes())
+        assert graphs[0] == graphs[1] == graphs[2]
+
+    def test_skipped_functions_reach_stats(self, tmp_path):
+        # a __TEXT segment whose file offset lies past the end of the file:
+        # no function decodes, and each skipped one leaves a warning
+        blob = bytearray(corpus.benign_app()[0])
+        struct.pack_into("<Q", blob, segment_fileoff_field(blob, "__TEXT"), 1 << 57)
+        path = tmp_path / "far_text.bin"
+        path.write_bytes(blob)
+        result = run_pipeline(
+            AnalysisConfig(input=str(path), out_dir=str(tmp_path / "out"))
+        )
+        image = parse_macho(bytes(blob))
+        ranges = discover_functions(image, load_model(image))
+        stats = json.loads(Path(result.artifacts["stats"]).read_text())
+        skipped = [w for w in stats["warnings"] if " skipped: " in w]
+        assert ranges and len(skipped) == len(ranges)
+        assert result.graph.nodes("BasicBlock") == []
 
     def test_sanitized_ipa_exits_zero(self, tmp_path):
         path, _ = write_ipa(tmp_path, name="clean.ipa", sanitized=True)
