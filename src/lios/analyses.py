@@ -222,9 +222,11 @@ def tainted(graph, fn, spec: TaintSpec) -> list[TaintHit]:
     budget = _TAINT_STEP_BUDGET
     for sink in spec.sinks:
         reg = f"x{sink.arg}"
-        for node in _instructions_of(graph, fn_id):
-            if sink.callee not in calls_at.get(node.id, ()):
+        # calls_at holds the call instructions in instruction order
+        for nid, names in calls_at.items():
+            if sink.callee not in names:
                 continue
+            node = graph.node(nid)
             found: dict[str, tuple[int, ...]] = {}
             first = sorted(
                 {

@@ -1,15 +1,19 @@
 """Labeled property multi-graph: storage, frontend assembly, passes, persistence.
 
 The graph unifies three frontends (loader, class hierarchy, disassembly)
-behind one store. Nodes and edges carry free-form properties; the edge
-alphabet and its endpoint domains are validated on every insertion.
+behind one store. Nodes and edges carry free-form properties. The edge
+alphabet, its endpoint domains and the property types are checked by
+`add_node` and `add_edge`, and inline by `loads`, which rebuilds the store
+in one pass and reports the dump line of a malformed record.
 """
 
 from __future__ import annotations
 
-import base64
+import binascii
+import gc
 import json
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 from .disasm import (
     CallSite,
@@ -82,8 +86,34 @@ DEFAULT_DELEGATE_PROTOCOLS = frozenset(
     {"UIApplicationDelegate", "UIWebViewDelegate", "WKNavigationDelegate"}
 )
 
+# one dump record per line; a shared encoder and decoder skip the per-call
+# set-up of json.dumps and the whitespace passes of json.loads
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+_SCAN = json.JSONDecoder().scan_once
 
-@dataclass
+
+@contextmanager
+def paused_gc():
+    """Keep CPython's cyclic garbage collector off inside the block.
+
+    Building or reloading a graph allocates hundreds of thousands of
+    objects, and each full collection the allocations trigger walks all of
+    them. Nodes, edges and the frontend records hold no reference cycles,
+    so those collections free nothing; reference counting frees the rest.
+    The caller's collector state is restored on return and on error, and
+    nested use keeps the collector off. Mercurial's `util.nogc` is the same
+    technique.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@dataclass(slots=True)
 class Node:
     id: int
     label: str
@@ -93,7 +123,7 @@ class Node:
         return self.properties.get(key, default)
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
     id: int
     src: int
@@ -108,12 +138,14 @@ class Edge:
 def _check_properties(label: str, properties: dict) -> None:
     known = _KNOWN_KEYS.get(label, {})
     for key, value in properties.items():
+        want = known.get(key)
+        if type(value) is want:
+            continue
         if not isinstance(value, _SCALARS):
             raise TypeError(
                 f"{label}.{key}: property values are text/int/bool/bytes, "
                 f"not {type(value).__name__}"
             )
-        want = known.get(key)
         if want is None:
             continue
         if want is int and isinstance(value, bool):
@@ -132,8 +164,9 @@ class PropertyGraph:
         self._next_node = 0
         self._next_edge = 0
         self._by_label: dict[str, list[int]] = {}
-        self._out: dict[int, list[int]] = {}
-        self._in: dict[int, list[int]] = {}
+        # adjacency in edge-id order, so that it needs no sort
+        self._out: dict[int, list[Edge]] = {}
+        self._in: dict[int, list[Edge]] = {}
         self.warnings: list[str] = []
 
     # ---- mutation ----
@@ -171,14 +204,13 @@ class PropertyGraph:
                 f"{label}: {src_label} -> {dst_label} not allowed"
             )
         props = dict(properties or {})
-        for value in props.values():
-            if not isinstance(value, _SCALARS):
-                raise TypeError("edge property values are text/int/bool/bytes")
+        _check_properties(label, props)
         edge_id = self._next_edge
         self._next_edge += 1
-        self._edges[edge_id] = Edge(edge_id, src, dst, label, props)
-        self._out[src].append(edge_id)
-        self._in[dst].append(edge_id)
+        edge = Edge(edge_id, src, dst, label, props)
+        self._edges[edge_id] = edge
+        self._out[src].append(edge)
+        self._in[dst].append(edge)
         return edge_id
 
     # ---- access ----
@@ -195,22 +227,22 @@ class PropertyGraph:
         return [self._nodes[i] for i in self._by_label.get(label, [])]
 
     def edges(self, label: str | None = None):
-        out = [self._edges[i] for i in sorted(self._edges)]
+        # edge ids are assigned in increasing order, so insertion order is id order
         if label is None:
-            return out
-        return [e for e in out if e.label == label]
+            return list(self._edges.values())
+        return [e for e in self._edges.values() if e.label == label]
 
     def out_edges(self, node_id: int, label: str | None = None):
-        out = [self._edges[i] for i in self._out.get(node_id, [])]
+        out = self._out.get(node_id, ())
         if label is None:
-            return out
+            return list(out)
         return [e for e in out if e.label == label]
 
     def in_edges(self, node_id: int, label: str | None = None):
-        out = [self._edges[i] for i in self._in.get(node_id, [])]
+        into = self._in.get(node_id, ())
         if label is None:
-            return out
-        return [e for e in out if e.label == label]
+            return list(into)
+        return [e for e in into if e.label == label]
 
     def out_nodes(self, node_id: int, label: str):
         return [self._nodes[e.dst] for e in self.out_edges(node_id, label)]
@@ -261,80 +293,109 @@ class PropertyGraph:
     # ---- persistence ----
 
     def dumps(self) -> str:
+        encode = _ENCODER.encode
         lines = [DUMP_HEADER]
         for node in (self._nodes[i] for i in sorted(self._nodes)):
             lines.append(
-                json.dumps(
+                encode(
                     {
                         "t": "n",
                         "id": node.id,
                         "l": node.label,
                         "p": _encode_props(node.properties),
-                    },
-                    sort_keys=True,
-                    ensure_ascii=False,
-                    separators=(",", ":"),
+                    }
                 )
             )
-        for edge in (self._edges[i] for i in sorted(self._edges)):
+        for edge in self._edges.values():
             lines.append(
-                json.dumps(
+                encode(
                     {
                         "t": "e",
                         "s": edge.src,
                         "d": edge.dst,
                         "l": edge.label,
                         "p": _encode_props(edge.properties),
-                    },
-                    sort_keys=True,
-                    ensure_ascii=False,
-                    separators=(",", ":"),
+                    }
                 )
             )
         return "\n".join(lines) + "\n"
 
     @classmethod
+    @paused_gc()
     def loads(cls, text: str) -> "PropertyGraph":
+        """Rebuild a store from `dumps` output in one pass.
+
+        Records are checked inline, as `add_node` and `add_edge` check
+        them; any malformed record raises `MalformedDump` with its line.
+        """
         g = cls()
-        lines = text.splitlines()
-        if not lines or lines[0].strip() != DUMP_HEADER:
+        nodes, edges, out, into = g._nodes, g._edges, g._out, g._in
+        by_label = g._by_label
+        # not splitlines(): text properties may hold U+0085 and U+2028/9 raw
+        lines = text.split("\n")
+        if lines[0].strip() != DUMP_HEADER:
             raise MalformedDump(f"missing `{DUMP_HEADER}` header", 1)
+        next_node = next_edge = 0
         for number, line in enumerate(lines[1:], 2):
-            if not line.strip():
+            line = line.strip()
+            if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec, end = _SCAN(line, 0)
+            except StopIteration:
+                raise MalformedDump("expecting a JSON value", number) from None
             except json.JSONDecodeError as exc:
                 raise MalformedDump(str(exc), number) from exc
-            if not isinstance(rec, dict) or "t" not in rec:
+            if end != len(line):
+                raise MalformedDump(f"extra data at column {end + 1}", number)
+            if type(rec) is not dict or "t" not in rec:
                 raise MalformedDump("record is not an object with 't'", number)
             try:
-                if rec["t"] == "n":
-                    node_id = rec["id"]
-                    label = rec["l"]
-                    if label not in NODE_LABELS:
+                kind = rec["t"]
+                if kind == "n":
+                    node_id, label = rec["id"], rec["l"]
+                    if type(node_id) is not int:
+                        raise MalformedDump(f"node id {node_id!r} is not an int", number)
+                    if type(label) is not str or label not in NODE_LABELS:
                         raise MalformedDump(f"unknown label {label!r}", number)
-                    if node_id in g._nodes:
+                    if node_id in nodes:
                         raise MalformedDump(f"duplicate node id {node_id}", number)
-                    props = _decode_props(rec.get("p", {}))
-                    g._nodes[node_id] = Node(node_id, label, props)
-                    g._by_label.setdefault(label, []).append(node_id)
-                    g._out[node_id] = []
-                    g._in[node_id] = []
-                    g._next_node = max(g._next_node, node_id + 1)
-                elif rec["t"] == "e":
+                    props = _decode_props(label, rec.get("p", {}), number)
+                    nodes[node_id] = Node(node_id, label, props)
+                    by_label.setdefault(label, []).append(node_id)
+                    out[node_id] = []
+                    into[node_id] = []
+                    if node_id >= next_node:
+                        next_node = node_id + 1
+                elif kind == "e":
                     src, dst, label = rec["s"], rec["d"], rec["l"]
-                    if src not in g._nodes or dst not in g._nodes:
+                    if type(src) is not int or type(dst) is not int:
+                        raise MalformedDump(
+                            f"edge endpoints {src!r}->{dst!r} are not node ids", number
+                        )
+                    if src not in nodes or dst not in nodes:
                         raise MalformedDump(
                             f"edge references unknown node {src}->{dst}", number
                         )
-                    g.add_edge(src, dst, label, _decode_props(rec.get("p", {})))
+                    if type(label) is not str or label not in EDGE_RULES:
+                        raise MalformedDump(f"unknown edge label {label!r}", number)
+                    domain, codomain = EDGE_RULES[label]
+                    src_label, dst_label = nodes[src].label, nodes[dst].label
+                    if src_label not in domain or dst_label not in codomain:
+                        raise MalformedDump(
+                            f"{label}: {src_label} -> {dst_label} not allowed", number
+                        )
+                    props = _decode_props(label, rec.get("p", {}), number)
+                    edge = Edge(next_edge, src, dst, label, props)
+                    edges[next_edge] = edge
+                    out[src].append(edge)
+                    into[dst].append(edge)
+                    next_edge += 1
                 else:
-                    raise MalformedDump(f"unknown record type {rec['t']!r}", number)
+                    raise MalformedDump(f"unknown record type {kind!r}", number)
             except KeyError as exc:
                 raise MalformedDump(f"missing field {exc}", number) from exc
-            except (UnknownLabel, LabelDomainViolation, MissingEndpoint) as exc:
-                raise MalformedDump(str(exc), number) from exc
+        g._next_node, g._next_edge = next_node, next_edge
         return g
 
 
@@ -342,20 +403,27 @@ def _encode_props(props: dict) -> dict:
     out = {}
     for key, value in props.items():
         if isinstance(value, bytes):
-            out[key] = {"b64": base64.b64encode(value).decode("ascii")}
+            out[key] = {"b64": binascii.b2a_base64(value, newline=False).decode("ascii")}
         else:
             out[key] = value
     return out
 
 
-def _decode_props(props: dict) -> dict:
-    out = {}
+def _decode_props(label: str, props, number: int) -> dict:
+    """A dump record's properties, decoded in place and type-checked."""
+    if type(props) is not dict:
+        raise MalformedDump("properties are not an object", number)
     for key, value in props.items():
-        if isinstance(value, dict) and set(value) == {"b64"}:
-            out[key] = base64.b64decode(value["b64"])
-        else:
-            out[key] = value
-    return out
+        if type(value) is dict and len(value) == 1 and "b64" in value:
+            try:
+                props[key] = binascii.a2b_base64(value["b64"])
+            except (TypeError, ValueError) as exc:
+                raise MalformedDump(f"{label}.{key}: bad base64: {exc}", number) from exc
+    try:
+        _check_properties(label, props)
+    except TypeError as exc:
+        raise MalformedDump(str(exc), number) from exc
+    return props
 
 
 def dump(graph: PropertyGraph, destination) -> None:

@@ -310,6 +310,14 @@ def _parse_segment64(image: MachoImage, body: bytes, index: int) -> None:
         offset32, _align, _reloff, _nreloc, flags, res1, res2 = struct.unpack_from(
             "<IIIIIII", body, off + 48
         )
+        segment_end = vmaddr + vmsize
+        if addr + size > segment_end:
+            clamped = max(0, segment_end - addr)
+            image.warnings.append(
+                f"section ({seg_of_sect},{sectname}) size {size:#x} runs past the end "
+                f"of segment {segname}; clamped to {clamped:#x}"
+            )
+            size = clamped
         sect = Section(seg_of_sect, sectname, addr, size, offset32, flags, res1, res2)
         if any(
             x.segment_name == seg_of_sect and x.section_name == sectname

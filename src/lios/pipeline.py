@@ -23,7 +23,14 @@ from .errors import (
     MissingExecutable,
     NotAnIpa,
 )
-from .graph import PropertyGraph, build_from_frontends, dump, link_pass, mark_entrypoints
+from .graph import (
+    PropertyGraph,
+    build_from_frontends,
+    dump,
+    link_pass,
+    mark_entrypoints,
+    paused_gc,
+)
 from .macho import parse_macho
 from .objc import load_model
 from .plist import canonical_json, parse_plist
@@ -155,8 +162,12 @@ class PipelineResult:
     artifacts: dict = field(default_factory=dict)
 
 
+@paused_gc()
 def lift(config: AnalysisConfig):
-    """(graph, ingested, timings) for the configured input, passes applied."""
+    """(graph, ingested, timings) for the configured input, passes applied.
+
+    The cyclic collector is paused throughout: see `paused_gc`.
+    """
     timings: dict[str, float] = {}
     t = time.perf_counter()
     ingested = ingest(config.input)

@@ -556,6 +556,12 @@ class TestDump:
         clone = PropertyGraph.loads(g.dumps())
         assert clone.node(0).get("bytes") == b"\x1f\x20\x03\xd5"
 
+    def test_line_separators_in_text_survive_round_trip(self):
+        g = PropertyGraph()
+        g.add_node("Class", {"name": "A\u2028B\u2029C\x85D"})
+        text = g.dumps()
+        assert PropertyGraph.loads(text).dumps() == text
+
     def test_missing_header(self):
         with pytest.raises(MalformedDump) as exc:
             PropertyGraph.loads('{"t":"n","id":0,"l":"Class","p":{}}\n')
@@ -623,3 +629,38 @@ class TestDump:
         with pytest.raises(MalformedDump) as exc:
             PropertyGraph.loads(text)
         assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"t":"n","id":1,"l":"Class","p":[1]}',
+            '{"t":"n","id":"a","l":"Class","p":{}}',
+            '{"t":"n","id":1,"l":["Class"],"p":{}}',
+            '{"t":"e","s":[0],"d":0,"l":"isa","p":{}}',
+            '{"t":"n","id":1,"l":"Instruction","p":{"bytes":{"b64":"a"}}}',
+            '{"t":"e","s":0,"d":0,"l":"isa","p":{"k":[1]}}',
+            '{"t":"n","id":1,"l":"Function","p":{"ea":"x"}}',
+            '{"t":"n","id":1,"l":"Class","p":{"name":[1]}}',
+        ],
+        ids=[
+            "props-not-object",
+            "id-not-int",
+            "label-unhashable",
+            "endpoint-unhashable",
+            "bad-base64",
+            "edge-prop-not-scalar",
+            "known-key-wrong-type",
+            "known-key-not-scalar",
+        ],
+    )
+    def test_malformed_record_reports_line(self, record):
+        text = (
+            DUMP_HEADER
+            + "\n"
+            + '{"t":"n","id":0,"l":"Class","p":{"name":"A"}}\n'
+            + record
+            + "\n"
+        )
+        with pytest.raises(MalformedDump) as exc:
+            PropertyGraph.loads(text)
+        assert exc.value.line_no == 3

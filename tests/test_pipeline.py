@@ -1,5 +1,6 @@
 """Pipeline tests: ingest routes, function discovery, artifact determinism."""
 
+import gc
 import json
 import os
 import struct
@@ -12,10 +13,10 @@ import pytest
 
 import lios
 from conftest import segment_fileoff_field
-from lios.errors import MissingExecutable, NotAnIpa
+from lios.errors import EncryptedBinary, MalformedDump, MissingExecutable, NotAnIpa
 from lios.fixtures import corpus
 from lios.fixtures.builder import MachoBuilder
-from lios.graph import load
+from lios.graph import DUMP_HEADER, PropertyGraph, load, paused_gc
 from lios.macho import LC_FUNCTION_STARTS, encode_uleb128, parse_macho
 from lios.objc import load_model
 from lios.pipeline import (
@@ -348,6 +349,26 @@ class TestRunPipeline:
         assert ranges and len(skipped) == len(ranges)
         assert result.graph.nodes("BasicBlock") == []
 
+    def test_text_past_its_segment_is_clamped(self, tmp_path):
+        # a __text size far past the __TEXT segment would make the last
+        # function decode the rest of the file, __LINKEDIT included
+        blob = bytearray(corpus.benign_app()[0])
+        header = blob.find(b"__text".ljust(16, b"\0") + b"__TEXT".ljust(16, b"\0"))
+        struct.pack_into("<Q", blob, header + 40, 1 << 54)
+        path = tmp_path / "huge_text.bin"
+        path.write_bytes(blob)
+        result = run_pipeline(
+            AnalysisConfig(input=str(path), out_dir=str(tmp_path / "out"))
+        )
+        segment = next(
+            s for s in parse_macho(bytes(blob)).segments if s.name == "__TEXT"
+        )
+        eas = [n.get("ea") for n in result.graph.nodes("Instruction")]
+        assert eas and all(segment.contains_va(ea) for ea in eas)
+        stats = json.loads(Path(result.artifacts["stats"]).read_text())
+        clamped = [w for w in stats["warnings"] if "(__TEXT,__text)" in w]
+        assert clamped and "clamped" in clamped[0]
+
     def test_sanitized_ipa_exits_zero(self, tmp_path):
         path, _ = write_ipa(tmp_path, name="clean.ipa", sanitized=True)
         result = run_pipeline(
@@ -421,3 +442,56 @@ class TestRunPipeline:
         assert ("info-plist-malformed", "warning") in [
             (f.rule, f.severity) for f in result.findings
         ]
+
+
+class TestPausedGc:
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def gc_state(self, request):
+        """The collector state a caller had before lift or loads ran."""
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_lift_and_loads_restore_the_collector(self, tmp_path, gc_state):
+        path, _ = write_ipa(tmp_path)
+        graph, _, _ = lift(AnalysisConfig(input=str(path)))
+        assert gc.isenabled() is gc_state
+        PropertyGraph.loads(graph.dumps())
+        assert gc.isenabled() is gc_state
+
+    def test_collector_restored_when_lift_or_loads_raises(self, tmp_path, gc_state):
+        builder = MachoBuilder()
+        builder.set_encryption(1)
+        path = tmp_path / "locked.bin"
+        path.write_bytes(builder.build())
+        with pytest.raises(EncryptedBinary):
+            lift(AnalysisConfig(input=str(path)))
+        assert gc.isenabled() is gc_state
+        with pytest.raises(MalformedDump):
+            PropertyGraph.loads(DUMP_HEADER + "\n{not json}\n")
+        assert gc.isenabled() is gc_state
+
+    def test_nested_pause_keeps_the_collector_off(self, gc_state):
+        with paused_gc():
+            with paused_gc():
+                pass
+            assert not gc.isenabled()
+        assert gc.isenabled() is gc_state
+
+    def test_lift_leaves_no_cycles_that_grow_with_the_app(self, tmp_path):
+        # the pause is safe only while the store and the frontend records
+        # hold no reference cycles: reference counting must free the lift.
+        # The collector stays off until the count, so no cycle escapes it.
+        garbage = []
+        for functions in (2, 20):
+            path = tmp_path / f"perf{functions}.bin"
+            path.write_bytes(corpus.perf_app(functions=functions)[0])
+            gc.collect()
+            with paused_gc():
+                result = run_pipeline(
+                    AnalysisConfig(input=str(path), out_dir=str(tmp_path / path.stem))
+                )
+                del result
+                garbage.append(gc.collect())
+        assert garbage[0] == garbage[1]
