@@ -11,7 +11,7 @@ from pathlib import Path
 
 from . import analyses
 from .errors import LiosError
-from .graph import _encode_props, load
+from .graph import _format_props, load
 from .macho import parse_macho
 from .objc import load_model
 from .pipeline import AnalysisConfig, ingest, run_pipeline
@@ -37,12 +37,9 @@ def _setup_logging() -> None:
 
 
 def _node_json(node) -> str:
-    record = {
-        "id": node.id,
-        "label": node.label,
-        "props": _encode_props(node.properties),
-    }
-    return json.dumps(record, sort_keys=True, ensure_ascii=False)
+    return '{"id": %d, "label": %s, "props": %s}' % (
+        node.id, json.dumps(node.label), _format_props(node.properties)
+    )
 
 
 def _print_findings(findings, out) -> None:

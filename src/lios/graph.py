@@ -5,6 +5,14 @@ behind one store. Nodes and edges carry free-form properties. The edge
 alphabet, its endpoint domains and the property types are checked by
 `add_node` and `add_edge`, and inline by `loads`, which rebuilds the store
 in one pass and reports the dump line of a malformed record.
+
+A dump (format v1) is one header line, then one JSON object per line: the
+nodes in id order, then the edges in id order. Each record is written
+straight from a format string per record kind, with the keys in sorted
+order, and streamed to the file line by line; `dumps` joins the same lines.
+`load` and `loads` share one reader that takes the lines one at a time, so
+a file is never held in memory whole. Only a line feed ends a record: text
+properties may hold U+0085 and U+2028/9 raw.
 """
 
 from __future__ import annotations
@@ -86,9 +94,17 @@ DEFAULT_DELEGATE_PROTOCOLS = frozenset(
     {"UIApplicationDelegate", "UIWebViewDelegate", "WKNavigationDelegate"}
 )
 
-# one dump record per line; a shared encoder and decoder skip the per-call
-# set-up of json.dumps and the whitespace passes of json.loads
-_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+# one dump record per line, keys in sorted order; the label is quoted once
+# per label, and a shared decoder skips the whitespace passes of json.loads
+_quote = json.encoder.encode_basestring
+_NODE_RECORD = {
+    label: '{"id":%%d,"l":%s,"p":%%s,"t":"n"}\n' % _quote(label)
+    for label in NODE_LABELS
+}
+_EDGE_RECORD = {
+    label: '{"d":%%d,"l":%s,"p":%%s,"s":%%d,"t":"e"}\n' % _quote(label)
+    for label in EDGE_RULES
+}
 _SCAN = json.JSONDecoder().scan_once
 
 
@@ -292,51 +308,43 @@ class PropertyGraph:
 
     # ---- persistence ----
 
-    def dumps(self) -> str:
-        encode = _ENCODER.encode
-        lines = [DUMP_HEADER]
-        for node in (self._nodes[i] for i in sorted(self._nodes)):
-            lines.append(
-                encode(
-                    {
-                        "t": "n",
-                        "id": node.id,
-                        "l": node.label,
-                        "p": _encode_props(node.properties),
-                    }
-                )
-            )
+    def _dump_lines(self):
+        """The dump's lines in order, each ending in a line feed."""
+        yield DUMP_HEADER + "\n"
+        nodes = self._nodes
+        for node_id in sorted(nodes):
+            node = nodes[node_id]
+            yield _NODE_RECORD[node.label] % (node_id, _format_props(node.properties))
         for edge in self._edges.values():
-            lines.append(
-                encode(
-                    {
-                        "t": "e",
-                        "s": edge.src,
-                        "d": edge.dst,
-                        "l": edge.label,
-                        "p": _encode_props(edge.properties),
-                    }
-                )
+            yield _EDGE_RECORD[edge.label] % (
+                edge.dst, _format_props(edge.properties), edge.src
             )
-        return "\n".join(lines) + "\n"
+
+    def dumps(self) -> str:
+        return "".join(self._dump_lines())
 
     @classmethod
-    @paused_gc()
     def loads(cls, text: str) -> "PropertyGraph":
         """Rebuild a store from `dumps` output in one pass.
 
         Records are checked inline, as `add_node` and `add_edge` check
         them; any malformed record raises `MalformedDump` with its line.
         """
+        # not splitlines(): text properties may hold U+0085 and U+2028/9 raw
+        return cls._load_lines(text.split("\n"))
+
+    @classmethod
+    @paused_gc()
+    def _load_lines(cls, lines) -> "PropertyGraph":
+        """The store that an iterable of dump lines describes; see `loads`."""
         g = cls()
         nodes, edges, out, into = g._nodes, g._edges, g._out, g._in
         by_label = g._by_label
-        # not splitlines(): text properties may hold U+0085 and U+2028/9 raw
-        lines = text.split("\n")
-        if lines[0].strip() != DUMP_HEADER:
+        lines = iter(lines)
+        if next(lines, "").strip() != DUMP_HEADER:
             raise MalformedDump(f"missing `{DUMP_HEADER}` header", 1)
         next_node = next_edge = 0
-        for number, line in enumerate(lines[1:], 2):
+        for number, line in enumerate(lines, 2):
             line = line.strip()
             if not line:
                 continue
@@ -399,14 +407,34 @@ class PropertyGraph:
         return g
 
 
-def _encode_props(props: dict) -> dict:
-    out = {}
-    for key, value in props.items():
-        if isinstance(value, bytes):
-            out[key] = {"b64": binascii.b2a_base64(value, newline=False).decode("ascii")}
+def _format_props(props: dict) -> str:
+    """A property mapping as the compact JSON object the dump holds.
+
+    Keys go in sorted order. Text is quoted as `json` quotes it with
+    `ensure_ascii=False`; bool is checked before int, since bool is an int;
+    bytes become `{"b64": ...}`. Any other value raises `TypeError`.
+    """
+    if not props:
+        return "{}"
+    parts = []
+    for key in sorted(props):
+        value = props[key]
+        if isinstance(value, str):
+            text = _quote(value)
+        elif value is True:
+            text = "true"
+        elif value is False:
+            text = "false"
+        elif isinstance(value, int):
+            text = int.__repr__(value)
+        elif isinstance(value, bytes):
+            text = '{"b64":"%s"}' % binascii.b2a_base64(value, newline=False).decode("ascii")
         else:
-            out[key] = value
-    return out
+            raise TypeError(
+                f"property {key!r}: {type(value).__name__} is not text/int/bool/bytes"
+            )
+        parts.append(f"{_quote(key)}:{text}")
+    return "{" + ",".join(parts) + "}"
 
 
 def _decode_props(label: str, props, number: int) -> dict:
@@ -427,19 +455,21 @@ def _decode_props(label: str, props, number: int) -> dict:
 
 
 def dump(graph: PropertyGraph, destination) -> None:
-    text = graph.dumps()
+    """Stream `graph`'s dump to a path or to a text file object."""
     if hasattr(destination, "write"):
-        destination.write(text)
+        destination.writelines(graph._dump_lines())
     else:
         with open(destination, "w", encoding="utf-8", newline="\n") as fp:
-            fp.write(text)
+            fp.writelines(graph._dump_lines())
 
 
 def load(source) -> PropertyGraph:
+    """Read a dump line by line from a path or from a text file object."""
     if hasattr(source, "read"):
-        return PropertyGraph.loads(source.read())
-    with open(source, "r", encoding="utf-8") as fp:
-        return PropertyGraph.loads(fp.read())
+        return PropertyGraph._load_lines(source)
+    # newline="\n": only "\n" ends a record, as in `loads`
+    with open(source, "r", encoding="utf-8", newline="\n") as fp:
+        return PropertyGraph._load_lines(fp)
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def discover_functions(image, model) -> dict[int, tuple[int, int]]:
     text = image.section("__TEXT", "__text")
     if text is None:
         return {}
-    end_of_text = text.vm_addr + text.size
+    end_of_text = _end_of_code(image, text)
     starts = set(image.function_starts)
     for cls in model.classes:
         for method in cls.methods:
@@ -151,6 +151,30 @@ def discover_functions(image, model) -> dict[int, tuple[int, int]]:
         end = starts[i + 1] if i + 1 < len(starts) else end_of_text
         out[start] = (start, end)
     return out
+
+
+def _end_of_code(image, text) -> int:
+    """Where the last function of `__text` ends.
+
+    That is the end of `__text`, unless another section starts first or
+    the file-backed bytes of its segment end first: a corrupt section size
+    would otherwise make the last function decode stubs, strings and zero
+    fill as code. When such a bound applies, the image gets one warning.
+    """
+    end = text.vm_addr + text.size
+    bounds = [s.vm_addr for s in image.sections if text.vm_addr < s.vm_addr < end]
+    segment = next((s for s in image.segments if s.name == text.segment_name), None)
+    if segment is not None:
+        bounds.append(segment.vm_addr + segment.file_size)
+    bound = min(bounds, default=end)
+    if bound >= end:
+        return end
+    image.warnings.append(
+        f"section ({text.segment_name},{text.section_name}) ends at {end:#x}, past "
+        f"the next section or the end of its segment's file data; its last "
+        f"function ends at {bound:#x}"
+    )
+    return bound
 
 
 @dataclass

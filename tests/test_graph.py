@@ -1,5 +1,7 @@
 """Graph store invariants, frontend assembly, passes, and persistence."""
 
+import base64
+import io
 import json
 from collections import Counter
 
@@ -631,29 +633,31 @@ class TestDump:
         assert exc.value.line_no == 2
 
     @pytest.mark.parametrize(
-        "record",
+        "record, read",
         [
-            '{"t":"n","id":1,"l":"Class","p":[1]}',
-            '{"t":"n","id":"a","l":"Class","p":{}}',
-            '{"t":"n","id":1,"l":["Class"],"p":{}}',
-            '{"t":"e","s":[0],"d":0,"l":"isa","p":{}}',
-            '{"t":"n","id":1,"l":"Instruction","p":{"bytes":{"b64":"a"}}}',
-            '{"t":"e","s":0,"d":0,"l":"isa","p":{"k":[1]}}',
-            '{"t":"n","id":1,"l":"Function","p":{"ea":"x"}}',
-            '{"t":"n","id":1,"l":"Class","p":{"name":[1]}}',
-        ],
-        ids=[
-            "props-not-object",
-            "id-not-int",
-            "label-unhashable",
-            "endpoint-unhashable",
-            "bad-base64",
-            "edge-prop-not-scalar",
-            "known-key-wrong-type",
-            "known-key-not-scalar",
+            pytest.param(record, read, id=name + suffix)
+            for suffix, read in [("", "loads"), ("-from-path", "load")]
+            for name, record in [
+                ("props-not-object", '{"t":"n","id":1,"l":"Class","p":[1]}'),
+                ("id-not-int", '{"t":"n","id":"a","l":"Class","p":{}}'),
+                ("label-unhashable", '{"t":"n","id":1,"l":["Class"],"p":{}}'),
+                ("endpoint-unhashable", '{"t":"e","s":[0],"d":0,"l":"isa","p":{}}'),
+                (
+                    "bad-base64",
+                    '{"t":"n","id":1,"l":"Instruction","p":{"bytes":{"b64":"a"}}}',
+                ),
+                ("edge-prop-not-scalar", '{"t":"e","s":0,"d":0,"l":"isa","p":{"k":[1]}}'),
+                ("known-key-wrong-type", '{"t":"n","id":1,"l":"Function","p":{"ea":"x"}}'),
+                ("known-key-not-scalar", '{"t":"n","id":1,"l":"Class","p":{"name":[1]}}'),
+                # only "\n" ends a record, in a file as in a string
+                (
+                    "stray-carriage-return",
+                    '{"t":"n","id":1,"l":"Class","p":{}}\r{"t":"x"}',
+                ),
+            ]
         ],
     )
-    def test_malformed_record_reports_line(self, record):
+    def test_malformed_record_reports_line(self, tmp_path, record, read):
         text = (
             DUMP_HEADER
             + "\n"
@@ -662,5 +666,78 @@ class TestDump:
             + "\n"
         )
         with pytest.raises(MalformedDump) as exc:
-            PropertyGraph.loads(text)
+            if read == "loads":
+                PropertyGraph.loads(text)
+            else:
+                path = tmp_path / "graph.jsonl"
+                path.write_text(text, encoding="utf-8", newline="\n")
+                load(path)
         assert exc.value.line_no == 3
+
+    def test_records_match_an_independent_encoder(self):
+        oracle = json.JSONEncoder(
+            sort_keys=True, ensure_ascii=False, separators=(",", ":")
+        ).encode
+        texts = ["", "caf\u00e9 \u65e5\u672c", "\x85", "\u2028\u2029", '"', "\\",
+                 "\x00\x01\x1f\t\n\r\x7f"]
+        ints = [0, -1, -(1 << 40), (1 << 63) + 1, 1 << 100]
+        props = {f"s{i}": text for i, text in enumerate(texts)}
+        props.update({f"i{i}": value for i, value in enumerate(ints)})
+        props.update({"yes": True, "no": False, "none": b"", "raw": b"\x00\xff\x1f+/"})
+        props['k"\u00e9\\\u2028'] = "key needing quotes"
+        g = PropertyGraph()
+        a = g.add_node("Class", dict(props, name="A"))
+        b = g.add_node("Class")
+        g.add_node("Instruction", {"ea": 4, "bytes": b"\x1f\x20\x03\xd5", "asm": "nop"})
+        g.add_edge(a, b, "has_superclass", props)
+        g.add_edge(b, a, "isa")
+
+        def encoded(properties):
+            return {
+                key: {"b64": base64.b64encode(value).decode("ascii")}
+                if isinstance(value, bytes)
+                else value
+                for key, value in properties.items()
+            }
+
+        expected = [DUMP_HEADER]
+        for node in g.nodes():
+            expected.append(oracle(
+                {"t": "n", "id": node.id, "l": node.label, "p": encoded(node.properties)}
+            ))
+        for edge in g.edges():
+            expected.append(oracle({
+                "t": "e", "s": edge.src, "d": edge.dst, "l": edge.label,
+                "p": encoded(edge.properties),
+            }))
+        assert g.dumps().split("\n") == expected + [""]
+
+    @pytest.mark.parametrize("value", [1.5, None, [1]], ids=["float", "none", "list"])
+    def test_unwritable_property_raises(self, value):
+        # set_node_prop would refuse these; a direct write bypasses it
+        g = PropertyGraph()
+        g.add_node("Class", {"name": "A"})
+        g.node(0).properties["extra"] = value
+        with pytest.raises(TypeError):
+            g.dumps()
+
+    def test_dump_writes_the_dumps_bytes(self, tmp_path, suite_graph):
+        g = suite_graph[4]
+        path = tmp_path / "graph.jsonl"
+        dump(g, path)
+        assert path.read_bytes() == g.dumps().encode("utf-8")
+        buffer = io.StringIO()
+        dump(g, buffer)
+        assert buffer.getvalue() == g.dumps()
+
+    def test_load_from_path_and_file_keeps_line_separators(self, tmp_path):
+        g = PropertyGraph()
+        g.add_node("Class", {"name": "A\u2028B\u2029C\x85D"})
+        g.add_node("Class", {"name": "E\x85"})
+        g.add_edge(1, 0, "has_superclass", {"note": "\u2028"})
+        text = g.dumps()
+        path = tmp_path / "graph.jsonl"
+        dump(g, path)
+        assert load(path).dumps() == text
+        with open(path, encoding="utf-8", newline="\n") as fp:
+            assert load(fp).dumps() == text

@@ -369,6 +369,34 @@ class TestRunPipeline:
         clamped = [w for w in stats["warnings"] if "(__TEXT,__text)" in w]
         assert clamped and "clamped" in clamped[0]
 
+    def test_text_ends_at_the_next_section(self, tmp_path):
+        # __text reaching exactly the __TEXT VM end passes the segment
+        # clamp, but it overlaps __stubs and __cstring: the last function
+        # must still end where __text really ends
+        blob = bytearray(corpus.benign_app()[0])
+        header = blob.find(b"__text".ljust(16, b"\0") + b"__TEXT".ljust(16, b"\0"))
+        image = parse_macho(bytes(blob))
+        text = image.section("__TEXT", "__text")
+        segment = next(s for s in image.segments if s.name == "__TEXT")
+        struct.pack_into(
+            "<Q", blob, header + 40, segment.vm_addr + segment.vm_size - text.vm_addr
+        )
+        path = tmp_path / "long_text.bin"
+        path.write_bytes(blob)
+        result = run_pipeline(
+            AnalysisConfig(input=str(path), out_dir=str(tmp_path / "out"))
+        )
+        main = result.graph.find_nodes("Function", "name", "main")[0]
+        instructions = [
+            ins
+            for block in result.graph.out_nodes(main.id, "has_bb")
+            for ins in result.graph.out_nodes(block.id, "instr")
+        ]
+        assert len(instructions) == 5
+        stats = json.loads(Path(result.artifacts["stats"]).read_text())
+        bounded = [w for w in stats["warnings"] if "(__TEXT,__text)" in w]
+        assert len(bounded) == 1 and "last function ends at" in bounded[0]
+
     def test_sanitized_ipa_exits_zero(self, tmp_path):
         path, _ = write_ipa(tmp_path, name="clean.ipa", sanitized=True)
         result = run_pipeline(
