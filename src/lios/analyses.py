@@ -193,6 +193,11 @@ def tainted(graph, fn, spec: TaintSpec) -> list[TaintHit]:
     A branch is abandoned when it runs through a sanitizer call.
     """
     fn_id = _require_function(graph, fn)
+    # every instruction-level call has a function-level twin (`validate`
+    # checks it), so a function that calls no sink has no sink call site
+    callees = {n.get("name") for n in graph.out_nodes(fn_id, "calls")}
+    if not any(sink.callee in callees for sink in spec.sinks):
+        return []
     arg_regs = _arg_registers_for(graph, fn_id, spec.sources)
     return_callees = {
         s.callee: s.describe() for s in spec.sources if isinstance(s, ReturnSource)

@@ -6,8 +6,19 @@ alphabet, its endpoint domains and the property types are checked by
 `add_node` and `add_edge`, and inline by `loads`, which rebuilds the store
 in one pass and reports the dump line of a malformed record.
 
+The store keeps each fact once. Ids are dense: node and edge ids run from
+0 in insertion order, and the nodes, the edges and each node's outgoing and
+incoming edges are lists indexed by id. `_append_node` and `_append_edge`
+are the only writers of that layout. Every edge without properties shares
+one read-only empty mapping; node properties stay one dict per node,
+since `set_node_prop` writes into them. `loads` maps each label to the
+canonical label object, passes property keys and the text values of edge
+properties through one memo per load, and builds edge endpoints from the
+node's own id int, so that repeated strings and ints are held once.
+
 A dump (format v1) is one header line, then one JSON object per line: the
-nodes in id order, then the edges in id order. Each record is written
+nodes in id order, then the edges in id order. The nodes' ids are 0..n-1
+in order; `loads` rejects any other node id. Each record is written
 straight from a format string per record kind, with the keys in sorted
 order, and streamed to the file line by line; `dumps` joins the same lines.
 `load` and `loads` share one reader that takes the lines one at a time, so
@@ -20,8 +31,10 @@ from __future__ import annotations
 import binascii
 import gc
 import json
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .disasm import (
     CallSite,
@@ -107,6 +120,13 @@ _EDGE_RECORD = {
 }
 _SCAN = json.JSONDecoder().scan_once
 
+# the canonical label objects, looked up by a label read from a dump
+_NODE_LABEL = {label: label for label in NODE_LABELS}
+_EDGE_LABEL = {label: label for label in EDGE_RULES}
+
+# the properties of every edge that has none; read-only, as it is shared
+_NO_PROPERTIES: Mapping = MappingProxyType({})
+
 
 @contextmanager
 def paused_gc():
@@ -145,13 +165,13 @@ class Edge:
     src: int
     dst: int
     label: str
-    properties: dict
+    properties: Mapping
 
     def get(self, key, default=None):
         return self.properties.get(key, default)
 
 
-def _check_properties(label: str, properties: dict) -> None:
+def _check_properties(label: str, properties: Mapping) -> None:
     known = _KNOWN_KEYS.get(label, {})
     for key, value in properties.items():
         want = known.get(key)
@@ -175,33 +195,43 @@ def _check_properties(label: str, properties: dict) -> None:
 
 class PropertyGraph:
     def __init__(self):
-        self._nodes: dict[int, Node] = {}
-        self._edges: dict[int, Edge] = {}
-        self._next_node = 0
-        self._next_edge = 0
+        self._nodes: list[Node] = []
+        self._edges: list[Edge] = []
         self._by_label: dict[str, list[int]] = {}
         # adjacency in edge-id order, so that it needs no sort
-        self._out: dict[int, list[Edge]] = {}
-        self._in: dict[int, list[Edge]] = {}
+        self._out: list[list[Edge]] = []
+        self._in: list[list[Edge]] = []
         self.warnings: list[str] = []
 
     # ---- mutation ----
+
+    def _append_node(self, label: str, props: dict) -> int:
+        """Store a checked node under the next id; the one node writer."""
+        node_id = len(self._nodes)
+        self._nodes.append(Node(node_id, label, props))
+        self._by_label.setdefault(label, []).append(node_id)
+        self._out.append([])
+        self._in.append([])
+        return node_id
+
+    def _append_edge(self, src: int, dst: int, label: str, props: Mapping) -> int:
+        """Store a checked edge under the next id; the one edge writer."""
+        edge_id = len(self._edges)
+        edge = Edge(edge_id, src, dst, label, props)
+        self._edges.append(edge)
+        self._out[src].append(edge)
+        self._in[dst].append(edge)
+        return edge_id
 
     def add_node(self, label: str, properties: dict | None = None) -> int:
         if label not in NODE_LABELS:
             raise UnknownLabel(f"unknown node label {label!r}")
         props = dict(properties or {})
         _check_properties(label, props)
-        node_id = self._next_node
-        self._next_node += 1
-        self._nodes[node_id] = Node(node_id, label, props)
-        self._by_label.setdefault(label, []).append(node_id)
-        self._out[node_id] = []
-        self._in[node_id] = []
-        return node_id
+        return self._append_node(label, props)
 
     def set_node_prop(self, node_id: int, key: str, value) -> None:
-        node = self._nodes[node_id]
+        node = self.node(node_id)
         _check_properties(node.label, {key: value})
         node.properties[key] = value
 
@@ -210,52 +240,55 @@ class PropertyGraph:
     ) -> int:
         if label not in EDGE_RULES:
             raise UnknownLabel(f"unknown edge label {label!r}")
-        if src not in self._nodes or dst not in self._nodes:
+        nodes = self._nodes
+        if not (0 <= src < len(nodes) and 0 <= dst < len(nodes)):
             raise MissingEndpoint(f"edge {label} endpoints {src}->{dst}")
         domain, codomain = EDGE_RULES[label]
-        src_label = self._nodes[src].label
-        dst_label = self._nodes[dst].label
+        src_label = nodes[src].label
+        dst_label = nodes[dst].label
         if src_label not in domain or dst_label not in codomain:
             raise LabelDomainViolation(
                 f"{label}: {src_label} -> {dst_label} not allowed"
             )
-        props = dict(properties or {})
-        _check_properties(label, props)
-        edge_id = self._next_edge
-        self._next_edge += 1
-        edge = Edge(edge_id, src, dst, label, props)
-        self._edges[edge_id] = edge
-        self._out[src].append(edge)
-        self._in[dst].append(edge)
-        return edge_id
+        if properties:
+            props = dict(properties)
+            _check_properties(label, props)
+        else:
+            props = _NO_PROPERTIES
+        return self._append_edge(src, dst, label, props)
 
     # ---- access ----
 
     def node(self, node_id: int) -> Node:
-        return self._nodes[node_id]
+        nodes = self._nodes
+        if 0 <= node_id < len(nodes):
+            return nodes[node_id]
+        raise KeyError(node_id)
 
     def has_node(self, node_id: int) -> bool:
-        return node_id in self._nodes
+        return isinstance(node_id, int) and 0 <= node_id < len(self._nodes)
 
     def nodes(self, label: str | None = None):
         if label is None:
-            return [self._nodes[i] for i in sorted(self._nodes)]
-        return [self._nodes[i] for i in self._by_label.get(label, [])]
+            return list(self._nodes)
+        nodes = self._nodes
+        return [nodes[i] for i in self._by_label.get(label, [])]
 
     def edges(self, label: str | None = None):
-        # edge ids are assigned in increasing order, so insertion order is id order
         if label is None:
-            return list(self._edges.values())
-        return [e for e in self._edges.values() if e.label == label]
+            return list(self._edges)
+        return [e for e in self._edges if e.label == label]
 
     def out_edges(self, node_id: int, label: str | None = None):
-        out = self._out.get(node_id, ())
+        out = self._out
+        out = out[node_id] if 0 <= node_id < len(out) else ()
         if label is None:
             return list(out)
         return [e for e in out if e.label == label]
 
     def in_edges(self, node_id: int, label: str | None = None):
-        into = self._in.get(node_id, ())
+        into = self._in
+        into = into[node_id] if 0 <= node_id < len(into) else ()
         if label is None:
             return list(into)
         return [e for e in into if e.label == label]
@@ -276,26 +309,48 @@ class PropertyGraph:
         return len(self._edges)
 
     def validate(self) -> list[str]:
-        """Whole-graph domain/range re-check; empty list when well-formed."""
+        """Whole-graph re-check; empty list when well-formed.
+
+        Beyond each edge's domain and range, every instruction-level
+        `calls` edge must have a function-level twin: a `calls` edge to the
+        same target from each function that holds the instruction (through
+        `has_bb` and `instr`). `analyses.tainted` relies on it.
+        """
         problems = []
-        for e in self._edges.values():
-            if e.src not in self._nodes or e.dst not in self._nodes:
+        nodes, n = self._nodes, len(self._nodes)
+        for e in self._edges:
+            if not (0 <= e.src < n and 0 <= e.dst < n):
                 problems.append(f"edge {e.id}: dangling endpoint")
                 continue
             domain, codomain = EDGE_RULES[e.label]
-            s, d = self._nodes[e.src].label, self._nodes[e.dst].label
+            s, d = nodes[e.src].label, nodes[e.dst].label
             if s not in domain or d not in codomain:
                 problems.append(f"edge {e.id}: {e.label} {s}->{d}")
+        out = self._out
+        calls = {(e.src, e.dst) for e in self._edges if e.label == "calls"}
+        for fn in self._by_label.get("Function", ()):
+            for has_bb in out[fn]:
+                if has_bb.label != "has_bb":
+                    continue
+                for instr in out[has_bb.dst]:
+                    if instr.label != "instr":
+                        continue
+                    for e in out[instr.dst]:
+                        if e.label == "calls" and (fn, e.dst) not in calls:
+                            problems.append(
+                                f"edge {e.id}: calls from instruction {e.src} "
+                                f"has no twin from its function {fn}"
+                            )
         return problems
 
     def stats(self) -> dict:
         nodes: dict[str, int] = {}
         edges: dict[str, int] = {}
         n_props = 0
-        for n in self._nodes.values():
+        for n in self._nodes:
             nodes[n.label] = nodes.get(n.label, 0) + 1
             n_props += len(n.properties)
-        for e in self._edges.values():
+        for e in self._edges:
             edges[e.label] = edges.get(e.label, 0) + 1
             n_props += len(e.properties)
         return {
@@ -311,11 +366,9 @@ class PropertyGraph:
     def _dump_lines(self):
         """The dump's lines in order, each ending in a line feed."""
         yield DUMP_HEADER + "\n"
-        nodes = self._nodes
-        for node_id in sorted(nodes):
-            node = nodes[node_id]
-            yield _NODE_RECORD[node.label] % (node_id, _format_props(node.properties))
-        for edge in self._edges.values():
+        for node in self._nodes:
+            yield _NODE_RECORD[node.label] % (node.id, _format_props(node.properties))
+        for edge in self._edges:
             yield _EDGE_RECORD[edge.label] % (
                 edge.dst, _format_props(edge.properties), edge.src
             )
@@ -338,12 +391,13 @@ class PropertyGraph:
     def _load_lines(cls, lines) -> "PropertyGraph":
         """The store that an iterable of dump lines describes; see `loads`."""
         g = cls()
-        nodes, edges, out, into = g._nodes, g._edges, g._out, g._in
-        by_label = g._by_label
+        nodes = g._nodes
+        append_node, append_edge = g._append_node, g._append_edge
+        # one object per distinct key and edge text value, for this load only
+        intern = {}.setdefault
         lines = iter(lines)
         if next(lines, "").strip() != DUMP_HEADER:
             raise MalformedDump(f"missing `{DUMP_HEADER}` header", 1)
-        next_node = next_edge = 0
         for number, line in enumerate(lines, 2):
             line = line.strip()
             if not line:
@@ -361,53 +415,49 @@ class PropertyGraph:
             try:
                 kind = rec["t"]
                 if kind == "n":
-                    node_id, label = rec["id"], rec["l"]
+                    node_id, name = rec["id"], rec["l"]
                     if type(node_id) is not int:
                         raise MalformedDump(f"node id {node_id!r} is not an int", number)
-                    if type(label) is not str or label not in NODE_LABELS:
-                        raise MalformedDump(f"unknown label {label!r}", number)
-                    if node_id in nodes:
-                        raise MalformedDump(f"duplicate node id {node_id}", number)
-                    props = _decode_props(label, rec.get("p", {}), number)
-                    nodes[node_id] = Node(node_id, label, props)
-                    by_label.setdefault(label, []).append(node_id)
-                    out[node_id] = []
-                    into[node_id] = []
-                    if node_id >= next_node:
-                        next_node = node_id + 1
+                    label = _NODE_LABEL.get(name) if type(name) is str else None
+                    if label is None:
+                        raise MalformedDump(f"unknown label {name!r}", number)
+                    if node_id != len(nodes):
+                        raise MalformedDump(
+                            f"node id {node_id} out of order, expected {len(nodes)}",
+                            number,
+                        )
+                    props = _decode_props(label, rec.get("p", {}), number, intern)
+                    append_node(label, props)
                 elif kind == "e":
-                    src, dst, label = rec["s"], rec["d"], rec["l"]
+                    src, dst, name = rec["s"], rec["d"], rec["l"]
                     if type(src) is not int or type(dst) is not int:
                         raise MalformedDump(
                             f"edge endpoints {src!r}->{dst!r} are not node ids", number
                         )
-                    if src not in nodes or dst not in nodes:
+                    if not (0 <= src < len(nodes) and 0 <= dst < len(nodes)):
                         raise MalformedDump(
                             f"edge references unknown node {src}->{dst}", number
                         )
-                    if type(label) is not str or label not in EDGE_RULES:
-                        raise MalformedDump(f"unknown edge label {label!r}", number)
+                    label = _EDGE_LABEL.get(name) if type(name) is str else None
+                    if label is None:
+                        raise MalformedDump(f"unknown edge label {name!r}", number)
+                    src_node, dst_node = nodes[src], nodes[dst]
                     domain, codomain = EDGE_RULES[label]
-                    src_label, dst_label = nodes[src].label, nodes[dst].label
-                    if src_label not in domain or dst_label not in codomain:
+                    if src_node.label not in domain or dst_node.label not in codomain:
                         raise MalformedDump(
-                            f"{label}: {src_label} -> {dst_label} not allowed", number
+                            f"{label}: {src_node.label} -> {dst_node.label} not allowed",
+                            number,
                         )
-                    props = _decode_props(label, rec.get("p", {}), number)
-                    edge = Edge(next_edge, src, dst, label, props)
-                    edges[next_edge] = edge
-                    out[src].append(edge)
-                    into[dst].append(edge)
-                    next_edge += 1
+                    props = _decode_props(label, rec.get("p", {}), number, intern, True)
+                    append_edge(src_node.id, dst_node.id, label, props or _NO_PROPERTIES)
                 else:
                     raise MalformedDump(f"unknown record type {kind!r}", number)
             except KeyError as exc:
                 raise MalformedDump(f"missing field {exc}", number) from exc
-        g._next_node, g._next_edge = next_node, next_edge
         return g
 
 
-def _format_props(props: dict) -> str:
+def _format_props(props: Mapping) -> str:
     """A property mapping as the compact JSON object the dump holds.
 
     Keys go in sorted order. Text is quoted as `json` quotes it with
@@ -437,21 +487,28 @@ def _format_props(props: dict) -> str:
     return "{" + ",".join(parts) + "}"
 
 
-def _decode_props(label: str, props, number: int) -> dict:
-    """A dump record's properties, decoded in place and type-checked."""
+def _decode_props(
+    label: str, props, number: int, intern, intern_text: bool = False
+) -> dict:
+    """A dump record's properties, decoded, type-checked and with interned
+    keys; with `intern_text`, interned text values too."""
     if type(props) is not dict:
         raise MalformedDump("properties are not an object", number)
+    decoded = {}
     for key, value in props.items():
         if type(value) is dict and len(value) == 1 and "b64" in value:
             try:
-                props[key] = binascii.a2b_base64(value["b64"])
+                value = binascii.a2b_base64(value["b64"])
             except (TypeError, ValueError) as exc:
                 raise MalformedDump(f"{label}.{key}: bad base64: {exc}", number) from exc
+        elif intern_text and type(value) is str:
+            value = intern(value, value)
+        decoded[intern(key, key)] = value
     try:
-        _check_properties(label, props)
+        _check_properties(label, decoded)
     except TypeError as exc:
         raise MalformedDump(str(exc), number) from exc
-    return props
+    return decoded
 
 
 def dump(graph: PropertyGraph, destination) -> None:

@@ -186,6 +186,27 @@ class TestTainted:
         )
         assert tainted(b.g, b.fn, spec) == []
 
+    def test_call_site_without_function_level_twin(self):
+        b = FlowBuilder()
+        b.call("sink_fn", uses="x0")
+        assert b.g.validate() == []
+        lone = b.instr(uses="x0")
+        other = b.g.add_node(
+            "Function", {"ea": -1, "name": "other_sink", "is_ext": True}
+        )
+        edge = b.g.add_edge(lone, other, "calls")
+        assert b.g.validate() == [
+            f"edge {edge}: calls from instruction {lone} "
+            f"has no twin from its function {b.fn}"
+        ]
+        # the function calls `other_sink` only at the instruction level, so
+        # `tainted` skips it without looking at its call sites
+        spec = TaintSpec(sources=(ArgSource(0),), sinks=(Sink("other_sink", 0),))
+        assert tainted(b.g, b.fn, spec) == []
+        b.g.add_edge(b.fn, other, "calls")
+        assert b.g.validate() == []
+        assert [h.sink_instr for h in tainted(b.g, b.fn, spec)] == [lone]
+
     def test_rejects_non_function(self):
         b = FlowBuilder()
         with pytest.raises(NotAFunction):

@@ -25,6 +25,7 @@ from lios.errors import (
 from lios.fixtures import corpus
 from lios.graph import (
     DUMP_HEADER,
+    NODE_LABELS,
     PropertyGraph,
     build_from_frontends,
     dump,
@@ -540,6 +541,48 @@ class TestDump:
         node_ids = [r["id"] for r in records if r["t"] == "n"]
         assert node_ids == sorted(node_ids)
 
+    @pytest.mark.parametrize("reloaded", [False, True], ids=["built", "reloaded"])
+    def test_ids_outside_the_store(self, suite_graph, reloaded):
+        g = suite_graph[4]
+        if reloaded:
+            g = PropertyGraph.loads(g.dumps())
+        n = g.node_count()
+        assert g.has_node(0) and g.has_node(n - 1)
+        assert not g.has_node(-1)
+        assert not g.has_node(n)
+        for bad in (-1, n):
+            with pytest.raises(KeyError):
+                g.node(bad)
+            assert g.out_edges(bad) == []
+            assert g.in_edges(bad) == []
+
+    def test_reload_holds_repeated_values_once(self, suite_graph):
+        g = suite_graph[4]
+        clone = PropertyGraph.loads(g.dumps())
+        members = {label: label for label in NODE_LABELS}
+        assert all(n.label is members[n.label] for n in clone.nodes())
+        ea_keys = {
+            id(next(k for k in n.properties if k == "ea"))
+            for n in clone.nodes("Instruction")
+        }
+        assert len(ea_keys) == 1
+        variables = [e.get("var") for e in clone.edges("def")]
+        assert len({id(v) for v in variables}) == len(set(variables))
+        assert all(
+            e.src is clone.node(e.src).id and e.dst is clone.node(e.dst).id
+            for e in clone.edges()
+        )
+        for store in (g, clone):
+            bare = [e.properties for e in store.edges() if not e.properties]
+            assert bare and all(p is bare[0] for p in bare)
+            with pytest.raises(TypeError):
+                bare[0]["var"] = "x0"
+        before = [dict(n.properties) for n in clone.nodes()]
+        target = clone.nodes("Instruction")[0]
+        clone.set_node_prop(target.id, "note", "changed")
+        before[target.id]["note"] = "changed"
+        assert [n.properties for n in clone.nodes()] == before
+
     def test_file_round_trip(self, tmp_path, suite_graph):
         manifest, image, model, functions, g = suite_graph
         path = tmp_path / "graph.jsonl"
@@ -654,6 +697,13 @@ class TestDump:
                     "stray-carriage-return",
                     '{"t":"n","id":1,"l":"Class","p":{}}\r{"t":"x"}',
                 ),
+                # node ids run 0..n-1 in dump order
+                ("node-id-skips", '{"t":"n","id":2,"l":"Class","p":{}}'),
+                (
+                    "node-id-goes-back",
+                    '{"t":"n","id":1,"l":"Class","p":{}}\n'
+                    '{"t":"n","id":0,"l":"Class","p":{}}',
+                ),
             ]
         ],
     )
@@ -672,7 +722,8 @@ class TestDump:
                 path = tmp_path / "graph.jsonl"
                 path.write_text(text, encoding="utf-8", newline="\n")
                 load(path)
-        assert exc.value.line_no == 3
+        # the malformed record is the last line of `record`
+        assert exc.value.line_no == 3 + record.count("\n")
 
     def test_records_match_an_independent_encoder(self):
         oracle = json.JSONEncoder(
