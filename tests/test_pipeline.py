@@ -1,6 +1,7 @@
 """Pipeline tests: ingest routes, function discovery, artifact determinism."""
 
 import gc
+import hashlib
 import json
 import os
 import struct
@@ -523,3 +524,29 @@ class TestPausedGc:
                 del result
                 garbage.append(gc.collect())
         assert garbage[0] == garbage[1]
+
+
+# sha256 of graph.jsonl for fixed inputs under the fixed file name "app.bin".
+# A change that claims byte-identical artifacts must leave these as they are.
+PINNED_GRAPH_SHA256 = {
+    "perf_app_4": "ac0f5931a9c3d84b5475175920e178a7b1e6c9a4f089e45aa5f2c407f30b5fdb",
+    "msgsend_suite": "79c4762720902e2578ccb05f4b7dc9b7631dbbdede28b0aff743b2953306859f",
+    "listing_one": "026d316e80379609512c196c3586d5b12a9c7e15b2261bee7b81aefc1f8aae5d",
+}
+
+
+@pytest.mark.parametrize(
+    "fixture, build",
+    [
+        ("perf_app_4", lambda: corpus.perf_app(seed=1, functions=4)),
+        ("msgsend_suite", corpus.msgsend_suite),
+        ("listing_one", corpus.listing_one_app),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_graph_bytes_are_pinned(tmp_path, fixture, build):
+    path = tmp_path / "app.bin"
+    path.write_bytes(build()[0])
+    result = run_pipeline(AnalysisConfig(input=str(path), out_dir=str(tmp_path / "out")))
+    digest = hashlib.sha256(Path(result.artifacts["graph"]).read_bytes()).hexdigest()
+    assert digest == PINNED_GRAPH_SHA256[fixture]
