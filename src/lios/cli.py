@@ -51,7 +51,6 @@ def cmd_lift(args) -> int:
         input=args.input,
         entitlements=args.entitlements,
         rules=args.rules,
-        l_max=args.lmax,
         depth=args.depth,
         out_dir=args.out,
     )
@@ -215,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entitlements", metavar="F", help="entitlements XML override")
     p.add_argument("--rules", metavar="F", help="taint rule file (JSON)")
     p.add_argument("--out", metavar="DIR", default="lios-out")
-    p.add_argument("--lmax", metavar="N", type=int, default=64)
     p.add_argument("--depth", metavar="N", type=int, default=2)
     p.set_defaults(fn=cmd_lift)
 

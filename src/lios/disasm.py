@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import EmptyRange, MalformedTextDisasm
 from .macho import (
@@ -35,9 +36,13 @@ LINK_REG = "x30"
 # locations and instructions
 
 
-@dataclass(frozen=True)
-class Loc:
-    """A dataflow location: register, frame slot, or absolute memory."""
+class Loc(NamedTuple):
+    """A dataflow location: register, frame slot, or absolute memory.
+
+    A value type: two Locs with the same kind and value are equal and hash
+    alike, and both run in C, as for any tuple.  `reg` hands out one shared
+    Loc per register name, so the decoder builds no Loc per operand.
+    """
 
     kind: str  # "reg" | "stack" | "mem"
     value: object  # reg name, signed frame offset, or virtual address
@@ -50,8 +55,16 @@ class Loc:
         return f"mem:{self.value:#x}"
 
 
+# operand names by register number; "x31" is what an rd/rn/rm field of 31
+# reads as where the decoder does not spell it sp
+_XNAMES = tuple(f"x{n}" for n in range(32))
+_REGS = {name: Loc("reg", name) for name in _XNAMES[:31] + ("sp",)}
+_X_LOCS = tuple(_REGS[name] for name in _XNAMES[:31])
+_SP_LOC = _REGS["sp"]
+
+
 def reg(name: str) -> Loc:
-    return Loc("reg", name)
+    return _REGS.get(name) or Loc("reg", name)
 
 
 def stack_slot(offset: int) -> Loc:
@@ -62,7 +75,7 @@ def mem(address: int) -> Loc:
     return Loc("mem", address)
 
 
-@dataclass
+@dataclass(slots=True)
 class Instruction:
     ea: int
     bytes: bytes
@@ -93,10 +106,6 @@ class Instruction:
         return self.kind in ("branch", "return")
 
 
-def _xname(n: int) -> str:
-    return f"x{n}"
-
-
 def _print_reg(n: int, sixty_four: bool, sp_ok: bool = False) -> str:
     if n == 31:
         if sp_ok:
@@ -108,8 +117,8 @@ def _print_reg(n: int, sixty_four: bool, sp_ok: bool = False) -> str:
 def _loc_for(n: int, sp_ok: bool = False) -> Loc | None:
     """Register 31 is sp in addressing contexts and the zero register elsewhere."""
     if n == 31:
-        return reg("sp") if sp_ok else None
-    return reg(_xname(n))
+        return _SP_LOC if sp_ok else None
+    return _X_LOCS[n]
 
 
 def _sext(value: int, bits: int) -> int:
@@ -123,15 +132,19 @@ _COND_NAMES = [
 ]
 
 
+_unpack_word = struct.Struct("<I").unpack
+
+
+def _opaque(ins: Instruction, word: int) -> Instruction:
+    ins.asm = f".word 0x{word:08x}"
+    ins.mnemonic = ".word"
+    return ins
+
+
 def decode(word_bytes: bytes, ea: int) -> Instruction:
     """Decode one 4-byte word; unknown encodings become opaque `.word`s."""
-    word = struct.unpack("<I", word_bytes)[0]
+    word = _unpack_word(word_bytes)[0]
     ins = Instruction(ea=ea, bytes=bytes(word_bytes), asm="", kind="other")
-
-    def opaque():
-        ins.asm = f".word 0x{word:08x}"
-        ins.mnemonic = ".word"
-        return ins
 
     if word == 0xD503201F:
         ins.kind, ins.asm, ins.mnemonic = "nop", "nop", "nop"
@@ -141,13 +154,13 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         rn = (word >> 5) & 0x1F
         ins.kind, ins.mnemonic = "return", "ret"
         ins.asm = "ret" if rn == 30 else f"ret x{rn}"
-        ins.uses = {reg(_xname(rn))}
+        ins.uses = {reg(_XNAMES[rn])}
         return ins
 
     if word & 0xFFFFFC1F == 0xD61F0000:  # BR
         rn = (word >> 5) & 0x1F
         ins.kind, ins.mnemonic = "branch", "br"
-        ins.rn = _xname(rn)
+        ins.rn = _XNAMES[rn]
         ins.asm = f"br x{rn}"
         loc = _loc_for(rn)
         ins.uses = {loc} if loc else set()
@@ -156,7 +169,7 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
     if word & 0xFFFFFC1F == 0xD63F0000:  # BLR
         rn = (word >> 5) & 0x1F
         ins.kind, ins.mnemonic = "call", "blr"
-        ins.rn = _xname(rn)
+        ins.rn = _XNAMES[rn]
         ins.asm = f"blr x{rn}"
         loc = _loc_for(rn)
         ins.uses = {loc} if loc else set()
@@ -222,7 +235,7 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         imm = _sext(((word >> 3) & 0x1FFFFC) | ((word >> 29) & 0x3), 21) << 12
         page = (ea & ~0xFFF) + imm
         ins.kind, ins.mnemonic = "assignment", "adrp"
-        ins.rd = _xname(rd)
+        ins.rd = _XNAMES[rd]
         ins.immediate = page
         ins.xref = page
         ins.asm = f"adrp x{rd}, 0x{page:x}"
@@ -235,7 +248,7 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         imm = _sext(((word >> 3) & 0x1FFFFC) | ((word >> 29) & 0x3), 21)
         target = ea + imm
         ins.kind, ins.mnemonic = "assignment", "adr"
-        ins.rd = _xname(rd)
+        ins.rd = _XNAMES[rd]
         ins.immediate = target
         ins.xref = target
         ins.asm = f"adr x{rd}, 0x{target:x}"
@@ -246,14 +259,14 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
     if word & 0x1F800000 == 0x12800000:  # MOVN/MOVZ/MOVK
         opc = (word >> 29) & 0x3
         if opc == 1:
-            return opaque()
+            return _opaque(ins, word)
         sixty_four = bool(word >> 31)
         hw = (word >> 21) & 0x3
         imm16 = (word >> 5) & 0xFFFF
         rd = word & 0x1F
         shift = 16 * hw
         ins.sixty_four = sixty_four
-        ins.rd = _xname(rd)
+        ins.rd = _XNAMES[rd]
         loc = _loc_for(rd)
         ins.defs = {loc} if loc else set()
         rd_text = _print_reg(rd, sixty_four)
@@ -281,8 +294,8 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         rd = word & 0x1F
         ins.kind, ins.mnemonic = "assignment", "mov"
         ins.sixty_four = sixty_four
-        ins.rd = _xname(rd)
-        ins.rm = _xname(rm)
+        ins.rd = _XNAMES[rd]
+        ins.rm = _XNAMES[rm]
         ins.asm = f"mov {_print_reg(rd, sixty_four)}, {_print_reg(rm, sixty_four)}"
         dloc, uloc = _loc_for(rd), _loc_for(rm)
         ins.defs = {dloc} if dloc else set()
@@ -299,7 +312,7 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         rn = (word >> 5) & 0x1F
         rd = word & 0x1F
         ins.sixty_four = sixty_four
-        ins.rn = "sp" if rn == 31 else _xname(rn)
+        ins.rn = "sp" if rn == 31 else _XNAMES[rn]
         ins.immediate = imm
         uloc = _loc_for(rn, sp_ok=True)
         if sets_flags and rd == 31:  # CMP/CMN aliases
@@ -310,7 +323,7 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
             return ins
         name = ("subs" if is_sub else "adds") if sets_flags else ("sub" if is_sub else "add")
         ins.kind, ins.mnemonic = "assignment", name
-        ins.rd = "sp" if rd == 31 else _xname(rd)
+        ins.rd = "sp" if rd == 31 else _XNAMES[rd]
         suffix = ", lsl #12" if shifted else ""
         ins.asm = (
             f"{name} {_print_reg(rd, sixty_four, sp_ok=not sets_flags)}, "
@@ -332,8 +345,8 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         shift_kind = ("lsl", "lsr", "asr", "ror")[(word >> 22) & 0x3]
         suffix = f", {shift_kind} #{imm6}" if imm6 else ""
         ins.sixty_four = sixty_four
-        ins.rn = _xname(rn)
-        ins.rm = _xname(rm)
+        ins.rn = _XNAMES[rn]
+        ins.rm = _XNAMES[rm]
         nloc, mloc = _loc_for(rn), _loc_for(rm)
         uses = {l for l in (nloc, mloc) if l}
         if sets_flags and rd == 31:
@@ -347,7 +360,7 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
             return ins
         name = ("subs" if is_sub else "adds") if sets_flags else ("sub" if is_sub else "add")
         ins.kind, ins.mnemonic = "assignment", name
-        ins.rd = _xname(rd)
+        ins.rd = _XNAMES[rd]
         ins.asm = (
             f"{name} {_print_reg(rd, sixty_four)}, {_print_reg(rn, sixty_four)}, "
             f"{_print_reg(rm, sixty_four)}{suffix}"
@@ -361,20 +374,23 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
     if ldst is not None:
         return ldst
 
-    return opaque()
+    return _opaque(ins, word)
+
+
+# LDR/STR unsigned scaled offset: top ten bits -> (name, is_load, sixty_four)
+_LDST_UNSIGNED = {
+    0xF9400000: ("ldr", True, True),
+    0xF9000000: ("str", False, True),
+    0xB9400000: ("ldr", True, False),
+    0xB9000000: ("str", False, False),
+}
+_PAIR_MODES = {1: "post", 2: "off", 3: "pre"}
 
 
 def _decode_loadstore(word: int, ins: Instruction) -> Instruction | None:
-    # LDR/STR unsigned scaled offset
-    hi = word & 0xFFC00000
-    table = {
-        0xF9400000: ("ldr", True, True),
-        0xF9000000: ("str", False, True),
-        0xB9400000: ("ldr", True, False),
-        0xB9000000: ("str", False, False),
-    }
-    if hi in table:
-        name, is_load, sixty_four = table[hi]
+    hit = _LDST_UNSIGNED.get(word & 0xFFC00000)
+    if hit is not None:
+        name, is_load, sixty_four = hit
         scale = 3 if sixty_four else 2
         imm = ((word >> 10) & 0xFFF) << scale
         return _fill_loadstore(ins, name, is_load, sixty_four, word, imm, "off")
@@ -409,13 +425,13 @@ def _decode_loadstore(word: int, ins: Instruction) -> Instruction | None:
         rn = (word >> 5) & 0x1F
         rt = word & 0x1F
         name = "ldp" if is_load else "stp"
-        mode = {1: "post", 2: "off", 3: "pre"}[mode_bits]
+        mode = _PAIR_MODES[mode_bits]
         ins.kind, ins.mnemonic = "assignment", name
         ins.sixty_four = sixty_four
         ins.is_load, ins.is_store = is_load, not is_load
-        ins.rd = _xname(rt)
-        ins.rt2 = _xname(rt2)
-        ins.mem_base = "sp" if rn == 31 else _xname(rn)
+        ins.rd = _XNAMES[rt]
+        ins.rt2 = _XNAMES[rt2]
+        ins.mem_base = "sp" if rn == 31 else _XNAMES[rn]
         ins.mem_offset = imm
         ins.mem_mode = mode
         t1, t2 = _print_reg(rt, sixty_four), _print_reg(rt2, sixty_four)
@@ -455,8 +471,8 @@ def _fill_loadstore(
     ins.kind, ins.mnemonic = "assignment", name
     ins.sixty_four = sixty_four
     ins.is_load, ins.is_store = is_load, not is_load
-    ins.rd = _xname(rt)
-    ins.mem_base = "sp" if rn == 31 else _xname(rn)
+    ins.rd = _XNAMES[rt]
+    ins.mem_base = "sp" if rn == 31 else _XNAMES[rn]
     ins.mem_offset = imm
     ins.mem_mode = mode
     rt_text = _print_reg(rt, sixty_four)
@@ -485,7 +501,7 @@ def _fill_loadstore(
 # CFG construction
 
 
-@dataclass
+@dataclass(slots=True)
 class BasicBlock:
     ea: int
     instructions: list[Instruction]
@@ -700,8 +716,67 @@ def _value_after_add(value, imm: int, negate: bool):
     return (kind, v - imm if negate else v + imm)
 
 
+def _transfer(state: dict, ins: Instruction) -> None:
+    """Apply one instruction to a block's register state, in place."""
+    m = ins.mnemonic
+    if m == "mov" and ins.rm is not None:
+        value = state.get(ins.rm)
+        if value is None:
+            state.pop(ins.rd, None)
+        else:
+            state[ins.rd] = value
+    elif m == "mov" or m == "adrp" or m == "adr":
+        state[ins.rd] = ("const", ins.immediate)
+    elif m == "movk":
+        prev = state.get(ins.rd)
+        if prev is not None and prev[0] == "const":
+            shift = ins.hw_shift
+            state[ins.rd] = (
+                "const",
+                (prev[1] & ~(0xFFFF << shift)) | (ins.immediate << shift),
+            )
+        else:
+            state.pop(ins.rd, None)
+    elif (m == "add" or m == "sub") and ins.rd is not None and ins.rm is None:
+        value = _value_after_add(state.get(ins.rn), ins.immediate, m == "sub")
+        if value is None:
+            state.pop(ins.rd, None)
+        else:
+            state[ins.rd] = value
+    elif ins.kind == "call":
+        state.pop(RETURN_REG, None)
+        state.pop(LINK_REG, None)
+    elif ins.mem_mode != "off" and ins.mem_base is not None:
+        value = _value_after_add(state.get(ins.mem_base), ins.mem_offset, False)
+        if value is None:
+            state.pop(ins.mem_base, None)
+        else:
+            state[ins.mem_base] = value
+        for d in ins.defs:
+            if d.kind == "reg" and d.value != ins.mem_base:
+                state.pop(d.value, None)
+    else:
+        for d in ins.defs:
+            if d.kind == "reg":
+                state.pop(d.value, None)
+
+
 def compute_effects(fn: FunctionBody, call_uses: dict | None = None) -> _Effects:
     """Forward constant/stack-offset propagation to a fixpoint over the CFG.
+
+    A block's state maps register names to ("const", value) or ("sp",
+    offset).  Each visit of a block copies its merged incoming state once
+    and `_transfer` updates that copy in place, instruction by instruction.
+
+    Rounds sweep the blocks in address order.  A block waits until one of
+    its predecessors has a state; only the entry and blocks without any
+    predecessor start from a fixed state.  From its first visit on, a
+    block's state can therefore only lose keys, and every round but the
+    last visits a block for the first time or drops a key.  So the
+    fixpoint ends, in at most blocks * (keys + 1) + 1 rounds, at the
+    greatest fixpoint whatever the block order.  Starting a waiting block
+    from the empty state would make the result depend on block order, and
+    the rounds could swing between two states for ever.
 
     A call clobbers x0 and x30 and reads x0, plus any argument registers
     `call_uses` (from `call_effects_from_sites`) adds; those change no
@@ -710,68 +785,21 @@ def compute_effects(fn: FunctionBody, call_uses: dict | None = None) -> _Effects
     block_in: dict[int, dict] = {}
     block_out: dict[int, dict] = {}
 
-    def transfer(state: dict, ins: Instruction) -> dict:
-        state = dict(state)
-        m = ins.mnemonic
-        if m == "mov" and ins.rm is not None:
-            state[ins.rd] = state.get(ins.rm)
-            if state[ins.rd] is None:
-                state.pop(ins.rd, None)
-        elif m == "mov":
-            state[ins.rd] = ("const", ins.immediate)
-        elif m in ("adrp", "adr"):
-            state[ins.rd] = ("const", ins.immediate)
-        elif m == "movk":
-            prev = state.get(ins.rd)
-            if prev is not None and prev[0] == "const":
-                shift = ins.hw_shift
-                state[ins.rd] = (
-                    "const",
-                    (prev[1] & ~(0xFFFF << shift)) | (ins.immediate << shift),
-                )
-            else:
-                state.pop(ins.rd, None)
-        elif m in ("add", "sub") and ins.rd is not None and ins.rm is None:
-            value = _value_after_add(state.get(ins.rn), ins.immediate, m == "sub")
-            if value is None:
-                state.pop(ins.rd, None)
-            else:
-                state[ins.rd] = value
-        elif ins.kind == "call":
-            state.pop(RETURN_REG, None)
-            state.pop(LINK_REG, None)
-        elif ins.mem_mode in ("pre", "post") and ins.mem_base is not None:
-            value = _value_after_add(state.get(ins.mem_base), ins.mem_offset, False)
-            if value is None:
-                state.pop(ins.mem_base, None)
-            else:
-                state[ins.mem_base] = value
-            for d in ins.defs:
-                if d.kind == "reg" and d.value != ins.mem_base:
-                    state.pop(d.value, None)
-            return state
-        else:
-            for d in ins.defs:
-                if d.kind == "reg":
-                    state.pop(d.value, None)
-        return state
-
     changed = True
-    rounds = 0
-    while changed and rounds < len(fn.blocks) + 8:
+    while changed:
         changed = False
-        rounds += 1
         for block in fn.blocks:
             ea = block.ea
             if ea == fn.entry_ea:
-                state = {"sp": _SP}
+                block_in[ea] = {"sp": _SP}
             else:
                 incoming = [block_out[p] for p in preds[ea] if p in block_out]
-                state = _merge_states(incoming)
-            if block_in.get(ea) != state:
-                block_in[ea] = dict(state)
+                if preds[ea] and not incoming:
+                    continue
+                block_in[ea] = _merge_states(incoming)
+            state = dict(block_in[ea])
             for ins in block.instructions:
-                state = transfer(state, ins)
+                _transfer(state, ins)
             if block_out.get(ea) != state:
                 block_out[ea] = state
                 changed = True
@@ -831,14 +859,14 @@ def compute_effects(fn: FunctionBody, call_uses: dict | None = None) -> _Effects
                 if folded is not None and folded[0] == "const":
                     assign[ins.ea] = ("const", folded[1])
                 elif ins.immediate == 0:
-                    assign[ins.ea] = ("copy", reg(ins.rn) if ins.rn != "sp" else reg("sp"))
+                    assign[ins.ea] = ("copy", reg(ins.rn))
                 else:
                     assign[ins.ea] = ("opaque",)
             elif defs:
                 assign[ins.ea] = ("opaque",)
             eff_defs[ins.ea] = defs
             eff_uses[ins.ea] = uses
-            state = transfer(state, ins)
+            _transfer(state, ins)
     effects = _Effects(eff_defs, eff_uses, assign)
     effects.add_call_uses(call_uses or {})
     return effects

@@ -47,14 +47,11 @@ class AnalysisConfig:
     input: str
     entitlements: str | None = None
     rules: str | None = None
-    l_max: int = 64
     depth: int = 2
     out_dir: str = "lios-out"
     passes: tuple = DEFAULT_PASSES
 
     def __post_init__(self):
-        if self.l_max < 1:
-            raise ValueError("l_max must be >= 1")
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
         unknown = set(self.passes) - set(DEFAULT_PASSES)

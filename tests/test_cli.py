@@ -79,7 +79,7 @@ class TestLift:
 
     def test_bad_flag_value_exits_two(self, workspace, tmp_path, capsys):
         rc = main(
-            ["lift", str(workspace["ipa"]), "--lmax", "0",
+            ["lift", str(workspace["ipa"]), "--depth", "-1",
              "--out", str(tmp_path / "o")]
         )
         assert rc == 2

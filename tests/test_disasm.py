@@ -4,13 +4,16 @@ Hand-stated expectations come from assembling known source; cross-checks use
 the brute-force oracles in oracles.py over the same effective def/use sets.
 """
 
+import random
 import struct
 
 import pytest
 
 from lios.disasm import (
+    BasicBlock,
     CallSite,
     CONST_STRING,
+    Instruction,
     Loc,
     OWN_SELECTOR,
     SELF_REF,
@@ -24,9 +27,11 @@ from lios.disasm import (
     decode,
     devirtualize,
     format_text_disasm,
+    mem,
     parse_text_disasm,
     reg,
     stack_slot,
+    _loc_for,
 )
 from lios.errors import EmptyRange, MalformedTextDisasm
 from lios.fixtures.asm import assemble
@@ -426,6 +431,195 @@ class TestUseDef:
         for use_ea, def_ea, loc in compute_use_def(fn):
             got.setdefault((use_ea, str(loc)), set()).add(def_ea)
         assert got == oracle
+
+
+class TestLocValues:
+    def test_text_of_each_kind(self):
+        assert str(reg("x0")) == "x0"
+        assert str(stack_slot(-8)) == "stack-8"
+        assert str(stack_slot(16)) == "stack+16"
+        assert str(mem(0x100008010)) == "mem:0x100008010"
+
+    def test_equal_by_value(self):
+        assert Loc("stack", -8) == stack_slot(-8)
+        assert hash(Loc("reg", "x5")) == hash(reg("x5"))
+        assert len({mem(0x10), mem(0x10), stack_slot(0x10)}) == 2
+
+    def test_registers_are_interned(self):
+        assert reg("x3") is reg("x3")
+        assert reg("sp") is reg("sp")
+        assert _loc_for(3) is reg("x3")
+
+    def test_register_31_is_sp_only_where_allowed(self):
+        assert _loc_for(31) is None
+        assert _loc_for(31, sp_ok=True) == reg("sp")
+
+    def test_records_have_no_instance_dict(self):
+        ins = Instruction(ORIGIN, struct.pack("<I", 0xD503201F), "nop", "nop")
+        block = BasicBlock(ORIGIN, [ins])
+        for record in (ins, block):
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(AttributeError):
+                record.unknown_field = 1
+
+
+def shift_chain(registers: int) -> str:
+    """Entry sets x0..x{registers-1} to 1.  Each trip round the loop moves
+    every register of the chain up by one and counts x0 up, so the chain's
+    constants die one register per fixpoint round; the loop head adds to
+    the last one."""
+    top = registers - 1
+    lines = [f"mov x{i}, #1" for i in range(registers)]
+    lines += ["loop:", f"add x28, x{top}, #1"]
+    lines += [f"mov x{i}, x{i - 1}" for i in range(top, 0, -1)]
+    lines += ["add x0, x0, #1", "cbnz x0, loop", "ret"]
+    return "\n".join(lines)
+
+
+def shuffled_layout(rng, blocks: dict[str, list[str]]) -> str:
+    """Assembly for `blocks` with the entry block first and the rest in a
+    random order.  Every block ends in a branch or `ret`, so the order
+    changes the addresses and nothing else."""
+    names = list(blocks)
+    rest = names[1:]
+    rng.shuffle(rest)
+    return "\n".join(
+        line for name in names[:1] + rest for line in [f"{name}:", *blocks[name]]
+    )
+
+
+def random_blocks(rng) -> dict[str, list[str]]:
+    """3 to 10 labelled blocks of moves, adds, frame stores and loads and
+    calls, each ending in `ret` or in branches to random blocks."""
+    count = rng.randint(3, 10)
+    blocks = {}
+    for b in range(count):
+        lines = []
+        for _ in range(rng.randint(1, 5)):
+            d, n = rng.randint(2, 6), rng.randint(2, 6)
+            lines.append(rng.choice([
+                f"mov x{d}, #{rng.randint(0, 3)}",
+                f"mov x{d}, x{n}",
+                f"add x{d}, x{n}, #{rng.randint(0, 2)}",
+                f"str x{d}, [sp, #{8 * rng.randint(0, 3)}]",
+                f"ldr x{d}, [sp, #{8 * rng.randint(0, 3)}]",
+                f"str x{d}, [sp, #-16]!",
+                "sub sp, sp, #16",
+                "bl 0x100009000",
+            ]))
+        first, second = (f"L{rng.randrange(count)}" for _ in range(2))
+        lines += rng.choices(
+            [
+                ["ret"],
+                [f"b {first}"],
+                [f"cbnz x{rng.randint(2, 6)}, {first}", f"b {second}"],
+            ],
+            weights=[1, 1, 2],
+        )[0]
+        blocks[f"L{b}"] = lines
+    return blocks
+
+
+def effects_by_line(source: str, blocks: dict[str, list[str]]) -> dict:
+    """Each source line's effects as text, keyed by (block label, line)."""
+    res = assemble(source, origin=ORIGIN)
+    fn = build_function_from_instructions(
+        [decode(res.code[i : i + 4], ORIGIN + i) for i in range(0, len(res.code), 4)]
+    )
+    eff = compute_effects(fn)
+    rows = {}
+    for label, lines in blocks.items():
+        for i in range(len(lines)):
+            ea = ORIGIN + res.labels[label] + 4 * i
+            rows[label, i] = (
+                sorted(map(str, eff.eff_defs[ea])),
+                sorted(map(str, eff.eff_uses[ea])),
+                tuple(map(str, eff.assign.get(ea, ()))),
+            )
+    return rows
+
+
+class TestEffects:
+    @pytest.mark.parametrize("registers", [10, 12, 28])
+    def test_register_shift_loop_reaches_the_fixpoint(self, registers):
+        fn = fn_from_asm(shift_chain(registers))
+        assert len(fn.blocks) == 3
+        head_add = fn.blocks[1].instructions[0]
+        assert compute_effects(fn).assign[head_add.ea] == ("opaque",)
+
+    def test_loop_body_laid_out_before_its_test(self):
+        # the body's only predecessor comes after it: it must wait for that
+        # state, not start from an empty one and lose the frame
+        fn = fn_from_asm(
+            """
+            mov x2, #5
+            b test
+            body:
+            str x2, [sp, #8]
+            sub x2, x2, #1
+            test:
+            cbnz x2, body
+            ldr x0, [sp, #8]
+            ret
+            """
+        )
+        store, load = ORIGIN + 8, ORIGIN + 20
+        eff = compute_effects(fn)
+        assert stack_slot(8) in eff.eff_defs[store]
+        assert eff.assign[load] == ("load", stack_slot(8))
+        assert (load, store, stack_slot(8)) in compute_use_def(fn, eff)
+
+    def test_block_order_cannot_make_the_rounds_swing(self):
+        # `body` lies before its only predecessor `tail`; started from the
+        # empty state, it would make the rounds swing between two states
+        fn = fn_from_asm(
+            """
+            nop
+            head:
+            b tail
+            body:
+            str x1, [sp, #8]
+            b head
+            tail:
+            cbz x0, body
+            ret
+            """
+        )
+        assert compute_effects(fn).eff_defs[ORIGIN + 8] == {stack_slot(8)}
+
+    def test_fixpoint_does_not_depend_on_block_order(self):
+        rng = random.Random(20261018)
+        for _ in range(200):
+            blocks = random_blocks(rng)
+            first, second = (
+                effects_by_line(shuffled_layout(rng, blocks), blocks) for _ in range(2)
+            )
+            assert first == second, blocks
+
+    def test_effects_leave_instructions_unchanged_and_repeat(self):
+        fn = fn_from_asm(
+            """
+            sub sp, sp, #32
+            stp x0, x1, [sp, #16]
+            mov x2, #7
+            loop:
+            str x2, [sp, #8]!
+            bl 0x100009000
+            ldr x3, [sp, #8]
+            ldp x4, x5, [sp, #16]
+            sub x2, x2, #1
+            cbnz x2, loop
+            ret
+            """
+        )
+        call = next(i for i in fn.instructions() if i.kind == "call")
+        before = [(set(i.defs), set(i.uses)) for i in fn.instructions()]
+        first = compute_effects(fn, {call.ea: {"x0", "x1", "x2"}})
+        second = compute_effects(fn, {call.ea: {"x0", "x1", "x2"}})
+        assert [(i.defs, i.uses) for i in fn.instructions()] == before
+        assert first == second
+        assert first.eff_uses[call.ea] == {reg("x0"), reg("x1"), reg("x2")}
+        assert first.eff_defs[call.ea] == {reg("x0"), reg("x30")}
 
 
 @pytest.fixture(scope="module")

@@ -47,13 +47,9 @@ def custom_ipa(tmp_path, members, name="custom.ipa"):
 class TestConfig:
     def test_defaults(self):
         cfg = AnalysisConfig(input="x")
-        assert cfg.l_max == 64 and cfg.depth == 2
+        assert cfg.depth == 2
         assert cfg.out_dir == "lios-out"
         assert cfg.passes == ("link", "entrypoints")
-
-    def test_rejects_bad_l_max(self):
-        with pytest.raises(ValueError):
-            AnalysisConfig(input="x", l_max=0)
 
     def test_rejects_negative_depth(self):
         with pytest.raises(ValueError):
@@ -528,25 +524,27 @@ class TestPausedGc:
 
 # sha256 of graph.jsonl for fixed inputs under the fixed file name "app.bin".
 # A change that claims byte-identical artifacts must leave these as they are.
-PINNED_GRAPH_SHA256 = {
-    "perf_app_4": "ac0f5931a9c3d84b5475175920e178a7b1e6c9a4f089e45aa5f2c407f30b5fdb",
-    "msgsend_suite": "79c4762720902e2578ccb05f4b7dc9b7631dbbdede28b0aff743b2953306859f",
-    "listing_one": "026d316e80379609512c196c3586d5b12a9c7e15b2261bee7b81aefc1f8aae5d",
+PINNED_GRAPHS = {
+    "perf_app_4": (
+        lambda: corpus.perf_app(seed=1, functions=4),
+        "ac0f5931a9c3d84b5475175920e178a7b1e6c9a4f089e45aa5f2c407f30b5fdb",
+    ),
+    "msgsend_suite": (
+        corpus.msgsend_suite,
+        "79c4762720902e2578ccb05f4b7dc9b7631dbbdede28b0aff743b2953306859f",
+    ),
+    "listing_one": (
+        corpus.listing_one_app,
+        "026d316e80379609512c196c3586d5b12a9c7e15b2261bee7b81aefc1f8aae5d",
+    ),
 }
 
 
-@pytest.mark.parametrize(
-    "fixture, build",
-    [
-        ("perf_app_4", lambda: corpus.perf_app(seed=1, functions=4)),
-        ("msgsend_suite", corpus.msgsend_suite),
-        ("listing_one", corpus.listing_one_app),
-    ],
-    ids=lambda v: v if isinstance(v, str) else "",
-)
-def test_graph_bytes_are_pinned(tmp_path, fixture, build):
+@pytest.mark.parametrize("fixture", list(PINNED_GRAPHS))
+def test_graph_bytes_are_pinned(tmp_path, fixture):
+    build, want = PINNED_GRAPHS[fixture]
     path = tmp_path / "app.bin"
     path.write_bytes(build()[0])
     result = run_pipeline(AnalysisConfig(input=str(path), out_dir=str(tmp_path / "out")))
     digest = hashlib.sha256(Path(result.artifacts["graph"]).read_bytes()).hexdigest()
-    assert digest == PINNED_GRAPH_SHA256[fixture]
+    assert digest == want
