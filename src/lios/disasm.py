@@ -25,6 +25,7 @@ from .macho import (
     symbol_name_for_function,
     va_to_offset,
 )
+from .objc import strip_class_prefix
 
 TEXT_DISASM_HEADER = "#lios-disasm v1"
 
@@ -520,7 +521,6 @@ class FunctionBody:
     end_ea: int
     objc_class_name: str | None = None
     objc_selector: str | None = None
-    objc_is_class_method: bool = False
 
     def block_at(self, ea: int) -> BasicBlock | None:
         for b in self.blocks:
@@ -578,7 +578,6 @@ def build_function(
             cls, method = hit
             fn.objc_class_name = cls.name
             fn.objc_selector = method.selector
-            fn.objc_is_class_method = cls.is_metaclass
     return fn
 
 
@@ -980,12 +979,14 @@ def _resolve_memory(model, address: int) -> ResolvedValue | None:
                 return CONST_STRING(text)
     bound = image.bind_map.get(address)
     if bound is not None:
-        return CONST_STRING(_strip_objc_symbol(bound))
+        return CONST_STRING(strip_class_prefix(bound))
     return None
 
 
-def _deref_slot(model, address: int) -> ResolvedValue | None:
-    """Follow one pointer (classref/selref-style slot) and resolve the target."""
+def resolve_constant(model, address: int) -> ResolvedValue | None:
+    """Public lookup of an address against metadata and string sections;
+    on a miss, follow the one pointer stored there (a classref/selref-style
+    slot) and resolve its target."""
     if model is None or model.image is None:
         return None
     direct = _resolve_memory(model, address)
@@ -998,23 +999,6 @@ def _deref_slot(model, address: int) -> ResolvedValue | None:
     if pointer:
         return _resolve_memory(model, pointer)
     return None
-
-
-def resolve_constant(model, address: int) -> ResolvedValue | None:
-    """Public lookup of an address against metadata and string sections."""
-    if model is None:
-        return None
-    direct = _resolve_memory(model, address)
-    if direct is not None:
-        return direct
-    return _deref_slot(model, address)
-
-
-def _strip_objc_symbol(symbol: str) -> str:
-    for prefix in ("_OBJC_CLASS_$_", "_OBJC_METACLASS_$_"):
-        if symbol.startswith(prefix):
-            return symbol[len(prefix) :]
-    return symbol.lstrip("_")
 
 
 def backtrace(
@@ -1084,7 +1068,7 @@ def backtrace(
             elif info[0] == "load":
                 target = info[1]
                 if target.kind == "mem":
-                    resolved = _deref_slot(model, target.value)
+                    resolved = resolve_constant(model, target.value)
                     results.add(resolved if resolved is not None else UNKNOWN)
                 else:
                     push_before(target, ea)

@@ -38,7 +38,6 @@ _DATA_SEGMENTS = ("__DATA", "__DATA_CONST", "__DATA_DIRTY")
 @dataclass
 class ObjcMethod:
     selector: str
-    type_encoding: str
     impl_address: int | None
 
 
@@ -184,7 +183,7 @@ def _read_method_list(image: MachoImage, va: int, in_image: bool) -> list[ObjcMe
             raise DanglingReference(f"relative method list entsize {entry_size}")
         for i in range(count):
             base = va + 8 + i * 12
-            name_off, types_off, imp_off = read_struct(
+            name_off, _types_off, imp_off = read_struct(
                 image, "<iii", off + 8 + i * 12
             )
             name_target = base + name_off
@@ -194,18 +193,16 @@ def _read_method_list(image: MachoImage, va: int, in_image: bool) -> list[ObjcMe
                     raise DanglingReference("relative selector slot unmapped")
                 name_target = strip_pac(name_target)
             selector = read_cstring(image, name_target) or ""
-            types = read_cstring(image, base + 4 + types_off) or ""
             impl = base + 8 + imp_off if in_image else None
-            methods.append(ObjcMethod(selector, types, impl))
+            methods.append(ObjcMethod(selector, impl))
         return methods
     for i in range(count):
-        name_ptr, types_ptr, imp_ptr = read_struct(
+        name_ptr, _types_ptr, imp_ptr = read_struct(
             image, "<QQQ", off + 8 + i * 24
         )
         selector = read_cstring(image, strip_pac(name_ptr)) or ""
-        types = read_cstring(image, strip_pac(types_ptr)) or ""
         impl = strip_pac(imp_ptr) if in_image and imp_ptr else None
-        methods.append(ObjcMethod(selector, types, impl))
+        methods.append(ObjcMethod(selector, impl))
     return methods
 
 
@@ -295,7 +292,7 @@ def _parse_class_t(
     if superclass == 0:
         bound = image.bind_map.get(address + 8)
         if bound is not None:
-            superclass_name = _strip_class_prefix(bound)
+            superclass_name = strip_class_prefix(bound)
     cls = ObjcClass(
         name=name,
         address=address,
@@ -315,7 +312,8 @@ def _parse_class_t(
     return cls
 
 
-def _strip_class_prefix(symbol: str) -> str:
+def strip_class_prefix(symbol: str) -> str:
+    """The class name in an `_OBJC_CLASS_$_`/`_OBJC_METACLASS_$_` symbol."""
     for prefix in ("_OBJC_CLASS_$_", "_OBJC_METACLASS_$_"):
         if symbol.startswith(prefix):
             return symbol[len(prefix) :]
@@ -353,7 +351,7 @@ def parse_classlist(image: MachoImage) -> list[ObjcClass]:
         if cls.metaclass_ref and cls.metaclass_ref not in seen:
             if va_to_offset(image, cls.metaclass_ref) is None:
                 bound = image.bind_map.get(target)  # isa is word 0 of class_t
-                name = _strip_class_prefix(bound) if bound else f"external@{cls.metaclass_ref:#x}"
+                name = strip_class_prefix(bound) if bound else f"external@{cls.metaclass_ref:#x}"
                 meta = ObjcClass(
                     name=name,
                     address=cls.metaclass_ref,
@@ -457,7 +455,7 @@ def parse_categories(image: MachoImage) -> list[ObjcCategory]:
         cls_ref = strip_pac(cls_ptr) if cls_ptr else None
         if not cls_ref:
             bound = image.bind_map.get(target + 8)
-            class_name = _strip_class_prefix(bound) if bound else None
+            class_name = strip_class_prefix(bound) if bound else None
         methods = []
         try:
             for ptr in (inst_ptr, class_meth_ptr):

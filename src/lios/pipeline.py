@@ -39,8 +39,6 @@ log = logging.getLogger("lios")
 
 MACHO_MAGICS = (b"\xcf\xfa\xed\xfe", b"\xce\xfa\xed\xfe", b"\xca\xfe\xba\xbe")
 
-DEFAULT_PASSES = ("link", "entrypoints")
-
 
 @dataclass
 class AnalysisConfig:
@@ -49,14 +47,10 @@ class AnalysisConfig:
     rules: str | None = None
     depth: int = 2
     out_dir: str = "lios-out"
-    passes: tuple = DEFAULT_PASSES
 
     def __post_init__(self):
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
-        unknown = set(self.passes) - set(DEFAULT_PASSES)
-        if unknown:
-            raise ValueError(f"unknown passes: {sorted(unknown)}")
 
 
 @dataclass
@@ -98,7 +92,9 @@ def ingest(path) -> Ingested:
                 except MalformedPlist as exc:
                     info_error = str(exc)
                 else:
-                    executable = info.get("CFBundleExecutable")
+                    # a root or a name of another type counts as no name
+                    if isinstance(info, dict) and isinstance(info.get("CFBundleExecutable"), str):
+                        executable = info["CFBundleExecutable"]
             if executable is None:
                 # fall back to the only other file at the bundle root
                 candidates = [
@@ -240,12 +236,8 @@ def lift(config: AnalysisConfig):
     program = graph.nodes("Program")[0]
     if ingested.info_error:
         graph.set_node_prop(program.id, "info_error", ingested.info_error)
-    if "link" in config.passes:
-        report = link_pass(graph)
-        log.info("link pass: %s", report)
-    if "entrypoints" in config.passes:
-        report = mark_entrypoints(graph)
-        log.info("entrypoint pass: %s", report)
+    log.info("link pass: %s", link_pass(graph))
+    log.info("entrypoint pass: %s", mark_entrypoints(graph))
     timings["graph"] = time.perf_counter() - t
     return graph, ingested, timings
 

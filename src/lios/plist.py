@@ -1,8 +1,13 @@
 """Property-list parsing: XML plists and binary bplist00, plus canonical JSON.
 
-Values map to plain Python types: dict, list, str, int, float, bool,
-naive-UTC datetime, bytes.  Dictionary keys must be unique; duplicates are a
-parse error rather than a silent last-wins.
+The stdlib `plistlib` reads both formats. This module sniffs the format,
+turns every failure of the reader into a `MalformedPlist`, and walks the
+result once to plain Python types: dict, list, str, int, float, bool, None,
+naive-UTC datetime, bytes. A keyed-archiver UID reads as its int.
+
+Dictionary keys must be unique strings; a duplicate is a parse error rather
+than a silent last-wins. A container found inside itself, nesting deeper
+than `MAX_DEPTH`, and a `<plist>` that holds no value are parse errors too.
 """
 
 from __future__ import annotations
@@ -10,23 +15,73 @@ from __future__ import annotations
 import base64
 import datetime
 import json
-import struct
-import xml.etree.ElementTree as ET
+import plistlib
+from xml.parsers.expat import ExpatError
 
 from .errors import MalformedPlist
 
-# binary plist epoch: 2001-01-01 00:00:00 UTC
-_APPLE_EPOCH = datetime.datetime(2001, 1, 1)
+# Deeper than any real Info.plist, and shallow enough that `_plain` and
+# `canonical_json` stay inside Python's recursion limit.
+MAX_DEPTH = 256
+
+_SCALARS = (str, bool, int, float, bytes, datetime.datetime, type(None))
+
+
+class _UniqueKeyDict(dict):
+    """The dict type plistlib builds every XML and binary dictionary with."""
+
+    def __setitem__(self, key, value):
+        if not isinstance(key, str):
+            raise MalformedPlist("dictionary key is not a string")
+        if key in self:
+            raise MalformedPlist(f"duplicate dictionary key {key!r}")
+        super().__setitem__(key, value)
 
 
 def parse_plist(data: bytes):
-    """Parse XML (`<?xml` prefix) or binary (`bplist00` magic) plist bytes."""
+    """Parse XML (`<?xml` or `<plist` prefix) or binary (`bplist00` magic) plist bytes."""
     head = data.lstrip(b"\xef\xbb\xbf \t\r\n")
     if head.startswith(b"<?xml") or head.startswith(b"<plist"):
-        return _parse_xml(head)
-    if data.startswith(b"bplist00"):
-        return _parse_binary(data)
-    raise MalformedPlist("neither an XML plist nor bplist00")
+        data, fmt = head, plistlib.FMT_XML
+    elif data.startswith(b"bplist00"):
+        fmt = plistlib.FMT_BINARY
+    else:
+        raise MalformedPlist("neither an XML plist nor bplist00")
+    try:
+        value = plistlib.loads(data, fmt=fmt, dict_type=_UniqueKeyDict)
+    except MalformedPlist:
+        raise
+    except ExpatError as exc:
+        raise MalformedPlist(f"XML parse error: {exc}") from exc
+    except Exception as exc:
+        # damaged input makes plistlib raise many kinds: ValueError,
+        # LookupError, OverflowError, RecursionError, AttributeError, ...
+        raise MalformedPlist(f"{type(exc).__name__}: {exc}") from exc
+    if value is None:
+        raise MalformedPlist("plist holds no value")
+    return _plain(value, 0, set())
+
+
+def _plain(value, depth: int, open_ids: set[int]):
+    """`value` with UIDs as ints and dicts as plain dicts; `open_ids` holds
+    the ids of the containers that enclose it."""
+    if isinstance(value, _SCALARS):
+        return value
+    if isinstance(value, plistlib.UID):
+        return value.data
+    if not isinstance(value, (dict, list)):
+        raise MalformedPlist(f"value of type {type(value).__name__} is not a plist value")
+    if depth >= MAX_DEPTH:
+        raise MalformedPlist(f"plist nests deeper than {MAX_DEPTH} levels")
+    if id(value) in open_ids:
+        raise MalformedPlist("plist container holds itself")
+    open_ids.add(id(value))
+    if isinstance(value, dict):
+        out = {k: _plain(v, depth + 1, open_ids) for k, v in value.items()}
+    else:
+        out = [_plain(v, depth + 1, open_ids) for v in value]
+    open_ids.remove(id(value))
+    return out
 
 
 def canonical_json(value) -> str:
@@ -49,194 +104,3 @@ def _jsonable(value):
     if isinstance(value, (str, bool, int, float)) or value is None:
         return value
     raise MalformedPlist(f"value of type {type(value).__name__} has no JSON form")
-
-
-# ---- XML ----
-
-def _parse_xml(data: bytes):
-    try:
-        root = ET.fromstring(data)
-    except ET.ParseError as exc:
-        raise MalformedPlist(f"XML parse error: {exc}") from exc
-    if root.tag != "plist":
-        raise MalformedPlist(f"root element is <{root.tag}>, expected <plist>")
-    children = list(root)
-    if len(children) != 1:
-        raise MalformedPlist(f"<plist> holds {len(children)} elements, expected 1")
-    return _xml_value(children[0])
-
-
-def _xml_value(elem):
-    tag = elem.tag
-    if tag == "dict":
-        out = {}
-        kids = list(elem)
-        if len(kids) % 2:
-            raise MalformedPlist("<dict> has a key without a value")
-        for key_el, val_el in zip(kids[::2], kids[1::2]):
-            if key_el.tag != "key":
-                raise MalformedPlist(f"expected <key>, found <{key_el.tag}>")
-            key = key_el.text or ""
-            if key in out:
-                raise MalformedPlist(f"duplicate dictionary key {key!r}")
-            out[key] = _xml_value(val_el)
-        return out
-    if tag == "array":
-        return [_xml_value(k) for k in elem]
-    if tag == "string":
-        return elem.text or ""
-    if tag == "integer":
-        try:
-            return int((elem.text or "").strip())
-        except ValueError as exc:
-            raise MalformedPlist(f"bad integer {elem.text!r}") from exc
-    if tag == "real":
-        try:
-            return float((elem.text or "").strip())
-        except ValueError as exc:
-            raise MalformedPlist(f"bad real {elem.text!r}") from exc
-    if tag == "true":
-        return True
-    if tag == "false":
-        return False
-    if tag == "date":
-        text = (elem.text or "").strip()
-        try:
-            return datetime.datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ")
-        except ValueError as exc:
-            raise MalformedPlist(f"bad date {text!r}") from exc
-    if tag == "data":
-        try:
-            return base64.b64decode("".join((elem.text or "").split()), validate=True)
-        except Exception as exc:
-            raise MalformedPlist("bad base64 in <data>") from exc
-    raise MalformedPlist(f"unknown plist element <{tag}>")
-
-
-# ---- binary ----
-
-def _parse_binary(data: bytes):
-    if len(data) < 8 + 32:
-        raise MalformedPlist("bplist shorter than header plus trailer")
-    (
-        offset_int_size,
-        object_ref_size,
-        num_objects,
-        top_object,
-        table_offset,
-    ) = struct.unpack_from(">6xBBQQQ", data, len(data) - 32)
-    if offset_int_size not in (1, 2, 4, 8) or object_ref_size not in (1, 2, 4, 8):
-        raise MalformedPlist("bplist trailer has impossible int sizes")
-    if num_objects == 0 or top_object >= num_objects:
-        raise MalformedPlist("bplist trailer object counts inconsistent")
-    table_end = table_offset + num_objects * offset_int_size
-    if table_end > len(data) - 32:
-        raise MalformedPlist("bplist offset table past trailer")
-    offsets = [
-        _be_int(data, table_offset + i * offset_int_size, offset_int_size)
-        for i in range(num_objects)
-    ]
-    reader = _BinaryReader(data, offsets, object_ref_size)
-    return reader.object_at(top_object, frozenset())
-
-
-def _be_int(data: bytes, offset: int, size: int) -> int:
-    if offset + size > len(data):
-        raise MalformedPlist("bplist integer runs past end")
-    return int.from_bytes(data[offset : offset + size], "big")
-
-
-class _BinaryReader:
-    def __init__(self, data: bytes, offsets: list[int], ref_size: int):
-        self.data = data
-        self.offsets = offsets
-        self.ref_size = ref_size
-
-    def object_at(self, index: int, stack: frozenset):
-        if index in stack:
-            raise MalformedPlist("bplist object graph is cyclic")
-        if index >= len(self.offsets):
-            raise MalformedPlist(f"bplist ref {index} out of range")
-        pos = self.offsets[index]
-        if pos >= len(self.data):
-            raise MalformedPlist("bplist object offset past end")
-        marker = self.data[pos]
-        kind, info = marker >> 4, marker & 0x0F
-        stack = stack | {index}
-
-        if kind == 0x0:
-            if info == 0x0:
-                return None
-            if info == 0x8:
-                return False
-            if info == 0x9:
-                return True
-            raise MalformedPlist(f"unknown singleton marker {marker:#04x}")
-        if kind == 0x1:  # integer, 2**info bytes
-            size = 1 << info
-            raw = self._take(pos + 1, size)
-            value = int.from_bytes(raw, "big", signed=size >= 8)
-            return value
-        if kind == 0x2:  # real
-            raw = self._take(pos + 1, 1 << info)
-            if len(raw) == 4:
-                return struct.unpack(">f", raw)[0]
-            if len(raw) == 8:
-                return struct.unpack(">d", raw)[0]
-            raise MalformedPlist("real of unsupported width")
-        if kind == 0x3:  # date
-            if info != 0x3:
-                raise MalformedPlist("date marker with unexpected width")
-            seconds = struct.unpack(">d", self._take(pos + 1, 8))[0]
-            return _APPLE_EPOCH + datetime.timedelta(seconds=seconds)
-        if kind == 0x4:  # data
-            count, pos = self._count(pos, info)
-            return bytes(self._take(pos, count))
-        if kind == 0x5:  # ascii string
-            count, pos = self._count(pos, info)
-            return self._take(pos, count).decode("ascii", "replace")
-        if kind == 0x6:  # utf-16-be string
-            count, pos = self._count(pos, info)
-            return self._take(pos, 2 * count).decode("utf-16-be", "replace")
-        if kind == 0x8:  # keyed-archiver UID; surfaced as a plain integer
-            return int.from_bytes(self._take(pos + 1, info + 1), "big")
-        if kind == 0xA:  # array
-            count, pos = self._count(pos, info)
-            refs = self._refs(pos, count)
-            return [self.object_at(r, stack) for r in refs]
-        if kind == 0xD:  # dict
-            count, pos = self._count(pos, info)
-            key_refs = self._refs(pos, count)
-            val_refs = self._refs(pos + count * self.ref_size, count)
-            out = {}
-            for kr, vr in zip(key_refs, val_refs):
-                key = self.object_at(kr, stack)
-                if not isinstance(key, str):
-                    raise MalformedPlist("bplist dict key is not a string")
-                if key in out:
-                    raise MalformedPlist(f"duplicate dictionary key {key!r}")
-                out[key] = self.object_at(vr, stack)
-            return out
-        raise MalformedPlist(f"unsupported bplist marker {marker:#04x}")
-
-    def _take(self, pos: int, count: int) -> bytes:
-        if pos + count > len(self.data):
-            raise MalformedPlist("bplist object runs past end")
-        return self.data[pos : pos + count]
-
-    def _count(self, pos: int, info: int) -> tuple[int, int]:
-        """Element count for variable-length markers; returns (count, data pos)."""
-        if info != 0x0F:
-            return info, pos + 1
-        marker = self.data[pos + 1] if pos + 1 < len(self.data) else 0
-        if marker >> 4 != 0x1:
-            raise MalformedPlist("length-follows marker not followed by an int")
-        size = 1 << (marker & 0x0F)
-        return int.from_bytes(self._take(pos + 2, size), "big"), pos + 2 + size
-
-    def _refs(self, pos: int, count: int) -> list[int]:
-        raw = self._take(pos, count * self.ref_size)
-        return [
-            int.from_bytes(raw[i * self.ref_size : (i + 1) * self.ref_size], "big")
-            for i in range(count)
-        ]

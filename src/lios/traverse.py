@@ -487,12 +487,9 @@ def _source_ids(graph, source: str):
 
 
 def _calls_by_name(graph, fid: int, name: str) -> bool:
-    for bb in graph.out_nodes(fid, "has_bb"):
-        for ins in graph.out_nodes(bb.id, "instr"):
-            for e in graph.out_edges(ins.id, "calls"):
-                if graph.node(e.dst).get("name") == name:
-                    return True
-    return False
+    # every instruction-level `calls` edge has a function-level twin
+    # (`PropertyGraph.validate` checks it), so the projection suffices
+    return any(f.get("name") == name for f in graph.out_nodes(fid, "calls"))
 
 
 def _step_calling(graph, stream, name: str):

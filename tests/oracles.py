@@ -7,6 +7,7 @@ checks, so a shared bug cannot make both sides agree.
 from __future__ import annotations
 
 import plistlib
+import struct
 
 
 def uleb_encode_oracle(value: int) -> bytes:
@@ -62,6 +63,20 @@ def plist_roundtrip_xml(obj) -> bytes:
 def plist_roundtrip_binary(obj) -> bytes:
     """stdlib plistlib as the independent binary plist producer."""
     return plistlib.dumps(obj, fmt=plistlib.FMT_BINARY)
+
+
+def bplist_oracle(objects: list[bytes], top: int = 0) -> bytes:
+    """A bplist00 assembled by hand, without plistlib: `objects` are encoded
+    records, laid out in order, whose references are two bytes wide."""
+    body = bytearray(b"bplist00")
+    offsets = []
+    for obj in objects:
+        offsets.append(len(body))
+        body += obj
+    table = len(body)
+    for offset in offsets:
+        body += offset.to_bytes(2, "big")
+    return bytes(body) + struct.pack(">6xBBQQQ", 2, 2, len(objects), top, table)
 
 
 def reachable_oracle(num_nodes: int, edges: list[tuple[int, int]], start: int) -> set[int]:

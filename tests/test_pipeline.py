@@ -49,18 +49,10 @@ class TestConfig:
         cfg = AnalysisConfig(input="x")
         assert cfg.depth == 2
         assert cfg.out_dir == "lios-out"
-        assert cfg.passes == ("link", "entrypoints")
 
     def test_rejects_negative_depth(self):
         with pytest.raises(ValueError):
             AnalysisConfig(input="x", depth=-1)
-
-    def test_rejects_unknown_pass(self):
-        with pytest.raises(ValueError, match="bogus"):
-            AnalysisConfig(input="x", passes=("link", "bogus"))
-
-    def test_no_passes_is_valid(self):
-        assert AnalysisConfig(input="x", passes=()).passes == ()
 
 
 class TestIngest:
@@ -158,6 +150,25 @@ class TestIngest:
         assert ing.info == {"CFBundleVersion": "1.0"}
         assert ing.info_error is None
 
+    @pytest.mark.parametrize(
+        "root", [[1, 2], "App", {"CFBundleExecutable": 5}, {"CFBundleExecutable": ["App"]}]
+    )
+    def test_plist_without_string_executable_falls_back(self, tmp_path, root):
+        import plistlib
+
+        binary, _ = corpus.listing_one_app()
+        path = custom_ipa(
+            tmp_path,
+            {
+                "Payload/App.app/Info.plist": plistlib.dumps(root),
+                "Payload/App.app/App": binary,
+            },
+        )
+        ing = ingest(path)
+        assert ing.name == "App"
+        assert ing.info == root
+        assert ing.binary == binary
+
 
 class TestDiscoverFunctions:
     def test_matches_suite_manifest(self):
@@ -208,12 +219,6 @@ class TestLift:
             for name in manifest["entry_functions"]
         }
         assert entries == expected
-
-    def test_passes_can_be_disabled(self, tmp_path):
-        path, _ = write_ipa(tmp_path)
-        graph, _, _ = lift(AnalysisConfig(input=str(path), passes=()))
-        assert not graph.edges("implements")
-        assert not [n for n in graph.nodes("Function") if n.get("is_ep")]
 
     def test_entitlements_override(self, tmp_path):
         path, _ = write_ipa(tmp_path)

@@ -1,4 +1,6 @@
-"""Plist parser tests; stdlib plistlib acts as the independent encoder."""
+"""Plist parser tests; stdlib plistlib acts as the encoder, and a
+hand-written XML text and a hand-assembled bplist00 are the oracles
+independent of it."""
 
 import datetime
 import json
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from lios.errors import MalformedPlist
 from lios.plist import canonical_json, parse_plist
+from oracles import bplist_oracle
 
 
 def test_xml_bundle_executable():
@@ -143,3 +146,105 @@ def test_xml_binary_parity(tree):
     via_xml = parse_plist(plistlib.dumps(tree, fmt=plistlib.FMT_XML))
     via_bin = parse_plist(plistlib.dumps(tree, fmt=plistlib.FMT_BINARY))
     assert via_xml == via_bin == tree
+
+
+# Oracles written without plistlib, which lios now reads with.
+
+_XML_ORACLE = """<?xml version="1.0" encoding="UTF-8"?>
+<!DOCTYPE plist PUBLIC "-//Apple//DTD PLIST 1.0//EN" "http://www.apple.com/DTDs/PropertyList-1.0.dtd">
+<plist version="1.0">
+<dict>
+\t<key>array</key>
+\t<array>
+\t\t<integer>1</integer>
+\t\t<string>two</string>
+\t\t<array/>
+\t</array>
+\t<key>big</key>
+\t<integer>1099511627776</integer>
+\t<key>data</key>
+\t<data>
+\tAAH/
+\t</data>
+\t<key>date</key>
+\t<date>2024-06-01T12:30:00Z</date>
+\t<key>dict</key>
+\t<dict>
+\t\t<key>inner</key>
+\t\t<string></string>
+\t</dict>
+\t<key>false</key>
+\t<false/>
+\t<key>integer</key>
+\t<integer>-12</integer>
+\t<key>real</key>
+\t<real>2.5</real>
+\t<key>string</key>
+\t<string>café &amp; &lt;b&gt; &#x2603;</string>
+\t<key>true</key>
+\t<true/>
+</dict>
+</plist>
+""".encode("utf-8")
+
+
+def test_hand_written_xml():
+    assert parse_plist(_XML_ORACLE) == {
+        "array": [1, "two", []],
+        "big": 2**40,
+        "data": b"\x00\x01\xff",
+        "date": datetime.datetime(2024, 6, 1, 12, 30, 0),
+        "dict": {"inner": ""},
+        "false": False,
+        "integer": -12,
+        "real": 2.5,
+        "string": "café & <b> ☃",
+        "true": True,
+    }
+    assert canonical_json(parse_plist(_XML_ORACLE)) == (
+        '{"array":[1,"two",[]],"big":1099511627776,"data":{"$data":"AAH/"},'
+        '"date":{"$date":"2024-06-01T12:30:00Z"},"dict":{"inner":""},'
+        '"false":false,"integer":-12,"real":2.5,"string":"café & <b> ☃","true":true}'
+    )
+
+
+def _ref(index: int) -> bytes:
+    return index.to_bytes(2, "big")
+
+
+def test_hand_assembled_binary():
+    keys = [b"\x51" + bytes([c]) for c in b"abcdefghijkl"]
+    values = [
+        b"\x10\x07",  # int, 1 byte
+        b"\x13" + (-2).to_bytes(8, "big", signed=True),  # int, 8 bytes, signed
+        b"\x23" + struct.pack(">d", 0.5),  # real, 8 bytes
+        b"\x22" + struct.pack(">f", 1.5),  # real, 4 bytes
+        b"\x09",  # true
+        b"\x08",  # false
+        b"\x33" + struct.pack(">d", 86400.0),  # date: one day after 2001-01-01
+        b"\x42\x00\xff",  # data
+        b"\x52hi",  # ASCII string
+        b"\x62\x00\xe9\x26\x03",  # UTF-16BE string of 2 units
+        b"\x81\x01\x2c",  # keyed-archiver UID 300
+    ]
+    n = len(keys)
+    values.append(b"\xa2" + _ref(1) + _ref(1 + n))  # array: key "a", value 7
+    top = bytes([0xDF, 0x10, n])  # dict; its count follows as a 1-byte int
+    top += b"".join(_ref(1 + i) for i in range(n))
+    top += b"".join(_ref(1 + n + i) for i in range(n))
+    tree = parse_plist(bplist_oracle([top] + keys + values))
+    assert tree == {
+        "a": 7,
+        "b": -2,
+        "c": 0.5,
+        "d": 1.5,
+        "e": True,
+        "f": False,
+        "g": datetime.datetime(2001, 1, 2),
+        "h": b"\x00\xff",
+        "i": "hi",
+        "j": "\xe9☃",
+        "k": 300,
+        "l": ["a", 7],
+    }
+    assert type(tree["k"]) is int
