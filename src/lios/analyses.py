@@ -303,11 +303,11 @@ def _ats_state(graph) -> tuple[dict | None, bool]:
     return (ats if isinstance(ats, dict) else None), False
 
 
-def _invoke_reachable(graph, fn_id: int, depth: int = CALL_DEPTH) -> bool:
+def _invoke_reachable(graph, fn_id: int) -> bool:
     """Does this function (or a direct callee) fire a built invocation?"""
     frontier = [fn_id]
     seen = {fn_id}
-    for _hop in range(depth + 1):
+    for _hop in range(CALL_DEPTH + 1):
         nxt: list[int] = []
         for fid in frontier:
             for node in _instructions_of(graph, fid):
@@ -584,4 +584,4 @@ def _tainted_verb(graph, stream, source: str, sink: str):
             yield fid
 
 
-register_step("tainted", _tainted_verb)
+register_step("tainted", _tainted_verb, str, str)

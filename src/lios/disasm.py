@@ -423,38 +423,10 @@ def _decode_loadstore(word: int, ins: Instruction) -> Instruction | None:
         scale = 3 if sixty_four else 2
         imm = _sext((word >> 15) & 0x7F, 7) << scale
         rt2 = (word >> 10) & 0x1F
-        rn = (word >> 5) & 0x1F
-        rt = word & 0x1F
         name = "ldp" if is_load else "stp"
-        mode = _PAIR_MODES[mode_bits]
-        ins.kind, ins.mnemonic = "assignment", name
-        ins.sixty_four = sixty_four
-        ins.is_load, ins.is_store = is_load, not is_load
-        ins.rd = _XNAMES[rt]
-        ins.rt2 = _XNAMES[rt2]
-        ins.mem_base = "sp" if rn == 31 else _XNAMES[rn]
-        ins.mem_offset = imm
-        ins.mem_mode = mode
-        t1, t2 = _print_reg(rt, sixty_four), _print_reg(rt2, sixty_four)
-        base = _print_reg(rn, True, sp_ok=True)
-        if mode == "off":
-            addr = f"[{base}, #{imm}]" if imm else f"[{base}]"
-        elif mode == "pre":
-            addr = f"[{base}, #{imm}]!"
-        else:
-            addr = f"[{base}], #{imm}"
-        ins.asm = f"{name} {t1}, {t2}, {addr}"
-        tlocs = {l for l in (_loc_for(rt), _loc_for(rt2)) if l}
-        bloc = _loc_for(rn, sp_ok=True)
-        if is_load:
-            ins.defs = set(tlocs)
-            ins.uses = {bloc} if bloc else set()
-        else:
-            ins.defs = set()
-            ins.uses = tlocs | ({bloc} if bloc else set())
-        if mode != "off" and bloc:
-            ins.defs = ins.defs | {bloc}
-        return ins
+        return _fill_loadstore(
+            ins, name, is_load, sixty_four, word, imm, _PAIR_MODES[mode_bits], rt2
+        )
     return None
 
 
@@ -466,7 +438,9 @@ def _fill_loadstore(
     word: int,
     imm: int,
     mode: str,
+    rt2: int | None = None,
 ) -> Instruction:
+    """Fill a load or store of `rt`, and of `rt2` for LDP/STP, at [rn +/- imm]."""
     rn = (word >> 5) & 0x1F
     rt = word & 0x1F
     ins.kind, ins.mnemonic = "assignment", name
@@ -476,7 +450,12 @@ def _fill_loadstore(
     ins.mem_base = "sp" if rn == 31 else _XNAMES[rn]
     ins.mem_offset = imm
     ins.mem_mode = mode
-    rt_text = _print_reg(rt, sixty_four)
+    regs = _print_reg(rt, sixty_four)
+    tlocs = [_loc_for(rt)]
+    if rt2 is not None:
+        ins.rt2 = _XNAMES[rt2]
+        regs += ", " + _print_reg(rt2, sixty_four)
+        tlocs.append(_loc_for(rt2))
     base = _print_reg(rn, True, sp_ok=True)
     if mode == "off":
         addr = f"[{base}, #{imm}]" if imm else f"[{base}]"
@@ -484,15 +463,14 @@ def _fill_loadstore(
         addr = f"[{base}, #{imm}]!"
     else:
         addr = f"[{base}], #{imm}"
-    ins.asm = f"{name} {rt_text}, {addr}"
-    tloc = _loc_for(rt)
+    ins.asm = f"{name} {regs}, {addr}"
     bloc = _loc_for(rn, sp_ok=True)
     if is_load:
-        ins.defs = {tloc} if tloc else set()
+        ins.defs = {l for l in tlocs if l}
         ins.uses = {bloc} if bloc else set()
     else:
         ins.defs = set()
-        ins.uses = {l for l in (tloc, bloc) if l}
+        ins.uses = {l for l in (*tlocs, bloc) if l}
     if mode != "off" and bloc:
         ins.defs = ins.defs | {bloc}
     return ins
@@ -547,11 +525,7 @@ class FunctionBody:
 
 
 def build_function(
-    image: MachoImage,
-    entry_ea: int,
-    end_ea: int,
-    name: str | None = None,
-    model=None,
+    image: MachoImage, entry_ea: int, end_ea: int, model=None
 ) -> FunctionBody:
     """Decode [entry_ea, end_ea) and shape it into basic blocks."""
     offset = va_to_offset(image, entry_ea)
@@ -567,11 +541,9 @@ def build_function(
         decode(image.data[offset + 4 * i : offset + 4 * i + 4], entry_ea + 4 * i)
         for i in range(count)
     ]
-    while len(instructions) > 1 and instructions[-1].bytes == b"\x00\x00\x00\x00":
-        instructions.pop()  # linker padding after the final return
-    fn = _shape_blocks(entry_ea, instructions, name or "")
-    _fuse_xrefs(fn)
-    fn.name = name or _function_name(image, entry_ea, model, fn)
+    fn = build_function_from_instructions(
+        instructions, _function_name(image, entry_ea, model)
+    )
     if model is not None:
         hit = model.class_of_impl(entry_ea)
         if hit is not None:
@@ -588,7 +560,7 @@ def build_function_from_instructions(
         raise EmptyRange("no instructions")
     instructions = list(instructions)
     while len(instructions) > 1 and instructions[-1].bytes == b"\x00\x00\x00\x00":
-        instructions.pop()
+        instructions.pop()  # linker padding after the final return
     fn = _shape_blocks(instructions[0].ea, instructions, name)
     _fuse_xrefs(fn)
     if not fn.name:
@@ -596,7 +568,7 @@ def build_function_from_instructions(
     return fn
 
 
-def _function_name(image: MachoImage, entry_ea: int, model, fn: FunctionBody) -> str:
+def _function_name(image: MachoImage, entry_ea: int, model) -> str:
     if model is not None:
         hit = model.class_of_impl(entry_ea)
         if hit is not None:

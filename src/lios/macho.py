@@ -43,7 +43,6 @@ LC_DYLD_INFO_ONLY = 0x22 | LC_REQ_DYLD
 LC_FUNCTION_STARTS = 0x26
 LC_CODE_SIGNATURE = 0x1D
 LC_ENCRYPTION_INFO_64 = 0x2C
-LC_MAIN = 0x28 | LC_REQ_DYLD
 
 # section flags
 S_ZEROFILL = 0x01
@@ -57,7 +56,6 @@ N_STAB = 0xE0
 N_EXT = 0x01
 N_TYPE = 0x0E
 N_UNDF = 0x00
-N_SECT = 0x0E
 
 # code signature blob magics (big-endian on disk)
 CSMAGIC_EMBEDDED_SIGNATURE = 0xFADE0CC0
@@ -67,8 +65,8 @@ CSSLOT_ENTITLEMENTS = 5
 # arm64e data words carry pointer-authentication bits above bit 47
 PAC_MASK = (1 << 48) - 1
 
-INDIRECT_SYMBOL_LOCAL = 0x80000000
-INDIRECT_SYMBOL_ABS = 0x40000000
+# the longest C string `read_cstring` scans for its terminator
+_CSTRING_LIMIT = 4096
 
 _CPU_NAMES = {
     CPU_TYPE_ARM64: "arm64",
@@ -138,7 +136,6 @@ class MachoImage:
 
     data: bytes
     cpu_type: str
-    cpu_subtype: int
     segments: list[Segment] = field(default_factory=list)
     sections: list[Section] = field(default_factory=list)
     symbols: list[SymbolEntry] = field(default_factory=list)
@@ -222,13 +219,13 @@ def parse_macho(data: bytes) -> MachoImage:
     if magic != MH_MAGIC_64:
         raise BadMagic(f"not a Mach-O 64 image (magic {magic:#010x})")
     _need(data, 0, 32, "mach_header_64")
-    _magic, cputype, cpusubtype, _filetype, ncmds, sizeofcmds, _flags, _res = (
+    _magic, cputype, _cpusubtype, _filetype, ncmds, sizeofcmds, _flags, _res = (
         struct.unpack_from("<IiiIIIII", data, 0)
     )
     if (cputype & 0xFFFFFFFF) != CPU_TYPE_ARM64:
         raise UnsupportedArch(f"cputype {cpu_tag(cputype & 0xFFFFFFFF)} is not arm64")
 
-    image = MachoImage(data=data, cpu_type="arm64", cpu_subtype=cpusubtype)
+    image = MachoImage(data=data, cpu_type="arm64")
     lc_region_end = 32 + sizeofcmds
     if lc_region_end > len(data):
         raise TruncatedFile("load-command region extends past end of file")
@@ -442,11 +439,11 @@ def offset_to_va(image: MachoImage, offset: int) -> int | None:
     return None
 
 
-def read_cstring(image: MachoImage, va: int, limit: int = 4096) -> str | None:
+def read_cstring(image: MachoImage, va: int) -> str | None:
     off = va_to_offset(image, va)
     if off is None:
         return None
-    end = image.data.find(b"\x00", off, off + limit)
+    end = image.data.find(b"\x00", off, off + _CSTRING_LIMIT)
     if end < 0:
         return None
     return image.data[off:end].decode("utf-8", "replace")

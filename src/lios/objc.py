@@ -148,7 +148,7 @@ def _pointer_slots(image: MachoImage, section_name: str) -> list[tuple[int, int]
     return out
 
 
-def parse_selrefs(image: MachoImage, warnings: list[str] | None = None) -> SelectorMap:
+def parse_selrefs(image: MachoImage) -> SelectorMap:
     """Dereference each `__objc_selrefs` slot into `__objc_methname`."""
     selmap = SelectorMap()
     methname = image.section("__TEXT", "__objc_methname")
@@ -157,8 +157,7 @@ def parse_selrefs(image: MachoImage, warnings: list[str] | None = None) -> Selec
     )
     for slot, target in slots:
         if methname is None or not methname.contains_va(target):
-            msg = f"selref slot {slot:#x} points outside __objc_methname"
-            (warnings if warnings is not None else image.warnings).append(msg)
+            image.warnings.append(f"selref slot {slot:#x} points outside __objc_methname")
             continue
         text = read_cstring(image, target)
         if text is None:

@@ -7,13 +7,15 @@ naive-UTC datetime, bytes. A keyed-archiver UID reads as its int.
 
 Dictionary keys must be unique strings; a duplicate is a parse error rather
 than a silent last-wins. A container found inside itself, nesting deeper
-than `MAX_DEPTH`, and a `<plist>` that holds no value are parse errors too.
+than `MAX_DEPTH`, more than `MAX_VALUES` values once shared containers are
+copied, and a `<plist>` that holds no value are parse errors too.
 """
 
 from __future__ import annotations
 
 import base64
 import datetime
+import itertools
 import json
 import plistlib
 from xml.parsers.expat import ExpatError
@@ -23,6 +25,11 @@ from .errors import MalformedPlist
 # Deeper than any real Info.plist, and shallow enough that `_plain` and
 # `canonical_json` stay inside Python's recursion limit.
 MAX_DEPTH = 256
+
+# Far more values than any real Info.plist holds. A binary plist may share one
+# container between several parents, and the walk copies it once per parent,
+# so a few hundred bytes could otherwise expand to millions of values.
+MAX_VALUES = 1 << 16
 
 _SCALARS = (str, bool, int, float, bytes, datetime.datetime, type(None))
 
@@ -59,12 +66,15 @@ def parse_plist(data: bytes):
         raise MalformedPlist(f"{type(exc).__name__}: {exc}") from exc
     if value is None:
         raise MalformedPlist("plist holds no value")
-    return _plain(value, 0, set())
+    return _plain(value, 0, set(), itertools.count(1))
 
 
-def _plain(value, depth: int, open_ids: set[int]):
+def _plain(value, depth: int, open_ids: set[int], produced):
     """`value` with UIDs as ints and dicts as plain dicts; `open_ids` holds
-    the ids of the containers that enclose it."""
+    the ids of the containers that enclose it, and `produced` counts the
+    values made so far."""
+    if next(produced) > MAX_VALUES:
+        raise MalformedPlist(f"plist expands to more than {MAX_VALUES} values")
     if isinstance(value, _SCALARS):
         return value
     if isinstance(value, plistlib.UID):
@@ -77,9 +87,9 @@ def _plain(value, depth: int, open_ids: set[int]):
         raise MalformedPlist("plist container holds itself")
     open_ids.add(id(value))
     if isinstance(value, dict):
-        out = {k: _plain(v, depth + 1, open_ids) for k, v in value.items()}
+        out = {k: _plain(v, depth + 1, open_ids, produced) for k, v in value.items()}
     else:
-        out = [_plain(v, depth + 1, open_ids) for v in value]
+        out = [_plain(v, depth + 1, open_ids, produced) for v in value]
     open_ids.remove(id(value))
     return out
 

@@ -9,6 +9,8 @@ from these combinators.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from itertools import islice
 
@@ -164,13 +166,7 @@ def entrypoints(graph) -> list:
 
 def callees(graph, fn) -> list:
     nid = _require(graph, fn, "Function", NotAFunction)
-    seen: set[int] = set()
-    out = []
-    for i in _CALLS.run(graph, [nid]):
-        if i not in seen:
-            seen.add(i)
-            out.append(graph.node(i))
-    return out
+    return [graph.node(i) for i in _CALLS.then(step_dedup()).run(graph, [nid])]
 
 
 def reachables(graph, fn) -> list:
@@ -197,24 +193,16 @@ def exe_paths(graph, block, l_max: int = 64) -> list[tuple[int, ...]]:
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
 
-    def succ_ids(nid: int) -> list[int]:
-        return [
-            n.id
-            for n in sorted(
-                graph.out_nodes(nid, "succ"), key=lambda n: (n.get("ea", 0), n.id)
-            )
-        ]
-
     out: list[tuple[int, ...]] = []
     stack: list[tuple[int, ...]] = [(entry,)]
     while stack:
         path = stack.pop()
-        succs = succ_ids(path[-1])
+        succs = successors(graph, path[-1])
         if not succs or len(path) >= l_max:
             out.append(path)
             continue
         for s in reversed(succs):
-            stack.append(path + (s,))
+            stack.append(path + (s.id,))
     return out
 
 
@@ -275,82 +263,45 @@ class _Token:
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\", "0": "\0"}
 
+# One alternative per token class, tried in order. `\d` is the decimal digits
+# that `int()` reads; `\w` is `str.isalnum()` or `_`. A word that does not
+# start with a letter or `_`, and a lone `"`, are errors.
+_TOKEN = re.compile(
+    r"(?P<space>[ \t\r\n]+)"
+    r"|(?P<punct>[.(),])"
+    r'|"(?P<string>(?:[^"\\]|\\.)*)"'
+    r"|(?P<int>-?\d+)"
+    r"|(?P<word>\w+)"
+    r"|(?P<other>.)",
+    re.S,
+)
+_ESCAPE = re.compile(r"\\(.)", re.S)
+
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    bpos = 0
-    n = len(text)
-
-    def bump(ch: str) -> None:
-        nonlocal bpos
-        bpos += len(ch.encode("utf-8"))
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            bump(ch)
-            i += 1
-            continue
-        start = bpos
-        if ch in ".(),":
-            tokens.append(_Token(ch, ch, start))
-            bump(ch)
-            i += 1
-            continue
-        if ch == '"':
-            bump(ch)
-            i += 1
-            parts: list[str] = []
-            while True:
-                if i >= n:
-                    raise QuerySyntaxError(
-                        "unterminated string", start, expected=('"',)
-                    )
-                ch = text[i]
-                if ch == '"':
-                    bump(ch)
-                    i += 1
-                    break
-                if ch == "\\":
-                    if i + 1 >= n:
-                        raise QuerySyntaxError(
-                            "unterminated string", start, expected=('"',)
-                        )
-                    esc = text[i + 1]
-                    parts.append(_ESCAPES.get(esc, esc))
-                    bump(ch)
-                    bump(esc)
-                    i += 2
-                    continue
-                parts.append(ch)
-                bump(ch)
-                i += 1
-            value = "".join(parts)
-            tokens.append(_Token("string", value, start, value))
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            lexeme = text[i:j]
-            tokens.append(_Token("int", lexeme, start, int(lexeme)))
-            for c in lexeme:
-                bump(c)
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            lexeme = text[i:j]
-            tokens.append(_Token("ident", lexeme, start))
-            for c in lexeme:
-                bump(c)
-            i = j
-            continue
-        raise QuerySyntaxError(f"unexpected character {ch!r}", start)
-    tokens.append(_Token("eof", "", bpos))
+    pos = 0
+    for m in _TOKEN.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        if kind == "punct":
+            tokens.append(_Token(lexeme, lexeme, pos))
+        elif kind == "string":
+            value = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), m["string"])
+            tokens.append(_Token("string", value, pos, value))
+        elif kind == "int":
+            try:
+                value = int(lexeme)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise QuerySyntaxError("integer literal too long", pos) from None
+            tokens.append(_Token("int", lexeme, pos, value))
+        elif kind == "word" and (lexeme[0].isalpha() or lexeme[0] == "_"):
+            tokens.append(_Token("ident", lexeme, pos))
+        elif lexeme == '"':
+            raise QuerySyntaxError("unterminated string", pos, expected=('"',))
+        elif kind != "space":
+            raise QuerySyntaxError(f"unexpected character {lexeme[0]!r}", pos)
+        pos += len(lexeme.encode("utf-8", "surrogatepass"))
+    tokens.append(_Token("eof", "", pos))
     return tokens
 
 
@@ -409,7 +360,7 @@ class _Parser:
                     args.append(self.argument())
             self.expect(")")
             step = Step(name.text, tuple(args), name.pos)
-            _check_builtin(step)
+            _check_step(step)
             steps.append(step)
         if self.peek().kind != "eof":
             self.fail("trailing input after query")
@@ -429,23 +380,13 @@ class _Parser:
         self.fail("expected an argument", expected=("argument",))
 
 
-# built-in steps: name -> tuple of allowed types per positional argument
-_BUILTIN_ARGS: dict[str, tuple[tuple, ...]] = {
-    "calling": ((str,),),
-    "named": ((str,),),
-    "implementing": ((str,),),
-    "has": ((str,), (str, int, bool)),
-    "out": ((str,),),
-    "in": ((str,),),
-    "dedup": (),
-    "limit": ((int,),),
-}
-
-
-def _check_builtin(step: Step) -> None:
-    shape = _BUILTIN_ARGS.get(step.name)
-    if shape is None:
+def _check_step(step: Step) -> None:
+    """Arity and argument types of a step the table knows; an unknown name
+    is left for `eval_query`, since a verb may be registered later."""
+    entry = _STEP_REGISTRY.get(step.name)
+    if entry is None:
         return
+    shape = entry[0]
     if len(step.args) != len(shape):
         raise QuerySyntaxError(
             f"{step.name}() takes {len(shape)} argument(s), got {len(step.args)}",
@@ -460,22 +401,12 @@ def _check_builtin(step: Step) -> None:
             raise QuerySyntaxError(
                 f"{step.name}() argument {arg!r} has the wrong type", step.pos
             )
-    if step.name == "limit" and step.args[0] < 0:
-        raise QuerySyntaxError("limit must be >= 0", step.pos)
+    if step.name == "limit" and not 0 <= step.args[0] <= sys.maxsize:
+        raise QuerySyntaxError(f"limit must lie in 0..{sys.maxsize}", step.pos)
 
 
 def parse_query(text: str) -> Query:
     return _Parser(text).parse()
-
-
-# registered verbs: name -> fn(graph, id_stream, *args) -> id iterator
-_STEP_REGISTRY: dict[str, object] = {}
-
-
-def register_step(name: str, fn) -> None:
-    if name in _BUILTIN_ARGS or name in _SOURCES:
-        raise ValueError(f"{name!r} is a built-in step")
-    _STEP_REGISTRY[name] = fn
 
 
 def _source_ids(graph, source: str):
@@ -510,38 +441,44 @@ def _step_implementing(graph, stream, name: str):
                 break
 
 
-def _apply_step(graph, stream, step: Step):
-    name = step.name
-    if name == "calling":
-        return _step_calling(graph, stream, step.args[0])
-    if name == "named":
-        return step_filter(lambda n: n.get("name") == step.args[0]).run(
-            graph, stream
-        )
-    if name == "implementing":
-        return _step_implementing(graph, stream, step.args[0])
-    if name == "has":
-        key = _PROP_ALIASES.get(step.args[0], step.args[0])
-        value = step.args[1]
-        return step_filter(lambda n: n.get(key) == value).run(graph, stream)
-    if name == "out":
-        return step_out(step.args[0]).run(graph, stream)
-    if name == "in":
-        return step_in(step.args[0]).run(graph, stream)
-    if name == "dedup":
-        return step_dedup().run(graph, stream)
-    if name == "limit":
-        return step_limit(step.args[0]).run(graph, stream)
-    fn = _STEP_REGISTRY.get(name)
-    if fn is None:
-        raise UnknownStep(f"unknown step {name!r}")
-    return fn(graph, stream, *step.args)
+def _step_has(graph, stream, key: str, value):
+    key = _PROP_ALIASES.get(key, key)
+    return step_filter(lambda n: n.get(key) == value).run(graph, stream)
+
+
+_ONE_STR = ((str,),)
+
+# every step, built-in or registered: name -> (allowed types per positional
+# argument, fn(graph, id_stream, *args) -> id iterator)
+_STEP_REGISTRY: dict[str, tuple[tuple[tuple[type, ...], ...], object]] = {
+    "calling": (_ONE_STR, _step_calling),
+    "named": (_ONE_STR, lambda g, s, name: _step_has(g, s, "name", name)),
+    "implementing": (_ONE_STR, _step_implementing),
+    "has": (((str,), (str, int, bool)), _step_has),
+    "out": (_ONE_STR, lambda g, s, label: step_out(label).run(g, s)),
+    "in": (_ONE_STR, lambda g, s, label: step_in(label).run(g, s)),
+    "dedup": ((), lambda g, s: step_dedup().run(g, s)),
+    "limit": (((int,),), lambda g, s, n: step_limit(n).run(g, s)),
+}
+_BUILTIN_STEPS = frozenset(_STEP_REGISTRY) | frozenset(_SOURCES)
+
+
+def register_step(name: str, fn, *arg_types) -> None:
+    """Add the verb `name`: `fn(graph, id_stream, *args)`, with one type, or
+    tuple of types, allowed per positional argument."""
+    if name in _BUILTIN_STEPS:
+        raise ValueError(f"{name!r} is a built-in step")
+    shape = tuple(t if isinstance(t, tuple) else (t,) for t in arg_types)
+    _STEP_REGISTRY[name] = (shape, fn)
 
 
 def eval_query(graph, query: Query) -> list:
     stream = _source_ids(graph, query.source)
     for step in query.steps:
-        stream = _apply_step(graph, stream, step)
+        entry = _STEP_REGISTRY.get(step.name)
+        if entry is None:
+            raise UnknownStep(f"unknown step {step.name!r}")
+        stream = entry[1](graph, stream, *step.args)
     return [graph.node(i) for i in stream]
 
 

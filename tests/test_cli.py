@@ -121,6 +121,13 @@ class TestQuery:
         rc = main(["query", str(workspace["graph"]), "-e", "functions().bogus()"])
         assert rc == 2
 
+    def test_verb_signature_error_exits_two(self, workspace, capsys):
+        rc = main(
+            ["query", str(workspace["graph"]), "-e", 'functions().tainted("a")']
+        )
+        assert rc == 2
+        assert "at byte 12" in capsys.readouterr().err
+
     def test_unknown_label_exits_two(self, workspace, capsys):
         rc = main(
             ["query", str(workspace["graph"]), "-e", 'functions().out("bogus")']
@@ -170,6 +177,22 @@ class TestRepl:
         assert rc == 0
         assert "error:" in capsys.readouterr().err
         assert json.loads(out.splitlines()[-1])["props"]["name"] == "main"
+
+    def test_verb_signature_error_continues_the_session(self, workspace, capsys):
+        rc, out = self.run_repl(
+            workspace, 'functions().tainted("a")\nfunctions().limit(1)\n'
+        )
+        assert rc == 0
+        assert capsys.readouterr().err.count("error:") == 1
+        assert len(out.splitlines()) == 1
+
+    def test_undecodable_byte_in_a_string_continues_the_session(self, workspace):
+        # a byte that is not UTF-8 reaches the shell as a lone surrogate
+        rc, out = self.run_repl(
+            workspace, 'functions().named("\udcff")\nfunctions().limit(1)\n'
+        )
+        assert rc == 0
+        assert len(out.splitlines()) == 1
 
     def test_blank_lines_and_eof(self, workspace):
         rc, out = self.run_repl(workspace, "\n\n")

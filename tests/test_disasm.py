@@ -136,6 +136,10 @@ class TestDecode:
         assert ins.uses == {reg("x1")}
         ins = decode(assemble("mov x0, xzr").code, ORIGIN)
         assert ins.uses == set() and ins.defs == {reg("x0")}
+        ins = decode(assemble("stp xzr, x1, [sp, #16]").code, ORIGIN)
+        assert ins.defs == set() and ins.uses == {reg("sp"), reg("x1")}
+        ins = decode(assemble("ldp x2, xzr, [x3], #16").code, ORIGIN)
+        assert ins.defs == {reg("x2"), reg("x3")} and ins.uses == {reg("x3")}
 
     def test_branch_target_arithmetic(self):
         code = assemble("b target\nnop\ntarget: nop", origin=ORIGIN).code

@@ -8,6 +8,7 @@ run reads the same mutants.
 import plistlib
 import random
 import struct
+import time
 
 import pytest
 
@@ -27,6 +28,12 @@ def xml_arrays(depth: int) -> bytes:
 def binary_arrays(depth: int) -> bytes:
     """`depth` arrays, each holding the next; the last is empty."""
     objects = [b"\xa1" + (i + 1).to_bytes(2, "big") for i in range(depth - 1)]
+    return bplist_oracle(objects + [b"\xa0"])
+
+
+def shared_chain(depth: int) -> bytes:
+    """`depth` arrays, each holding the next one twice; the last is empty."""
+    objects = [b"\xa2" + (i + 1).to_bytes(2, "big") * 2 for i in range(depth - 1)]
     return bplist_oracle(objects + [b"\xa0"])
 
 
@@ -55,6 +62,17 @@ def test_shared_container_is_not_a_cycle():
     # array [a, a] where a is one empty array object, referenced twice
     raw = bplist_oracle([b"\xa2\x00\x01\x00\x01", b"\xa0"])
     assert parse_plist(raw) == [[], []]
+
+
+def test_shared_chain_expansion_is_bounded():
+    # 2**depth - 1 values once every shared array is copied: 65,535 parse
+    assert len(canonical_json(parse_plist(shared_chain(16)))) == 5 * 2**15 - 3
+    with pytest.raises(MalformedPlist, match="more than"):
+        parse_plist(shared_chain(17))
+    start = time.perf_counter()
+    with pytest.raises(MalformedPlist, match="more than"):
+        parse_plist(shared_chain(40))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_binary_dict_key_must_be_a_string():
@@ -91,10 +109,13 @@ def test_mutants_raise_only_malformed_plist(blob, seed):
             pass
 
 
-def test_ipa_with_deep_plist_lifts(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "plist", [xml_arrays(5000), shared_chain(40)], ids=["deep", "shared"]
+)
+def test_ipa_with_deep_plist_lifts(tmp_path, capsys, plist):
     binary, _ = corpus.listing_one_app(sanitized=True)
     path = tmp_path / "deep.ipa"
-    path.write_bytes(corpus.build_ipa(binary, xml_arrays(5000), app_name="App"))
+    path.write_bytes(corpus.build_ipa(binary, plist, app_name="App"))
     assert main(["lift", str(path), "--out", str(tmp_path / "out")]) == 0
     findings = (tmp_path / "out" / "findings.json").read_text()
     assert "info-plist-malformed" in findings

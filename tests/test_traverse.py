@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+import lios.analyses  # noqa: F401  registers the `tainted` verb
 from conftest import graph_bundle
 from lios.errors import (
+    LiosError,
     NotABasicBlock,
     NotAFunction,
     NotAnInstruction,
@@ -341,6 +343,25 @@ class TestParse:
         with pytest.raises(QuerySyntaxError):
             parse_query("functions().limit(true)")
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ('functions().tainted("a")', 12),
+            ("functions().tainted(1, 2)", 12),
+            ("functions().limit(²)", 18),
+            ("functions().limit(99999999999999999999)", 12),
+            ('functions().has("ea", ' + "1" * 5000 + ")", 22),
+        ],
+    )
+    def test_former_crashes_are_syntax_errors(self, text, position):
+        with pytest.raises(QuerySyntaxError) as exc:
+            parse_query(text)
+        assert exc.value.position == position
+
+    def test_unicode_decimal_digits_are_an_int(self):
+        q = parse_query("functions().limit(٣)")
+        assert q.steps == (Step("limit", (3,), 12),)
+
     def test_bare_identifier_arguments(self):
         q = parse_query("functions().has(is_ep, true).out(calls)")
         assert q.steps[0].args == ("is_ep", True)
@@ -414,6 +435,37 @@ class TestEval:
     def test_register_step_cannot_shadow_builtins(self):
         with pytest.raises(ValueError):
             register_step("dedup", lambda graph, stream: stream)
+
+
+_FUZZ_STEPS = ("calling", "named", "implementing", "has", "out", "in", "dedup",
+               "limit", "tainted", "frob")
+_FUZZ_ARGS = ('"main"', '"calls"', '"a\\"b"', "calls", "has_bb", "0", "-3", "٣",
+              "²", "99999999999999999999", "true", "x")
+_FUZZ_NOISE = ("(", ")", ".", ",", '"', "\\", "-", "é", " ")
+
+
+def random_query(rng) -> str:
+    """A source and up to four steps, some of them with one character of noise."""
+    parts = [rng.choice(("functions", "classes", "entrypoints")), "()"]
+    for _ in range(rng.randint(0, 4)):
+        args = ", ".join(rng.choice(_FUZZ_ARGS) for _ in range(rng.randint(0, 2)))
+        parts.append(f".{rng.choice(_FUZZ_STEPS)}({args})")
+    text = "".join(parts)
+    if rng.random() < 0.3:
+        i = rng.randrange(len(text) + 1)
+        text = text[:i] + rng.choice(_FUZZ_NOISE) + text[i + rng.randint(0, 1):]
+    return text
+
+
+def test_random_queries_raise_only_lios_errors(linked_suite):
+    _m, _i, _mo, _f, g = linked_suite
+    rng = random.Random(10)
+    for _ in range(3000):
+        text = random_query(rng)
+        try:
+            run_query(g, text)
+        except LiosError:
+            pass
 
 
 class TestShortcutExpansions:
