@@ -109,13 +109,17 @@ def test_mutants_raise_only_malformed_plist(blob, seed):
             pass
 
 
-@pytest.mark.parametrize(
-    "plist", [xml_arrays(5000), shared_chain(40)], ids=["deep", "shared"]
-)
-def test_ipa_with_deep_plist_lifts(tmp_path, capsys, plist):
+def _lift_findings(tmp_path, plist: bytes) -> str:
     binary, _ = corpus.listing_one_app(sanitized=True)
     path = tmp_path / "deep.ipa"
     path.write_bytes(corpus.build_ipa(binary, plist, app_name="App"))
     assert main(["lift", str(path), "--out", str(tmp_path / "out")]) == 0
-    findings = (tmp_path / "out" / "findings.json").read_text()
-    assert "info-plist-malformed" in findings
+    return (tmp_path / "out" / "findings.json").read_text()
+
+
+def test_ipa_with_deep_plist_lifts(tmp_path, capsys):
+    assert "info-plist-malformed" in _lift_findings(tmp_path, xml_arrays(5000))
+
+
+def test_ipa_with_shared_plist_lifts(tmp_path, capsys):
+    assert "info-plist-malformed" in _lift_findings(tmp_path, shared_chain(40))
