@@ -16,7 +16,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import EmptyRange, MalformedTextDisasm
+from .errors import EmptyRange
 from .macho import (
     MachoImage,
     read_cstring,
@@ -26,8 +26,6 @@ from .macho import (
     va_to_offset,
 )
 from .objc import strip_class_prefix
-
-TEXT_DISASM_HEADER = "#lios-disasm v1"
 
 RETURN_REG = "x0"
 LINK_REG = "x30"
@@ -59,9 +57,25 @@ class Loc(NamedTuple):
 # operand names by register number; "x31" is what an rd/rn/rm field of 31
 # reads as where the decoder does not spell it sp
 _XNAMES = tuple(f"x{n}" for n in range(32))
-_REGS = {name: Loc("reg", name) for name in _XNAMES[:31] + ("sp",)}
+_REGS = {name: Loc("reg", name) for name in _XNAMES + ("sp",)}
 _X_LOCS = tuple(_REGS[name] for name in _XNAMES[:31])
 _SP_LOC = _REGS["sp"]
+
+# One shared frozenset per distinct location set the decoder builds, so that
+# instructions with equal sets hold the same object.  A decoded set holds at
+# most three register Locs (a load or store pair with writeback: rt, rt2 and
+# the base) out of the 33 in `_REGS`; only `ret x31` names x31.  So the table
+# never holds more than 1 + 33 + C(33, 2) + C(33, 3) = 6,018 sets, whatever
+# the input.
+_LOC_SETS: dict[frozenset, frozenset] = {}
+
+
+def _locs(*locs: Loc | None) -> frozenset[Loc]:
+    """The shared frozenset of the given locations; None stands for none."""
+    key = frozenset(locs)
+    if None in key:
+        key = key - {None}
+    return _LOC_SETS.setdefault(key, key)
 
 
 def reg(name: str) -> Loc:
@@ -78,12 +92,19 @@ def mem(address: int) -> Loc:
 
 @dataclass(slots=True)
 class Instruction:
+    """One decoded word.
+
+    `defs` and `uses` are the shared frozensets of `_locs`: many
+    instructions hold the same object, so no pass may mutate them; a pass
+    that needs other sets builds new ones, as `compute_effects` does.
+    """
+
     ea: int
     bytes: bytes
     asm: str
     kind: str  # assignment | branch | call | return | compare | nop | other
-    defs: set[Loc] = field(default_factory=set)
-    uses: set[Loc] = field(default_factory=set)
+    defs: frozenset[Loc] = frozenset()
+    uses: frozenset[Loc] = frozenset()
     branch_target: int | None = None
     immediate: int | None = None
     xref: int | None = None
@@ -155,7 +176,7 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         rn = (word >> 5) & 0x1F
         ins.kind, ins.mnemonic = "return", "ret"
         ins.asm = "ret" if rn == 30 else f"ret x{rn}"
-        ins.uses = {reg(_XNAMES[rn])}
+        ins.uses = _locs(reg(_XNAMES[rn]))
         return ins
 
     if word & 0xFFFFFC1F == 0xD61F0000:  # BR
@@ -164,7 +185,7 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         ins.rn = _XNAMES[rn]
         ins.asm = f"br x{rn}"
         loc = _loc_for(rn)
-        ins.uses = {loc} if loc else set()
+        ins.uses = _locs(loc)
         return ins
 
     if word & 0xFFFFFC1F == 0xD63F0000:  # BLR
@@ -173,8 +194,8 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         ins.rn = _XNAMES[rn]
         ins.asm = f"blr x{rn}"
         loc = _loc_for(rn)
-        ins.uses = {loc} if loc else set()
-        ins.defs = {reg(LINK_REG)}
+        ins.uses = _locs(loc)
+        ins.defs = _locs(reg(LINK_REG))
         return ins
 
     top6 = word >> 26
@@ -187,7 +208,7 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         else:
             ins.kind, ins.mnemonic = "call", "bl"
             ins.asm = f"bl 0x{target:x}"
-            ins.defs = {reg(LINK_REG)}
+            ins.defs = _locs(reg(LINK_REG))
         return ins
 
     if word & 0xFF000010 == 0x54000000:  # B.cond
@@ -211,7 +232,7 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         ins.sixty_four = sixty_four
         ins.asm = f"{name} {_print_reg(rt, sixty_four)}, 0x{target:x}"
         loc = _loc_for(rt)
-        ins.uses = {loc} if loc else set()
+        ins.uses = _locs(loc)
         return ins
 
     if word & 0x7E000000 == 0x36000000:  # TBZ/TBNZ
@@ -228,7 +249,7 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         ins.sixty_four = sixty_four
         ins.asm = f"{name} {_print_reg(rt, sixty_four)}, #{bit}, 0x{target:x}"
         loc = _loc_for(rt)
-        ins.uses = {loc} if loc else set()
+        ins.uses = _locs(loc)
         return ins
 
     if word & 0x9F000000 == 0x90000000:  # ADRP
@@ -241,7 +262,7 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         ins.xref = page
         ins.asm = f"adrp x{rd}, 0x{page:x}"
         loc = _loc_for(rd)
-        ins.defs = {loc} if loc else set()
+        ins.defs = _locs(loc)
         return ins
 
     if word & 0x9F000000 == 0x10000000:  # ADR
@@ -254,7 +275,7 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         ins.xref = target
         ins.asm = f"adr x{rd}, 0x{target:x}"
         loc = _loc_for(rd)
-        ins.defs = {loc} if loc else set()
+        ins.defs = _locs(loc)
         return ins
 
     if word & 0x1F800000 == 0x12800000:  # MOVN/MOVZ/MOVK
@@ -269,12 +290,11 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         ins.sixty_four = sixty_four
         ins.rd = _XNAMES[rd]
         loc = _loc_for(rd)
-        ins.defs = {loc} if loc else set()
+        ins.defs = _locs(loc)
         rd_text = _print_reg(rd, sixty_four)
         if opc == 3:  # MOVK: keeps other bits, so value alone is not the result
             ins.kind, ins.mnemonic = "assignment", "movk"
-            if loc:
-                ins.uses = {loc}
+            ins.uses = ins.defs
             ins.immediate = imm16
             ins.hw_shift = shift
             suffix = f", lsl #{shift}" if shift else ""
@@ -299,8 +319,8 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         ins.rm = _XNAMES[rm]
         ins.asm = f"mov {_print_reg(rd, sixty_four)}, {_print_reg(rm, sixty_four)}"
         dloc, uloc = _loc_for(rd), _loc_for(rm)
-        ins.defs = {dloc} if dloc else set()
-        ins.uses = {uloc} if uloc else set()
+        ins.defs = _locs(dloc)
+        ins.uses = _locs(uloc)
         return ins
 
     if word & 0x1F800000 == 0x11000000:  # ADD/SUB immediate
@@ -320,7 +340,7 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
             name = "cmp" if is_sub else "cmn"
             ins.kind, ins.mnemonic = "compare", name
             ins.asm = f"{name} {_print_reg(rn, sixty_four, sp_ok=True)}, #{imm}"
-            ins.uses = {uloc} if uloc else set()
+            ins.uses = _locs(uloc)
             return ins
         name = ("subs" if is_sub else "adds") if sets_flags else ("sub" if is_sub else "add")
         ins.kind, ins.mnemonic = "assignment", name
@@ -331,8 +351,8 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
             f"{_print_reg(rn, sixty_four, sp_ok=True)}, #{raw12}{suffix}"
         )
         dloc = _loc_for(rd, sp_ok=not sets_flags)
-        ins.defs = {dloc} if dloc else set()
-        ins.uses = {uloc} if uloc else set()
+        ins.defs = _locs(dloc)
+        ins.uses = _locs(uloc)
         return ins
 
     if word & 0x1F200000 == 0x0B000000:  # ADD/SUB shifted register
@@ -349,7 +369,7 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         ins.rn = _XNAMES[rn]
         ins.rm = _XNAMES[rm]
         nloc, mloc = _loc_for(rn), _loc_for(rm)
-        uses = {l for l in (nloc, mloc) if l}
+        uses = _locs(nloc, mloc)
         if sets_flags and rd == 31:
             name = "cmp" if is_sub else "cmn"
             ins.kind, ins.mnemonic = "compare", name
@@ -367,7 +387,7 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
             f"{_print_reg(rm, sixty_four)}{suffix}"
         )
         dloc = _loc_for(rd)
-        ins.defs = {dloc} if dloc else set()
+        ins.defs = _locs(dloc)
         ins.uses = uses
         return ins
 
@@ -451,11 +471,11 @@ def _fill_loadstore(
     ins.mem_offset = imm
     ins.mem_mode = mode
     regs = _print_reg(rt, sixty_four)
-    tlocs = [_loc_for(rt)]
+    tlocs = (_loc_for(rt),)
     if rt2 is not None:
         ins.rt2 = _XNAMES[rt2]
         regs += ", " + _print_reg(rt2, sixty_four)
-        tlocs.append(_loc_for(rt2))
+        tlocs += (_loc_for(rt2),)
     base = _print_reg(rn, True, sp_ok=True)
     if mode == "off":
         addr = f"[{base}, #{imm}]" if imm else f"[{base}]"
@@ -464,15 +484,14 @@ def _fill_loadstore(
     else:
         addr = f"[{base}], #{imm}"
     ins.asm = f"{name} {regs}, {addr}"
-    bloc = _loc_for(rn, sp_ok=True)
+    bloc = _loc_for(rn, sp_ok=True)  # never None: a base of 31 is sp
+    written = (bloc,) if mode != "off" else ()
     if is_load:
-        ins.defs = {l for l in tlocs if l}
-        ins.uses = {bloc} if bloc else set()
+        ins.defs = _locs(*tlocs, *written)
+        ins.uses = _locs(bloc)
     else:
-        ins.defs = set()
-        ins.uses = {l for l in (*tlocs, bloc) if l}
-    if mode != "off" and bloc:
-        ins.defs = ins.defs | {bloc}
+        ins.defs = _locs(*written)
+        ins.uses = _locs(*tlocs, bloc)
     return ins
 
 
@@ -651,14 +670,20 @@ def _fuse_xrefs(fn: FunctionBody) -> None:
 # effects: constant/stack tracking shared by use-def and backtrace
 
 _SP = ("sp", 0)
+_RETURN_LOCS = frozenset({reg(RETURN_REG)})
 
 
 @dataclass
 class _Effects:
-    """Per-instruction effective defs/uses and assignment provenance."""
+    """Per-instruction effective defs/uses and assignment provenance.
 
-    eff_defs: dict[int, set[Loc]]
-    eff_uses: dict[int, set[Loc]]
+    The sets are frozensets and may be the very objects an `Instruction`
+    holds, shared with other instructions, so they are never mutated: a
+    change rebinds the entry to a new set.
+    """
+
+    eff_defs: dict[int, frozenset[Loc]]
+    eff_uses: dict[int, frozenset[Loc]]
     assign: dict[int, tuple]  # ea -> ("const", v) | ("copy", Loc) | ("load", Loc) | ("call",) | ("opaque",)
 
     def add_call_uses(self, call_uses: dict[int, set[str]]) -> None:
@@ -666,7 +691,7 @@ class _Effects:
         their `call` instructions; a tail-call `b` keeps its own uses."""
         for ea, regs in call_uses.items():
             if self.assign.get(ea) == ("call",):
-                self.eff_uses[ea] |= {reg(r) for r in regs}
+                self.eff_uses[ea] = self.eff_uses[ea] | {reg(r) for r in regs}
 
 
 def _merge_states(states: list[dict]) -> dict:
@@ -775,8 +800,8 @@ def compute_effects(fn: FunctionBody, call_uses: dict | None = None) -> _Effects
                 block_out[ea] = state
                 changed = True
 
-    eff_defs: dict[int, set[Loc]] = {}
-    eff_uses: dict[int, set[Loc]] = {}
+    eff_defs: dict[int, frozenset[Loc]] = {}
+    eff_uses: dict[int, frozenset[Loc]] = {}
     assign: dict[int, tuple] = {}
 
     def slot_for(state: dict, base: str, offset: int) -> Loc | None:
@@ -791,12 +816,12 @@ def compute_effects(fn: FunctionBody, call_uses: dict | None = None) -> _Effects
     for block in fn.blocks:
         state = dict(block_in.get(block.ea, {}))
         for ins in block.instructions:
-            defs = set(ins.defs)
-            uses = set(ins.uses)
+            defs = ins.defs
+            uses = ins.uses
             m = ins.mnemonic
             if ins.kind == "call":
-                uses.add(reg(RETURN_REG))
-                defs.add(reg(RETURN_REG))
+                uses = uses | _RETURN_LOCS
+                defs = defs | _RETURN_LOCS
                 assign[ins.ea] = ("call",)
             elif ins.is_load or ins.is_store:
                 pivot = ins.mem_offset if ins.mem_mode != "post" else 0
@@ -813,13 +838,14 @@ def compute_effects(fn: FunctionBody, call_uses: dict | None = None) -> _Effects
                         )
                         slots.append(second)
                 if ins.is_load:
-                    uses |= set(slots)
+                    if slots:
+                        uses = uses.union(slots)
                     if slot is not None and ins.rt2 is None:
                         assign[ins.ea] = ("load", slot)
                     else:
                         assign[ins.ea] = ("opaque",)
-                else:
-                    defs |= set(slots)
+                elif slots:
+                    defs = defs.union(slots)
             elif m == "mov" and ins.rm is not None:
                 assign[ins.ea] = ("copy", reg(ins.rm))
             elif m == "mov" or m in ("adrp", "adr"):
@@ -1268,50 +1294,3 @@ def call_effects_from_sites(sites: list[CallSite]) -> dict[int, set[str]]:
                 uses |= {f"x{2 + i}" for i in range(s.selector.count(":"))}
         uses_at.setdefault(s.caller_ea, set()).update(uses)
     return uses_at
-
-
-# ---------------------------------------------------------------------------
-# textual-disassembly ingestion
-
-
-def parse_text_disasm(text: str) -> list[Instruction]:
-    """Ingest `#lios-disasm v1` lines of `ea<TAB>hexbytes<TAB>asm`."""
-    lines = text.splitlines()
-    stripped = [l for l in lines if l.strip()]
-    if not stripped or stripped[0].strip() != TEXT_DISASM_HEADER:
-        raise MalformedTextDisasm(f"missing `{TEXT_DISASM_HEADER}` header line")
-    out: list[Instruction] = []
-    for number, line in enumerate(lines, 1):
-        # only whole-line comments: asm text carries `#` immediates
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.rstrip().split("\t")
-        if len(parts) != 3:
-            raise MalformedTextDisasm(
-                f"line {number}: expected ea<TAB>hexbytes<TAB>asm"
-            )
-        ea_text, hex_text, asm_text = parts
-        try:
-            ea = int(ea_text, 16)
-            raw = bytes.fromhex(hex_text)
-        except ValueError as exc:
-            raise MalformedTextDisasm(f"line {number}: {exc}") from exc
-        if len(raw) != 4:
-            raise MalformedTextDisasm(f"line {number}: instructions are 4 bytes")
-        if ea % 4:
-            raise MalformedTextDisasm(f"line {number}: ea {ea:#x} is not 4-aligned")
-        ins = decode(raw, ea)
-        provided = asm_text.strip()
-        if provided:
-            ins.asm = provided
-        out.append(ins)
-    if not out:
-        raise MalformedTextDisasm("no instruction lines")
-    return out
-
-
-def format_text_disasm(instructions: list[Instruction]) -> str:
-    lines = [TEXT_DISASM_HEADER]
-    for ins in instructions:
-        lines.append(f"{ins.ea:x}\t{ins.bytes.hex()}\t{ins.asm}")
-    return "\n".join(lines) + "\n"

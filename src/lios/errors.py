@@ -125,7 +125,3 @@ class MissingExecutable(IngestError):
 
 class EmptyRange(LiosError):
     """A function body was requested for an empty address range."""
-
-
-class MalformedTextDisasm(LiosError):
-    """External-disassembly text does not follow the `#lios-disasm v1` format."""

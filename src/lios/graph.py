@@ -10,11 +10,15 @@ The store keeps each fact once. Ids are dense: node and edge ids run from
 0 in insertion order, and the nodes, the edges and each node's outgoing and
 incoming edges are lists indexed by id. `_append_node` and `_append_edge`
 are the only writers of that layout. Every edge without properties shares
-one read-only empty mapping; node properties stay one dict per node,
-since `set_node_prop` writes into them. `loads` maps each label to the
-canonical label object, passes property keys and the text values of edge
-properties through one memo per load, and builds edge endpoints from the
-node's own id int, so that repeated strings and ints are held once.
+one read-only empty mapping, and `build_from_frontends` gives all `def`
+edges of one variable one read-only mapping and all instructions with
+equal uses one `uses` text. Edge properties are never mutated; node
+properties stay one dict per node, since `set_node_prop` writes into them.
+The disassembly's location sets are shared frozensets too (`disasm._locs`).
+`loads` maps each label to the canonical label object, passes property
+keys and the text values of edge properties through one memo per load,
+and builds edge endpoints from the node's own id int, so that repeated
+strings and ints are held once.
 
 A dump (format v1) is one header line, then one JSON object per line: the
 nodes in id order, then the edges in id order. The nodes' ids are 0..n-1
@@ -608,7 +612,10 @@ def build_from_frontends(
             fn_nodes[ea] = nid
         return nid
 
-    instr_nodes: dict[int, int] = {}
+    # one read-only properties mapping per `def` variable, and one `uses`
+    # text per distinct location set, shared by every record that has it
+    def_props: dict[str, Mapping] = {}
+    uses_text: dict[frozenset, str] = {}
     for entry in sorted(functions):
         fn = functions[entry]
         fid = fn_nodes[entry]
@@ -620,6 +627,7 @@ def build_from_frontends(
         use_def = compute_use_def(fn, effects)
 
         bb_nodes: dict[int, int] = {}
+        instr_nodes: dict[int, int] = {}
         for block in fn.blocks:
             bid = g.add_node("BasicBlock", {"ea": block.ea})
             bb_nodes[block.ea] = bid
@@ -629,7 +637,10 @@ def build_from_frontends(
                 uses = effects.eff_uses.get(ins.ea)
                 if uses:
                     # free uses (no def edge) mark values entering as arguments
-                    props["uses"] = " ".join(sorted(str(u) for u in uses))
+                    text = uses_text.get(uses)
+                    if text is None:
+                        text = uses_text[uses] = " ".join(sorted(map(str, uses)))
+                    props["uses"] = text
                 if ins.xref is not None:
                     props["xref"] = ins.xref
                     const = resolve_constant(model, ins.xref)
@@ -641,10 +652,16 @@ def build_from_frontends(
         for block in fn.blocks:
             for nxt in block.successors:
                 g.add_edge(bb_nodes[block.ea], bb_nodes[nxt], "succ")
+        # both ends are Instruction nodes made just above, so the edge needs
+        # only its properties checked, once per new mapping
         for use_ea, def_ea, var in sorted(
             (use_ea, def_ea, str(loc)) for use_ea, def_ea, loc in use_def
         ):
-            g.add_edge(instr_nodes[use_ea], instr_nodes[def_ea], "def", {"var": var})
+            props = def_props.get(var)
+            if props is None:
+                props = def_props[var] = MappingProxyType({"var": var})
+                _check_properties("def", props)
+            g._append_edge(instr_nodes[use_ea], instr_nodes[def_ea], "def", props)
         for ins in fn.instructions():
             if ins.xref is not None and ins.xref in fn_nodes:
                 g.add_edge(instr_nodes[ins.ea], fn_nodes[ins.xref], "xref")

@@ -92,11 +92,6 @@ class Segment:
     vm_size: int
     file_offset: int
     file_size: int
-    protections: int  # initprot bits: r=1 w=2 x=4
-
-    @property
-    def executable(self) -> bool:
-        return bool(self.protections & 4)
 
     def contains_va(self, va: int) -> bool:
         return self.vm_addr <= va < self.vm_addr + self.vm_size
@@ -135,11 +130,9 @@ class MachoImage:
     """A parsed 64-bit Mach-O image.  Immutable after parse; safe to share."""
 
     data: bytes
-    cpu_type: str
     segments: list[Segment] = field(default_factory=list)
     sections: list[Section] = field(default_factory=list)
     symbols: list[SymbolEntry] = field(default_factory=list)
-    load_commands: list[tuple[int, bytes]] = field(default_factory=list)
     function_starts: list[int] = field(default_factory=list)
     entitlements: str | None = None
     image_base: int = 0
@@ -225,7 +218,7 @@ def parse_macho(data: bytes) -> MachoImage:
     if (cputype & 0xFFFFFFFF) != CPU_TYPE_ARM64:
         raise UnsupportedArch(f"cputype {cpu_tag(cputype & 0xFFFFFFFF)} is not arm64")
 
-    image = MachoImage(data=data, cpu_type="arm64")
+    image = MachoImage(data=data)
     lc_region_end = 32 + sizeofcmds
     if lc_region_end > len(data):
         raise TruncatedFile("load-command region extends past end of file")
@@ -245,7 +238,6 @@ def parse_macho(data: bytes) -> MachoImage:
                 f"load command {i} (cmd {cmd:#x}) has cmdsize {cmdsize} at {offset:#x}"
             )
         body = data[offset : offset + cmdsize]
-        image.load_commands.append((cmd, body))
 
         if cmd == LC_SEGMENT_64:
             _parse_segment64(image, body, i)
@@ -293,10 +285,8 @@ def _parse_segment64(image: MachoImage, body: bytes, index: int) -> None:
         raise MalformedLoadCommand(f"LC_SEGMENT_64 {index} shorter than its fixed header")
     segname = body[8:24].rstrip(b"\x00").decode("ascii", "replace")
     vmaddr, vmsize, fileoff, filesize = struct.unpack_from("<QQQQ", body, 24)
-    _maxprot, initprot, nsects, _flags = struct.unpack_from("<iiII", body, 56)
-    image.segments.append(
-        Segment(segname, vmaddr, vmsize, fileoff, filesize, initprot & 7)
-    )
+    nsects = struct.unpack_from("<I", body, 64)[0]
+    image.segments.append(Segment(segname, vmaddr, vmsize, fileoff, filesize))
     if 72 + nsects * 80 > len(body):
         raise MalformedLoadCommand(f"LC_SEGMENT_64 {index} section headers overrun cmdsize")
     for s in range(nsects):

@@ -473,8 +473,12 @@ def register_step(name: str, fn, *arg_types) -> None:
 
 
 def eval_query(graph, query: Query) -> list:
+    """Run `query` on `graph`; each step's signature is checked first, as
+    `parse_query` does, since a `Query` may be built by hand or before its
+    verb was registered."""
     stream = _source_ids(graph, query.source)
     for step in query.steps:
+        _check_step(step)
         entry = _STEP_REGISTRY.get(step.name)
         if entry is None:
             raise UnknownStep(f"unknown step {step.name!r}")

@@ -26,14 +26,12 @@ from lios.disasm import (
     compute_use_def,
     decode,
     devirtualize,
-    format_text_disasm,
     mem,
-    parse_text_disasm,
     reg,
     stack_slot,
     _loc_for,
 )
-from lios.errors import EmptyRange, MalformedTextDisasm
+from lios.errors import EmptyRange
 from lios.fixtures.asm import assemble
 from lios.fixtures.scaffold import ClassSpec, MethodSpec, Scaffold
 from lios.macho import parse_macho
@@ -138,6 +136,9 @@ class TestDecode:
         assert ins.uses == set() and ins.defs == {reg("x0")}
         ins = decode(assemble("stp xzr, x1, [sp, #16]").code, ORIGIN)
         assert ins.defs == set() and ins.uses == {reg("sp"), reg("x1")}
+        # equal sets are one shared frozenset, whatever order built them
+        assert type(ins.uses) is frozenset and type(ins.defs) is frozenset
+        assert ins.uses is decode(assemble("str x1, [sp]").code, ORIGIN).uses
         ins = decode(assemble("ldp x2, xzr, [x3], #16").code, ORIGIN)
         assert ins.defs == {reg("x2"), reg("x3")} and ins.uses == {reg("x3")}
 
@@ -158,11 +159,12 @@ class TestDecode:
             assert ins.branch_target == ORIGIN
 
     def test_call_defines_link_register(self):
-        ins = decode(assemble("bl 0x40", origin=0).code, 0)
-        assert ins.kind == "call"
-        assert ins.defs == {reg("x30")}
+        bl = decode(assemble("bl 0x40", origin=0).code, 0)
+        assert bl.kind == "call"
+        assert bl.defs == {reg("x30")}
         ins = decode(assemble("blr x8").code, 0)
         assert ins.defs == {reg("x30")} and ins.uses == {reg("x8")}
+        assert type(ins.defs) is frozenset and ins.defs is bl.defs
 
     def test_adrp_page_math(self):
         code = assemble("lbl: adrp x8, lbl@page", origin=0x100004A00).code
@@ -617,10 +619,24 @@ class TestEffects:
             """
         )
         call = next(i for i in fn.instructions() if i.kind == "call")
-        before = [(set(i.defs), set(i.uses)) for i in fn.instructions()]
+        before = [(i.defs, i.uses) for i in fn.instructions()]
+        copies = [(set(i.defs), set(i.uses)) for i in fn.instructions()]
         first = compute_effects(fn, {call.ea: {"x0", "x1", "x2"}})
         second = compute_effects(fn, {call.ea: {"x0", "x1", "x2"}})
-        assert [(i.defs, i.uses) for i in fn.instructions()] == before
+        assert [(i.defs, i.uses) for i in fn.instructions()] == copies
+        assert all(
+            i.defs is defs and i.uses is uses
+            for i, (defs, uses) in zip(fn.instructions(), before)
+        )
+        # an instruction the pass adds nothing to keeps its sets, uncopied
+        plain = [
+            i for i in fn.instructions()
+            if i.kind != "call" and not (i.is_load or i.is_store)
+        ]
+        assert plain and all(
+            first.eff_defs[i.ea] is i.defs and first.eff_uses[i.ea] is i.uses
+            for i in plain
+        )
         assert first == second
         assert first.eff_uses[call.ea] == {reg("x0"), reg("x1"), reg("x2")}
         assert first.eff_defs[call.ea] == {reg("x0"), reg("x30")}
@@ -966,42 +982,3 @@ class TestDevirtualize:
         sel_def = manifest["functions"]["msg_const"] + 12
         assert (call_ea, sel_def, reg("x1")) in edges
 
-
-class TestTextDisasm:
-    def test_round_trip(self):
-        fn = fn_from_asm("mov x0, #1\nadd x0, x0, #2\nret")
-        text = format_text_disasm(list(fn.instructions()))
-        assert text.splitlines()[0] == "#lios-disasm v1"
-        parsed = parse_text_disasm(text)
-        assert [(i.ea, i.bytes, i.asm) for i in parsed] == [
-            (i.ea, i.bytes, i.asm) for i in fn.instructions()
-        ]
-        rebuilt = build_function_from_instructions(parsed, "f")
-        assert [b.ea for b in rebuilt.blocks] == [b.ea for b in fn.blocks]
-
-    def test_comments_and_blank_lines(self):
-        text = "#lios-disasm v1\n# a comment\n\n100004000\t200080d2\tmov x0, #1\n"
-        parsed = parse_text_disasm(text)
-        assert len(parsed) == 1
-        assert parsed[0].kind == "assignment"
-
-    def test_missing_header(self):
-        with pytest.raises(MalformedTextDisasm):
-            parse_text_disasm("100004000\t200080d2\tmov x0, #1\n")
-
-    def test_bad_lines(self):
-        for body in (
-            "zzz\t200080d2\tmov x0, #1",
-            "100004000\t20\tmov x0, #1",
-            "100004000\t200080d2",
-            "100004002\t200080d2\tmov x0, #1",
-        ):
-            with pytest.raises(MalformedTextDisasm):
-                parse_text_disasm(f"#lios-disasm v1\n{body}\n")
-
-    def test_decoded_semantics_follow_bytes(self):
-        # the asm column is display text; kinds come from the bytes
-        text = "#lios-disasm v1\n0\tc0035fd6\tmy_ret_alias\n"
-        parsed = parse_text_disasm(text)
-        assert parsed[0].kind == "return"
-        assert parsed[0].asm == "my_ret_alias"

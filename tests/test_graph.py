@@ -577,6 +577,16 @@ class TestDump:
             assert bare and all(p is bare[0] for p in bare)
             with pytest.raises(TypeError):
                 bare[0]["var"] = "x0"
+        # the lifted store shares one read-only mapping per `def` variable
+        # and one `uses` text per distinct set
+        by_var = {}
+        for e in g.edges("def"):
+            assert by_var.setdefault(e.get("var"), e.properties) is e.properties
+        assert len(by_var) > 1
+        with pytest.raises(TypeError):
+            by_var["x0"]["var"] = "x1"
+        uses = [n.get("uses") for n in g.nodes("Instruction") if n.get("uses")]
+        assert len({id(u) for u in uses}) == len(set(uses)) < len(uses)
         before = [dict(n.properties) for n in clone.nodes()]
         target = clone.nodes("Instruction")[0]
         clone.set_node_prop(target.id, "note", "changed")

@@ -342,6 +342,10 @@ class TestParse:
             parse_query("functions().limit(-1)")
         with pytest.raises(QuerySyntaxError):
             parse_query("functions().limit(true)")
+        # a hand-built query is checked when it runs, registered verbs too
+        for step in (Step("tainted", ("a",), 12), Step("limit", (-1,), 12)):
+            with pytest.raises(QuerySyntaxError):
+                eval_query(PropertyGraph(), Query("functions", (step,)))
 
     @pytest.mark.parametrize(
         "text, position",
