@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import MalformedRuleFile, NotAFunction
-from .traverse import entrypoints, reachables, register_step
+from .traverse import register_step
 
 SEVERITIES = ("critical", "warning", "info")
 _SEVERITY_RANK = {s: i for i, s in enumerate(SEVERITIES)}
@@ -416,33 +416,6 @@ def ats_check(graph) -> list[Finding]:
                     )
                 )
     return sort_findings(findings)
-
-
-def _framework_prefix(name: str) -> str:
-    run = 0
-    while run < len(name) and name[run].isupper():
-        run += 1
-    if run < len(name) and run > 0 and name[run].islower():
-        run -= 1
-    return name[:run] if run >= 2 else "other"
-
-
-def api_inventory(graph) -> dict[str, list[str]]:
-    """External API names actually reachable from the entrypoints, grouped
-    by framework prefix. Dead code contributes nothing."""
-    seen: set[int] = set()
-    names: set[str] = set()
-    for ep in entrypoints(graph):
-        for node in reachables(graph, ep):
-            if node.id in seen:
-                continue
-            seen.add(node.id)
-            if node.get("is_ext"):
-                names.add(node.get("name"))
-    groups: dict[str, list[str]] = {}
-    for name in sorted(names):
-        groups.setdefault(_framework_prefix(name), []).append(name)
-    return dict(sorted(groups.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -6,19 +6,24 @@ alphabet, its endpoint domains and the property types are checked by
 `add_node` and `add_edge`, and inline by `loads`, which rebuilds the store
 in one pass and reports the dump line of a malformed record.
 
-The store keeps each fact once. Ids are dense: node and edge ids run from
-0 in insertion order, and the nodes, the edges and each node's outgoing and
-incoming edges are lists indexed by id. `_append_node` and `_append_edge`
-are the only writers of that layout. Every edge without properties shares
-one read-only empty mapping, and `build_from_frontends` gives all `def`
-edges of one variable one read-only mapping and all instructions with
-equal uses one `uses` text. Edge properties are never mutated; node
-properties stay one dict per node, since `set_node_prop` writes into them.
-The disassembly's location sets are shared frozensets too (`disasm._locs`).
-`loads` maps each label to the canonical label object, passes property
-keys and the text values of edge properties through one memo per load,
-and builds edge endpoints from the node's own id int, so that repeated
-strings and ints are held once.
+The store keeps each fact once. Ids are dense: node ids run from 0 in
+insertion order, and an edge's id is its index in the edge list, which is
+what `add_edge` returns and what the dump's order implies; an edge does not
+hold it. The nodes, the edges and each node's outgoing and incoming edges
+are lists indexed by id. `_append_node` and `_append_edge` are the only
+writers of that layout. Every edge without properties shares one read-only
+empty mapping, and `build_from_frontends` gives all `def` edges of one
+variable one read-only mapping and all instructions with equal uses one
+`uses` text. Edge properties are never mutated; node properties stay one
+dict per node, since `set_node_prop` writes into them. The disassembly's
+location sets are shared frozensets too (`disasm._locs`).
+
+A reload shares what the lift shares. `loads` maps each label to the
+canonical label object and builds edge endpoints from the node's own id
+int. Edges with equal label and equal text properties share one read-only
+mapping, decoded and checked once per load; edges with other property
+values get one each. Property keys and `uses` texts go through one memo
+per load, so that each repeated string is held once.
 
 A dump (format v1) is one header line, then one JSON object per line: the
 nodes in id order, then the edges in id order. The nodes' ids are 0..n-1
@@ -165,7 +170,8 @@ class Node:
 
 @dataclass(slots=True)
 class Edge:
-    id: int
+    """A labeled edge; its id is its index in the store's edge list."""
+
     src: int
     dst: int
     label: str
@@ -220,12 +226,11 @@ class PropertyGraph:
 
     def _append_edge(self, src: int, dst: int, label: str, props: Mapping) -> int:
         """Store a checked edge under the next id; the one edge writer."""
-        edge_id = len(self._edges)
-        edge = Edge(edge_id, src, dst, label, props)
+        edge = Edge(src, dst, label, props)
         self._edges.append(edge)
         self._out[src].append(edge)
         self._in[dst].append(edge)
-        return edge_id
+        return len(self._edges) - 1
 
     def add_node(self, label: str, properties: dict | None = None) -> int:
         if label not in NODE_LABELS:
@@ -322,16 +327,17 @@ class PropertyGraph:
         """
         problems = []
         nodes, n = self._nodes, len(self._nodes)
-        for e in self._edges:
+        for i, e in enumerate(self._edges):
             if not (0 <= e.src < n and 0 <= e.dst < n):
-                problems.append(f"edge {e.id}: dangling endpoint")
+                problems.append(f"edge {i}: dangling endpoint")
                 continue
             domain, codomain = EDGE_RULES[e.label]
             s, d = nodes[e.src].label, nodes[e.dst].label
             if s not in domain or d not in codomain:
-                problems.append(f"edge {e.id}: {e.label} {s}->{d}")
+                problems.append(f"edge {i}: {e.label} {s}->{d}")
         out = self._out
         calls = {(e.src, e.dst) for e in self._edges if e.label == "calls"}
+        orphans = []
         for fn in self._by_label.get("Function", ()):
             for has_bb in out[fn]:
                 if has_bb.label != "has_bb":
@@ -341,10 +347,16 @@ class PropertyGraph:
                         continue
                     for e in out[instr.dst]:
                         if e.label == "calls" and (fn, e.dst) not in calls:
-                            problems.append(
-                                f"edge {e.id}: calls from instruction {e.src} "
-                                f"has no twin from its function {fn}"
-                            )
+                            orphans.append((e, fn))
+        if orphans:
+            # an edge's id is its index; look up only the edges reported
+            wanted = {id(e) for e, _fn in orphans}
+            index = {id(e): i for i, e in enumerate(self._edges) if id(e) in wanted}
+            problems.extend(
+                f"edge {index[id(e)]}: calls from instruction {e.src} "
+                f"has no twin from its function {fn}"
+                for e, fn in orphans
+            )
         return problems
 
     def stats(self) -> dict:
@@ -397,8 +409,10 @@ class PropertyGraph:
         g = cls()
         nodes = g._nodes
         append_node, append_edge = g._append_node, g._append_edge
-        # one object per distinct key and edge text value, for this load only
+        # for this load only: one object per distinct key and `uses` text, and
+        # one checked read-only mapping per edge label and raw text properties
         intern = {}.setdefault
+        edge_props: dict[tuple, Mapping] = {}
         lines = iter(lines)
         if next(lines, "").strip() != DUMP_HEADER:
             raise MalformedDump(f"missing `{DUMP_HEADER}` header", 1)
@@ -452,8 +466,27 @@ class PropertyGraph:
                             f"{label}: {src_node.label} -> {dst_node.label} not allowed",
                             number,
                         )
-                    props = _decode_props(label, rec.get("p", {}), number, intern, True)
-                    append_edge(src_node.id, dst_node.id, label, props or _NO_PROPERTIES)
+                    props = rec.get("p", {})
+                    key = shared = None
+                    if type(props) is dict:
+                        if not props:
+                            shared = _NO_PROPERTIES
+                        else:
+                            try:
+                                key = (label, *props.items())
+                                shared = edge_props.get(key)
+                            except TypeError:
+                                key = None  # an object or a list among the values
+                    if shared is None:
+                        shared = _decode_props(label, props, number, intern)
+                        shared = MappingProxyType(shared)
+                        # only text: True == 1 == 1.0 hash alike, but no
+                        # text equals any of them, so a hit is never mistyped
+                        if key is not None and all(
+                            type(value) is str for value in shared.values()
+                        ):
+                            edge_props[key] = shared
+                    append_edge(src_node.id, dst_node.id, label, shared)
                 else:
                     raise MalformedDump(f"unknown record type {kind!r}", number)
             except KeyError as exc:
@@ -491,11 +524,9 @@ def _format_props(props: Mapping) -> str:
     return "{" + ",".join(parts) + "}"
 
 
-def _decode_props(
-    label: str, props, number: int, intern, intern_text: bool = False
-) -> dict:
+def _decode_props(label: str, props, number: int, intern) -> dict:
     """A dump record's properties, decoded, type-checked and with interned
-    keys; with `intern_text`, interned text values too."""
+    keys and `uses` texts."""
     if type(props) is not dict:
         raise MalformedDump("properties are not an object", number)
     decoded = {}
@@ -505,7 +536,7 @@ def _decode_props(
                 value = binascii.a2b_base64(value["b64"])
             except (TypeError, ValueError) as exc:
                 raise MalformedDump(f"{label}.{key}: bad base64: {exc}", number) from exc
-        elif intern_text and type(value) is str:
+        elif key == "uses" and type(value) is str:
             value = intern(value, value)
         decoded[intern(key, key)] = value
     try:

@@ -11,7 +11,6 @@ from lios.analyses import (
     ReturnSource,
     Sink,
     TaintSpec,
-    api_inventory,
     ats_check,
     detect_webview_bridge,
     findings_to_json,
@@ -19,7 +18,6 @@ from lios.analyses import (
     run_rules,
     sort_findings,
     tainted,
-    _framework_prefix,
     _invoke_reachable,
 )
 from lios.errors import MalformedRuleFile, NotAFunction
@@ -385,32 +383,6 @@ class TestAtsCheck:
 
     def test_empty_graph_is_silent(self):
         assert ats_check(PropertyGraph()) == []
-
-
-class TestApiInventory:
-    def test_framework_prefixes(self):
-        assert _framework_prefix("NSLog") == "NS"
-        assert _framework_prefix("UIWebView") == "UI"
-        assert _framework_prefix("CFRelease") == "CF"
-        assert _framework_prefix("CCCrypt") == "CC"
-        assert _framework_prefix("malloc") == "other"
-        assert _framework_prefix("Foo") == "other"
-        assert _framework_prefix("URL") == "URL"
-
-    def test_suite_inventory_excludes_dead_code(self, suite):
-        manifest, image, model, functions, g = suite
-        inventory = api_inventory(g)
-        flat = sorted(n for names in inventory.values() for n in names)
-        assert flat == manifest["reachable_externals"]
-        assert all(
-            dead not in flat for dead in manifest["dead_externals"]
-        )
-        assert inventory["NS"] == ["NSLog"]
-
-    def test_no_entrypoints_means_empty(self):
-        g = PropertyGraph()
-        g.add_node("Function", {"ea": -1, "name": "NSLog", "is_ext": True})
-        assert api_inventory(g) == {}
 
 
 BRIDGE_RULE = {

@@ -573,20 +573,22 @@ class TestDump:
             for e in clone.edges()
         )
         for store in (g, clone):
+            # an edge's id is its index; the edge does not hold it
+            assert not any(hasattr(e, "id") for e in store.edges())
             bare = [e.properties for e in store.edges() if not e.properties]
             assert bare and all(p is bare[0] for p in bare)
             with pytest.raises(TypeError):
                 bare[0]["var"] = "x0"
-        # the lifted store shares one read-only mapping per `def` variable
-        # and one `uses` text per distinct set
-        by_var = {}
-        for e in g.edges("def"):
-            assert by_var.setdefault(e.get("var"), e.properties) is e.properties
-        assert len(by_var) > 1
-        with pytest.raises(TypeError):
-            by_var["x0"]["var"] = "x1"
-        uses = [n.get("uses") for n in g.nodes("Instruction") if n.get("uses")]
-        assert len({id(u) for u in uses}) == len(set(uses)) < len(uses)
+            # one read-only mapping per `def` variable and one `uses` text
+            # per distinct set, in the lifted and in the reloaded store
+            by_var = {}
+            for e in store.edges("def"):
+                assert by_var.setdefault(e.get("var"), e.properties) is e.properties
+            assert len(by_var) > 1
+            with pytest.raises(TypeError):
+                by_var["x0"]["var"] = "x1"
+            uses = [n.get("uses") for n in store.nodes("Instruction") if n.get("uses")]
+            assert len({id(u) for u in uses}) == len(set(uses)) < len(uses)
         before = [dict(n.properties) for n in clone.nodes()]
         target = clone.nodes("Instruction")[0]
         clone.set_node_prop(target.id, "note", "changed")
@@ -610,6 +612,30 @@ class TestDump:
         g.add_node("Instruction", {"ea": 4, "bytes": b"\x1f\x20\x03\xd5"})
         clone = PropertyGraph.loads(g.dumps())
         assert clone.node(0).get("bytes") == b"\x1f\x20\x03\xd5"
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # equal and alike in hash, but each reloads as its own type
+            [{"n": True}, {"n": 1}, {"n": "1"}, {"n": 1}, {"n": True}, {"n": "1"}],
+            [{"raw": b"\x00\xff"}, {"raw": b"\x00\xff", "n": "b"}, {"raw": b"\x00\xff"}],
+        ],
+        ids=["bool-int-text", "bytes"],
+    )
+    def test_edge_properties_reload_as_written(self, values):
+        g = PropertyGraph()
+        a = g.add_node("Class", {"name": "A"})
+        b = g.add_node("Class", {"name": "B"})
+        for props in values:
+            g.add_edge(a, b, "has_superclass", props)
+        text = g.dumps()
+        clone = PropertyGraph.loads(text)
+        assert clone.dumps() == text
+        assert PropertyGraph.loads(clone.dumps()).dumps() == text
+        assert [
+            {key: type(value) for key, value in e.properties.items()}
+            for e in clone.edges()
+        ] == [{key: type(value) for key, value in p.items()} for p in values]
 
     def test_line_separators_in_text_survive_round_trip(self):
         g = PropertyGraph()
@@ -713,6 +739,12 @@ class TestDump:
                     "node-id-goes-back",
                     '{"t":"n","id":1,"l":"Class","p":{}}\n'
                     '{"t":"n","id":0,"l":"Class","p":{}}',
+                ),
+                # 1.0 == 1, yet the second edge is no reuse of the first's
+                (
+                    "float-after-equal-int",
+                    '{"t":"e","s":0,"d":0,"l":"isa","p":{"n":1}}\n'
+                    '{"t":"e","s":0,"d":0,"l":"isa","p":{"n":1.0}}',
                 ),
             ]
         ],
