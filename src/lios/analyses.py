@@ -21,10 +21,6 @@ _SEVERITY_RANK = {s: i for i, s in enumerate(SEVERITIES)}
 # registers examined when a query verb asks for "any argument" of a sink
 _ARG_REGISTERS = tuple(f"x{i}" for i in range(8))
 
-# a single hop of interprocedural context: the bridge detector looks into
-# direct callees but no further
-CALL_DEPTH = 1
-
 _TAINT_STEP_BUDGET = 100_000
 
 
@@ -126,14 +122,6 @@ def _instructions_of(graph, fn_id: int):
         yield from graph.out_nodes(bb.id, "instr")
 
 
-def _call_targets(graph, instr_id: int) -> list:
-    """(target name, edge) pairs for every call made by one instruction."""
-    out = []
-    for e in graph.out_edges(instr_id, "calls"):
-        out.append((graph.node(e.dst).get("name"), e))
-    return out
-
-
 def _uses_of(node) -> tuple[str, ...]:
     return tuple((node.get("uses") or "").split())
 
@@ -143,10 +131,6 @@ def _free_uses(graph, node) -> set[str]:
     outside the function, i.e. arguments."""
     defined = {e.get("var") for e in graph.out_edges(node.id, "def")}
     return {u for u in _uses_of(node) if u not in defined}
-
-
-def _implemented_methods(graph, fn_id: int) -> list:
-    return graph.out_nodes(fn_id, "implements")
 
 
 def _owner_matches(graph, method_node, owner: str) -> bool:
@@ -163,20 +147,17 @@ def _owner_matches(graph, method_node, owner: str) -> bool:
 def _arg_registers_for(graph, fn_id: int, sources) -> dict[str, str]:
     """Map of argument register -> source description for this function."""
     out: dict[str, str] = {}
-    methods = _implemented_methods(graph, fn_id)
+    methods = graph.out_nodes(fn_id, "implements")
     for src in sources:
-        if not isinstance(src, ArgSource):
-            continue
-        applicable = True
-        if src.selector is not None:
-            applicable = any(m.get("name") == src.selector for m in methods)
-        if applicable and src.owner is not None:
-            applicable = any(
-                m.get("name") == (src.selector or m.get("name"))
-                and _owner_matches(graph, m, src.owner)
+        # applies unfiltered, or when one method matches every filter set
+        if isinstance(src, ArgSource) and (
+            src.selector is None and src.owner is None
+            or any(
+                src.selector in (None, m.get("name"))
+                and (src.owner is None or _owner_matches(graph, m, src.owner))
                 for m in methods
             )
-        if applicable:
+        ):
             out.setdefault(f"x{src.arg}", src.describe())
     return out
 
@@ -205,7 +186,9 @@ def tainted(graph, fn, spec: TaintSpec) -> list[TaintHit]:
 
     calls_at: dict[int, list[str]] = {}
     for node in _instructions_of(graph, fn_id):
-        names = [name for name, _e in _call_targets(graph, node.id)]
+        names = [
+            graph.node(e.dst).get("name") for e in graph.out_edges(node.id, "calls")
+        ]
         if names:
             calls_at[node.id] = names
 
@@ -224,13 +207,14 @@ def tainted(graph, fn, spec: TaintSpec) -> list[TaintHit]:
         return None
 
     hits: list[TaintHit] = []
-    budget = _TAINT_STEP_BUDGET
     for sink in spec.sinks:
         reg = f"x{sink.arg}"
         # calls_at holds the call instructions in instruction order
         for nid, names in calls_at.items():
             if sink.callee not in names:
                 continue
+            # one budget per call site, so one sink cannot starve another
+            budget = _TAINT_STEP_BUDGET
             node = graph.node(nid)
             found: dict[str, tuple[int, ...]] = {}
             first = sorted(
@@ -271,6 +255,25 @@ def tainted(graph, fn, spec: TaintSpec) -> list[TaintHit]:
     return hits
 
 
+def _rule_hits(graph, selectors, spec: TaintSpec):
+    """(function, matched methods, hits) for each in-image function that
+    implements a method whose name contains one of `selectors` (any
+    function when there are none) and has a `tainted` hit."""
+    for fn in graph.nodes("Function"):
+        if fn.get("is_ext"):
+            continue
+        matched = [
+            m
+            for m in graph.out_nodes(fn.id, "implements")
+            if any(s in (m.get("name") or "") for s in selectors)
+        ]
+        if selectors and not matched:
+            continue
+        hits = tainted(graph, fn, spec)
+        if hits:
+            yield fn, matched, hits
+
+
 # ---------------------------------------------------------------------------
 # detectors
 
@@ -281,7 +284,11 @@ _BRIDGE_SELECTORS = (
 )
 # x0 self, x1 _cmd, x2 webView, x3 the request / navigation action
 _BRIDGE_REQUEST_ARG = 3
-_BRIDGE_SINKS = (Sink("NSClassFromString", 0), Sink("NSSelectorFromString", 0))
+# `_rule_hits` matches the selectors, so the source needs no selector of its own
+_BRIDGE_SPEC = TaintSpec(
+    sources=(ArgSource(_BRIDGE_REQUEST_ARG),),
+    sinks=(Sink("NSClassFromString", 0), Sink("NSSelectorFromString", 0)),
+)
 
 
 def _ats_state(graph) -> tuple[dict | None, bool]:
@@ -304,27 +311,16 @@ def _ats_state(graph) -> tuple[dict | None, bool]:
 
 
 def _invoke_reachable(graph, fn_id: int) -> bool:
-    """Does this function (or a direct callee) fire a built invocation?"""
-    frontier = [fn_id]
-    seen = {fn_id}
-    for _hop in range(CALL_DEPTH + 1):
-        nxt: list[int] = []
-        for fid in frontier:
-            for node in _instructions_of(graph, fid):
-                for e in graph.out_edges(node.id, "calls"):
-                    dst = graph.node(e.dst)
-                    name = dst.get("name") or ""
-                    selector = e.get("selector") or name
-                    if selector.startswith("performSelector"):
-                        return True
-                    if selector == "invoke" and e.get("recv") == "NSInvocation":
-                        return True
-            for e in graph.out_edges(fid, "calls"):
-                dst = graph.node(e.dst)
-                if not dst.get("is_ext") and e.dst not in seen:
-                    seen.add(e.dst)
-                    nxt.append(e.dst)
-        frontier = nxt
+    """Does this function or a direct in-image callee fire a built invocation?"""
+    callees = [n.id for n in graph.out_nodes(fn_id, "calls") if not n.get("is_ext")]
+    for fid in dict.fromkeys([fn_id, *callees]):
+        for node in _instructions_of(graph, fid):
+            for e in graph.out_edges(node.id, "calls"):
+                selector = e.get("selector") or graph.node(e.dst).get("name") or ""
+                if selector.startswith("performSelector") or (
+                    selector == "invoke" and e.get("recv") == "NSInvocation"
+                ):
+                    return True
     return False
 
 
@@ -335,24 +331,7 @@ def detect_webview_bridge(graph) -> list[Finding]:
     arbitrary = bool(ats and ats.get("NSAllowsArbitraryLoads") is True)
     severity = "critical" if arbitrary else "warning"
     findings = []
-    for fn in graph.nodes("Function"):
-        matched = [
-            m
-            for m in _implemented_methods(graph, fn.id)
-            if any(s in (m.get("name") or "") for s in _BRIDGE_SELECTORS)
-        ]
-        if not matched:
-            continue
-        spec = TaintSpec(
-            sources=tuple(
-                ArgSource(_BRIDGE_REQUEST_ARG, selector=m.get("name"))
-                for m in matched
-            ),
-            sinks=_BRIDGE_SINKS,
-        )
-        hits = tainted(graph, fn, spec)
-        if not hits:
-            continue
+    for fn, matched, hits in _rule_hits(graph, _BRIDGE_SELECTORS, _BRIDGE_SPEC):
         if not _invoke_reachable(graph, fn.id):
             continue
         owner = matched[0].get("owner")
@@ -511,19 +490,7 @@ def run_detectors(graph, rules) -> list[Finding]:
 def run_rules(graph, rules) -> list[Finding]:
     findings = []
     for rule in rules:
-        for fn in graph.nodes("Function"):
-            if fn.get("is_ext"):
-                continue
-            if rule.selectors:
-                names = [
-                    m.get("name") or ""
-                    for m in _implemented_methods(graph, fn.id)
-                ]
-                if not any(s in n for s in rule.selectors for n in names):
-                    continue
-            hits = tainted(graph, fn, rule.spec)
-            if not hits:
-                continue
+        for fn, _matched, hits in _rule_hits(graph, rule.selectors, rule.spec):
             sinks = sorted({h.sink.callee for h in hits})
             sources = sorted({h.source for h in hits})
             findings.append(

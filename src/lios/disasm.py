@@ -963,7 +963,7 @@ def _resolve_memory(model, address: int) -> ResolvedValue | None:
         return None
     image = model.image
     if model.selmap is not None:
-        sel = model.selmap.by_selref_address.get(address)
+        sel = model.selmap.get(address)
         if sel is not None:
             return CONST_STRING(sel)
     cls = model.by_address.get(address)

@@ -203,7 +203,13 @@ def parse_fat(data: bytes) -> list[tuple[str, range]]:
 
 
 def parse_macho(data: bytes) -> MachoImage:
-    """Parse a thin 64-bit Mach-O image from `data` (one fat slice or a whole file)."""
+    """Parse a 64-bit Mach-O image: a thin file, one fat slice, or the
+    arm64 slice of a fat file."""
+    if len(data) >= 4 and struct.unpack_from(">I", data, 0)[0] in (FAT_MAGIC, FAT_MAGIC_64):
+        arm64 = dict(parse_fat(data)).get("arm64")
+        if arm64 is None:
+            raise UnsupportedArch("fat file has no arm64 slice")
+        data = data[arm64.start : arm64.stop]
     if len(data) < 4:
         raise TruncatedFile("shorter than a magic")
     magic = struct.unpack_from("<I", data, 0)[0]

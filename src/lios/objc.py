@@ -67,16 +67,6 @@ class ObjcProtocol:
 
 
 @dataclass
-class SelectorMap:
-    by_selref_address: dict[int, str] = field(default_factory=dict)
-    by_name: dict[str, set[int]] = field(default_factory=dict)
-
-    def add(self, slot: int, name: str) -> None:
-        self.by_selref_address[slot] = name
-        self.by_name.setdefault(name, set()).add(slot)
-
-
-@dataclass
 class ObjcModel:
     classes: list[ObjcClass]
     protocols: list[ObjcProtocol]
@@ -84,7 +74,7 @@ class ObjcModel:
     by_name: dict[str, ObjcClass]
     protocol_by_address: dict[int, ObjcProtocol]
     method_index: dict[int, tuple[ObjcClass, ObjcMethod]]
-    selmap: SelectorMap | None = None
+    selmap: dict[int, str] | None = None  # selref slot -> selector
     image: MachoImage | None = None
     warnings: list[str] = field(default_factory=list)
     root_cycle_ok: bool | None = None  # None when no in-image root exists
@@ -148,9 +138,9 @@ def _pointer_slots(image: MachoImage, section_name: str) -> list[tuple[int, int]
     return out
 
 
-def parse_selrefs(image: MachoImage) -> SelectorMap:
+def parse_selrefs(image: MachoImage) -> dict[int, str]:
     """Dereference each `__objc_selrefs` slot into `__objc_methname`."""
-    selmap = SelectorMap()
+    selmap: dict[int, str] = {}
     methname = image.section("__TEXT", "__objc_methname")
     slots = _pointer_slots(image, "__objc_selrefs") or _pointer_slots(
         image, "__objc_selref"
@@ -162,7 +152,7 @@ def parse_selrefs(image: MachoImage) -> SelectorMap:
         text = read_cstring(image, target)
         if text is None:
             continue
-        selmap.add(slot, text)
+        selmap[slot] = text
     return selmap
 
 
@@ -470,7 +460,7 @@ def build_hierarchy(
     classes: list[ObjcClass],
     protocols: list[ObjcProtocol],
     categories: list[ObjcCategory] = (),
-    selmap: SelectorMap | None = None,
+    selmap: dict[int, str] | None = None,
     image: MachoImage | None = None,
 ) -> ObjcModel:
     warnings: list[str] = []

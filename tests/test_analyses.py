@@ -5,16 +5,19 @@ import json
 import pytest
 
 from conftest import graph_bundle, lift_fixture
+from lios import analyses
 from lios.analyses import (
     ArgSource,
     Finding,
     ReturnSource,
     Sink,
+    TaintHit,
     TaintSpec,
     ats_check,
     detect_webview_bridge,
     findings_to_json,
     load_rules,
+    run_detectors,
     run_rules,
     sort_findings,
     tainted,
@@ -165,11 +168,40 @@ class TestTainted:
         def hits(source):
             return tainted(b.g, b.fn, TaintSpec((source,), sinks))
 
+        assert hits(ArgSource(3))
+        assert hits(ArgSource(3, owner="C"))
+        assert hits(ArgSource(3, owner="P"))
+        assert not hits(ArgSource(3, owner="Q"))
         assert hits(ArgSource(3, selector="doIt:"))
         assert hits(ArgSource(3, selector="doIt:", owner="C"))
         assert hits(ArgSource(3, selector="doIt:", owner="P"))
         assert not hits(ArgSource(3, selector="other:"))
         assert not hits(ArgSource(3, selector="doIt:", owner="Q"))
+
+    def test_step_budget_is_per_sink_call_site(self, monkeypatch):
+        # sink a's def chain is longer than the budget and reaches no source;
+        # sink b's argument is the source's return value, one step away
+        b = FlowBuilder()
+        src = b.call("source_fn")
+        chain = [b.instr(uses="x0") for _ in range(10)]
+        for use, definer in zip(chain[1:], chain):
+            b.define(use, definer, "x0")
+        sink_a = b.call("a", uses="x0")
+        b.define(sink_a, chain[-1], "x0")
+        sink_b = b.call("b", uses="x0")
+        b.define(sink_b, src, "x0")
+        monkeypatch.setattr(analyses, "_TAINT_STEP_BUDGET", 5)
+
+        def hits_at_b(*callees):
+            spec = TaintSpec(
+                (ReturnSource("source_fn"),), tuple(Sink(c, 0) for c in callees)
+            )
+            return [h for h in tainted(b.g, b.fn, spec) if h.sink.callee == "b"]
+
+        assert hits_at_b("b") == [
+            TaintHit(sink_b, Sink("b", 0), "return value of source_fn", (src, sink_b))
+        ]
+        assert hits_at_b("a", "b") == hits_at_b("b")
 
     def test_cycle_in_def_edges_terminates(self):
         b = FlowBuilder()
@@ -463,6 +495,18 @@ class TestRules:
         }
         findings = run_rules(g, load_rules(doc))
         assert len(findings) == 1
+
+    def test_run_detectors_is_the_built_ins_plus_the_rules(self, listing):
+        # the bench's report() calls the three detectors separately and
+        # concatenates them: the bridge must not also come out of run_rules
+        _m, _i, _mo, _f, g = listing
+        rules = load_rules(BRIDGE_RULE)
+        found = run_detectors(g, rules)
+        assert found == sort_findings(
+            detect_webview_bridge(g) + ats_check(g) + run_rules(g, rules)
+        )
+        assert [f.rule for f in found].count("webview-bridge") == 1
+        assert [f.rule for f in found].count("custom-bridge") == 1
 
     def test_sanitizers_never_add_findings(self, listing):
         _m, _i, _mo, _f, g = listing

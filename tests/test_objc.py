@@ -121,9 +121,9 @@ class TestSelrefs:
         image, manifest = two_class
         selmap = parse_selrefs(image)
         for sel, slots in manifest["selrefs"].items():
-            assert selmap.by_name[sel] == set(slots)
+            assert {slot for slot, name in selmap.items() if name == sel} == set(slots)
             for slot in slots:
-                assert selmap.by_selref_address[slot] == sel
+                assert selmap[slot] == sel
 
     def test_dangling_slot_is_skipped(self):
         s = Scaffold()
@@ -137,7 +137,7 @@ class TestSelrefs:
         struct.pack_into("<Q", mutated, sect.file_offset, 0xDEAD0000)
         image = parse_macho(bytes(mutated))
         selmap = parse_selrefs(image)
-        assert selmap.by_name == {}
+        assert selmap == {}
         assert any("selref" in w for w in image.warnings)
 
 

@@ -14,9 +14,16 @@ import pytest
 
 import lios
 from conftest import segment_fileoff_field
-from lios.errors import EncryptedBinary, MalformedDump, MissingExecutable, NotAnIpa
+from lios.cli import main
+from lios.errors import (
+    EncryptedBinary,
+    MalformedDump,
+    MissingExecutable,
+    NotAnIpa,
+    UnsupportedArch,
+)
 from lios.fixtures import corpus
-from lios.fixtures.builder import MachoBuilder
+from lios.fixtures.builder import ARM64, ARMV7, MachoBuilder, build_fat
 from lios.graph import DUMP_HEADER, PropertyGraph, load, paused_gc
 from lios.macho import LC_FUNCTION_STARTS, encode_uleb128, parse_macho
 from lios.objc import load_model
@@ -472,6 +479,37 @@ class TestRunPipeline:
         assert ("info-plist-malformed", "warning") in [
             (f.rule, f.severity) for f in result.findings
         ]
+
+
+class TestFatFile:
+    ARMV7_PLACEHOLDER = b"\xce\xfa\xed\xfe" + bytes(60)  # never parsed
+
+    @pytest.mark.parametrize("build", [corpus.msgsend_suite, corpus.listing_one_app])
+    def test_lifts_like_its_arm64_slice(self, tmp_path, build):
+        thin = build()[0]
+        fat = build_fat(
+            [(ARMV7, 0, self.ARMV7_PLACEHOLDER), (ARM64, 0, thin)],
+            offsets=[0x4000, 0x8000],
+        )
+        artifacts = []
+        for kind, blob in (("thin", thin), ("fat", fat)):
+            path = tmp_path / kind / "app.bin"  # the graph names the program by file
+            path.parent.mkdir()
+            path.write_bytes(blob)
+            out = tmp_path / kind / "out"
+            run_pipeline(AnalysisConfig(input=str(path), out_dir=str(out)))
+            artifacts.append(
+                [(out / a).read_bytes() for a in ("graph.jsonl", "findings.json", "stats.json")]
+            )
+        assert artifacts[0] == artifacts[1]
+
+    def test_without_arm64_slice_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "app.bin"
+        path.write_bytes(build_fat([(ARMV7, 0, self.ARMV7_PLACEHOLDER)]))
+        with pytest.raises(UnsupportedArch):
+            run_pipeline(AnalysisConfig(input=str(path), out_dir=str(tmp_path / "o")))
+        assert main(["lift", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "no arm64 slice" in capsys.readouterr().err
 
 
 class TestPausedGc:
