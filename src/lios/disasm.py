@@ -560,15 +560,16 @@ def build_function(
         decode(image.data[offset + 4 * i : offset + 4 * i + 4], entry_ea + 4 * i)
         for i in range(count)
     ]
-    fn = build_function_from_instructions(
-        instructions, _function_name(image, entry_ea, model)
-    )
-    if model is not None:
-        hit = model.class_of_impl(entry_ea)
-        if hit is not None:
-            cls, method = hit
-            fn.objc_class_name = cls.name
-            fn.objc_selector = method.selector
+    hit = model.class_of_impl(entry_ea) if model is not None else None
+    if hit is None:
+        name = symbol_name_for_function(image, entry_ea) or ""
+    else:
+        cls, method = hit
+        name = f"{'+' if cls.is_metaclass else '-'}[{cls.name} {method.selector}]"
+    fn = build_function_from_instructions(instructions, name)
+    if hit is not None:
+        fn.objc_class_name = cls.name
+        fn.objc_selector = method.selector
     return fn
 
 
@@ -585,19 +586,6 @@ def build_function_from_instructions(
     if not fn.name:
         fn.name = f"sub_{fn.entry_ea:x}"
     return fn
-
-
-def _function_name(image: MachoImage, entry_ea: int, model) -> str:
-    if model is not None:
-        hit = model.class_of_impl(entry_ea)
-        if hit is not None:
-            cls, method = hit
-            marker = "+" if cls.is_metaclass else "-"
-            return f"{marker}[{cls.name} {method.selector}]"
-    symbol = symbol_name_for_function(image, entry_ea)
-    if symbol:
-        return symbol
-    return f"sub_{entry_ea:x}"
 
 
 def _shape_blocks(entry_ea: int, instructions: list[Instruction], name: str) -> FunctionBody:
@@ -712,18 +700,64 @@ def _value_after_add(value, imm: int, negate: bool):
     return (kind, v - imm if negate else v + imm)
 
 
-def _transfer(state: dict, ins: Instruction) -> None:
-    """Apply one instruction to a block's register state, in place."""
+def _put(state: dict, key: str, value) -> None:
+    """Bind `key` to `value` in a block state; None forgets the key."""
+    if value is None:
+        state.pop(key, None)
+    else:
+        state[key] = value
+
+
+def _step(state: dict, ins: Instruction) -> tuple:
+    """Apply one instruction to a block's register state, in place.
+
+    Returns the instruction's effective defs and uses and its provenance,
+    all read from the state before it: ("const", v) | ("copy", Loc) |
+    ("load", Loc) | ("call",) | ("opaque",), or None where it assigns
+    nothing.  A load or store through a register of known value also
+    reads or writes its frame slot or absolute address."""
     m = ins.mnemonic
+    defs, uses = ins.defs, ins.uses
+    if ins.kind == "call":
+        state.pop(RETURN_REG, None)
+        state.pop(LINK_REG, None)
+        return defs | _RETURN_LOCS, uses | _RETURN_LOCS, ("call",)
+    if ins.is_load or ins.is_store:
+        base = state.get(ins.mem_base)
+        slots = ()
+        if base is not None:
+            kind, v = base
+            at = stack_slot if kind == "sp" else mem
+            v += ins.mem_offset if ins.mem_mode != "post" else 0
+            slots = (at(v),)
+            if ins.rt2 is not None:
+                slots += (at(v + (8 if ins.sixty_four else 4)),)
+        for d in defs:
+            if d.kind == "reg":
+                state.pop(d.value, None)
+        if ins.mem_mode != "off":  # writeback
+            _put(state, ins.mem_base, _value_after_add(base, ins.mem_offset, False))
+        if ins.is_store:
+            return (defs.union(slots) if slots else defs), uses, None
+        info = ("load", slots[0]) if len(slots) == 1 else ("opaque",)
+        return defs, (uses.union(slots) if slots else uses), info
     if m == "mov" and ins.rm is not None:
-        value = state.get(ins.rm)
-        if value is None:
-            state.pop(ins.rd, None)
-        else:
-            state[ins.rd] = value
-    elif m == "mov" or m == "adrp" or m == "adr":
+        _put(state, ins.rd, state.get(ins.rm))
+        return defs, uses, ("copy", reg(ins.rm))
+    if m == "mov" or m == "adrp" or m == "adr":
         state[ins.rd] = ("const", ins.immediate)
-    elif m == "movk":
+        return defs, uses, ("const", ins.immediate)
+    if (m == "add" or m == "sub") and ins.rd is not None and ins.rm is None:
+        value = _value_after_add(state.get(ins.rn), ins.immediate, m == "sub")
+        if value is not None and value[0] == "const":
+            info = ("const", value[1])
+        elif ins.immediate == 0:
+            info = ("copy", reg(ins.rn))
+        else:
+            info = ("opaque",)
+        _put(state, ins.rd, value)
+        return defs, uses, info
+    if m == "movk":
         prev = state.get(ins.rd)
         if prev is not None and prev[0] == "const":
             shift = ins.hw_shift
@@ -733,36 +767,21 @@ def _transfer(state: dict, ins: Instruction) -> None:
             )
         else:
             state.pop(ins.rd, None)
-    elif (m == "add" or m == "sub") and ins.rd is not None and ins.rm is None:
-        value = _value_after_add(state.get(ins.rn), ins.immediate, m == "sub")
-        if value is None:
-            state.pop(ins.rd, None)
-        else:
-            state[ins.rd] = value
-    elif ins.kind == "call":
-        state.pop(RETURN_REG, None)
-        state.pop(LINK_REG, None)
-    elif ins.mem_mode != "off" and ins.mem_base is not None:
-        value = _value_after_add(state.get(ins.mem_base), ins.mem_offset, False)
-        if value is None:
-            state.pop(ins.mem_base, None)
-        else:
-            state[ins.mem_base] = value
-        for d in ins.defs:
-            if d.kind == "reg" and d.value != ins.mem_base:
-                state.pop(d.value, None)
     else:
-        for d in ins.defs:
+        for d in defs:
             if d.kind == "reg":
                 state.pop(d.value, None)
+    return defs, uses, ("opaque",) if defs else None
 
 
 def compute_effects(fn: FunctionBody, call_uses: dict | None = None) -> _Effects:
     """Forward constant/stack-offset propagation to a fixpoint over the CFG.
 
     A block's state maps register names to ("const", value) or ("sp",
-    offset).  Each visit of a block copies its merged incoming state once
-    and `_transfer` updates that copy in place, instruction by instruction.
+    offset).  Each visit of a block builds its merged incoming state once
+    and `_step` updates it in place, instruction by instruction, recording
+    each instruction's effects as it goes.  The last round changes no
+    block state, so what it records are the effects at the fixpoint.
 
     Rounds sweep the blocks in address order.  A block waits until one of
     its predecessors has a state; only the entry and blocks without any
@@ -772,99 +791,33 @@ def compute_effects(fn: FunctionBody, call_uses: dict | None = None) -> _Effects
     fixpoint ends, in at most blocks * (keys + 1) + 1 rounds, at the
     greatest fixpoint whatever the block order.  Starting a waiting block
     from the empty state would make the result depend on block order, and
-    the rounds could swing between two states for ever.
+    the rounds could swing between two states for ever.  A block that
+    still waits in the last round, which no predecessor state reaches, has
+    its effects recorded from the empty state and passes no state on.
 
     A call clobbers x0 and x30 and reads x0, plus any argument registers
     `call_uses` (from `call_effects_from_sites`) adds; those change no
     block state, so the fixpoint does not depend on them."""
     preds = fn.predecessors()
-    block_in: dict[int, dict] = {}
     block_out: dict[int, dict] = {}
+    effects = _Effects({}, {}, {})
+    eff_defs, eff_uses, assign = effects.eff_defs, effects.eff_uses, effects.assign
 
     changed = True
     while changed:
         changed = False
         for block in fn.blocks:
             ea = block.ea
-            if ea == fn.entry_ea:
-                block_in[ea] = {"sp": _SP}
-            else:
-                incoming = [block_out[p] for p in preds[ea] if p in block_out]
-                if preds[ea] and not incoming:
-                    continue
-                block_in[ea] = _merge_states(incoming)
-            state = dict(block_in[ea])
+            incoming = [block_out[p] for p in preds[ea] if p in block_out]
+            waiting = ea != fn.entry_ea and preds[ea] and not incoming
+            state = {"sp": _SP} if ea == fn.entry_ea else _merge_states(incoming)
             for ins in block.instructions:
-                _transfer(state, ins)
-            if block_out.get(ea) != state:
+                eff_defs[ins.ea], eff_uses[ins.ea], info = _step(state, ins)
+                if info is not None:
+                    assign[ins.ea] = info
+            if not waiting and block_out.get(ea) != state:
                 block_out[ea] = state
                 changed = True
-
-    eff_defs: dict[int, frozenset[Loc]] = {}
-    eff_uses: dict[int, frozenset[Loc]] = {}
-    assign: dict[int, tuple] = {}
-
-    def slot_for(state: dict, base: str, offset: int) -> Loc | None:
-        value = state.get(base)
-        if value is None:
-            return None
-        kind, v = value
-        if kind == "sp":
-            return stack_slot(v + offset)
-        return mem(v + offset)
-
-    for block in fn.blocks:
-        state = dict(block_in.get(block.ea, {}))
-        for ins in block.instructions:
-            defs = ins.defs
-            uses = ins.uses
-            m = ins.mnemonic
-            if ins.kind == "call":
-                uses = uses | _RETURN_LOCS
-                defs = defs | _RETURN_LOCS
-                assign[ins.ea] = ("call",)
-            elif ins.is_load or ins.is_store:
-                pivot = ins.mem_offset if ins.mem_mode != "post" else 0
-                slot = slot_for(state, ins.mem_base, pivot)
-                slots = []
-                if slot is not None:
-                    slots.append(slot)
-                    if ins.rt2 is not None:
-                        width = 8 if ins.sixty_four else 4
-                        second = (
-                            stack_slot(slot.value + width)
-                            if slot.kind == "stack"
-                            else mem(slot.value + width)
-                        )
-                        slots.append(second)
-                if ins.is_load:
-                    if slots:
-                        uses = uses.union(slots)
-                    if slot is not None and ins.rt2 is None:
-                        assign[ins.ea] = ("load", slot)
-                    else:
-                        assign[ins.ea] = ("opaque",)
-                elif slots:
-                    defs = defs.union(slots)
-            elif m == "mov" and ins.rm is not None:
-                assign[ins.ea] = ("copy", reg(ins.rm))
-            elif m == "mov" or m in ("adrp", "adr"):
-                assign[ins.ea] = ("const", ins.immediate)
-            elif m in ("add", "sub") and ins.rd is not None and ins.rm is None:
-                value = state.get(ins.rn)
-                folded = _value_after_add(value, ins.immediate, m == "sub")
-                if folded is not None and folded[0] == "const":
-                    assign[ins.ea] = ("const", folded[1])
-                elif ins.immediate == 0:
-                    assign[ins.ea] = ("copy", reg(ins.rn))
-                else:
-                    assign[ins.ea] = ("opaque",)
-            elif defs:
-                assign[ins.ea] = ("opaque",)
-            eff_defs[ins.ea] = defs
-            eff_uses[ins.ea] = uses
-            _transfer(state, ins)
-    effects = _Effects(eff_defs, eff_uses, assign)
     effects.add_call_uses(call_uses or {})
     return effects
 
@@ -884,12 +837,12 @@ def compute_use_def(
     eff = effects if effects is not None else compute_effects(fn)
     preds = fn.predecessors()
 
-    gen: dict[int, dict[Loc, set[int]]] = {}
+    gen: dict[int, dict[Loc, frozenset[int]]] = {}
     for block in fn.blocks:
-        current: dict[Loc, set[int]] = {}
+        current: dict[Loc, frozenset[int]] = {}
         for ins in block.instructions:
             for loc in eff.eff_defs[ins.ea]:
-                current[loc] = {ins.ea}
+                current[loc] = frozenset((ins.ea,))
         gen[block.ea] = current
 
     block_in: dict[int, dict[Loc, frozenset[int]]] = {b.ea: {} for b in fn.blocks}
@@ -898,31 +851,26 @@ def compute_use_def(
     while changed:
         changed = False
         for block in fn.blocks:
-            merged: dict[Loc, set[int]] = {}
+            merged: dict[Loc, frozenset[int]] = {}
             for p in preds[block.ea]:
                 for loc, eas in block_out[p].items():
-                    merged.setdefault(loc, set()).update(eas)
-            new_in = {loc: frozenset(eas) for loc, eas in merged.items()}
-            block_in[block.ea] = new_in
-            out = {loc: set(eas) for loc, eas in new_in.items()}
-            for loc, eas in gen[block.ea].items():
-                out[loc] = set(eas)
-            new_out = {loc: frozenset(eas) for loc, eas in out.items()}
-            if new_out != block_out[block.ea]:
-                block_out[block.ea] = new_out
+                    seen = merged.get(loc)
+                    merged[loc] = eas if seen is None else seen | eas
+            block_in[block.ea] = merged
+            out = {**merged, **gen[block.ea]}
+            if out != block_out[block.ea]:
+                block_out[block.ea] = out
                 changed = True
 
     edges: set[tuple[int, int, Loc]] = set()
     for block in fn.blocks:
-        reaching: dict[Loc, set[int]] = {
-            loc: set(eas) for loc, eas in block_in[block.ea].items()
-        }
+        reaching = dict(block_in[block.ea])
         for ins in block.instructions:
             for loc in eff.eff_uses[ins.ea]:
                 for def_ea in reaching.get(loc, ()):
                     edges.add((ins.ea, def_ea, loc))
             for loc in eff.eff_defs[ins.ea]:
-                reaching[loc] = {ins.ea}
+                reaching[loc] = (ins.ea,)
     return edges
 
 
@@ -1028,9 +976,7 @@ def backtrace(
 
     results: set[ResolvedValue] = set()
     visited: set[tuple[Loc, int]] = set()
-    if addr == entry_ins_ea:
-        return {at_entry_value(location)}
-    work = [(location, p) for p in positions_before(addr)]
+    work: list[tuple[Loc, int]] = []
 
     def push_before(loc: Loc, ea: int) -> None:
         """Keep tracing `loc` from just before the instruction at `ea`."""
@@ -1040,6 +986,7 @@ def backtrace(
         for p in positions_before(ea):
             work.append((loc, p))
 
+    push_before(location, addr)
     while work:
         loc, ea = work.pop()
         if (loc, ea) in visited:
@@ -1077,11 +1024,7 @@ def backtrace(
             else:
                 results.add(UNKNOWN)
             continue
-        if ea == entry_ins_ea:
-            results.add(at_entry_value(loc))
-            continue
-        for p in positions_before(ea):
-            work.append((loc, p))
+        push_before(loc, ea)
     return results or {UNKNOWN}
 
 

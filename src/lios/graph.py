@@ -598,9 +598,7 @@ def build_from_frontends(
     if image is not None:
         program_props["ea"] = image.image_base
         if entitlements is None:
-            from .macho import extract_entitlements
-
-            entitlements = extract_entitlements(image)
+            entitlements = image.entitlements
     if entitlements:
         program_props["entltl"] = entitlements
     if info_json is not None:

@@ -428,13 +428,6 @@ def va_to_offset(image: MachoImage, va: int) -> int | None:
     return None
 
 
-def offset_to_va(image: MachoImage, offset: int) -> int | None:
-    for seg in image.segments:
-        if seg.file_offset <= offset < seg.file_offset + seg.file_size:
-            return seg.vm_addr + (offset - seg.file_offset)
-    return None
-
-
 def read_cstring(image: MachoImage, va: int) -> str | None:
     off = va_to_offset(image, va)
     if off is None:
@@ -459,11 +452,6 @@ def read_u64(image: MachoImage, va: int) -> int | None:
     if off is None or off + 8 > len(image.data):
         return None
     return struct.unpack_from("<Q", image.data, off)[0]
-
-
-def extract_entitlements(image: MachoImage) -> str | None:
-    """Entitlements XML from the code-signature superblob, if present."""
-    return image.entitlements
 
 
 def _parse_entitlements(image: MachoImage, dataoff: int, datasize: int) -> str | None:

@@ -49,7 +49,6 @@ class ObjcClass:
     metaclass_ref: int | None
     methods: list[ObjcMethod] = field(default_factory=list)
     ivars: list[tuple[str, str, int]] = field(default_factory=list)
-    properties: list[tuple[str, str]] = field(default_factory=list)
     protocol_refs: list[int] = field(default_factory=list)
     is_metaclass: bool = False
     is_external: bool = False
@@ -109,33 +108,18 @@ class ObjcModel:
         return self.method_index.get(ea)
 
 
-def _objc_section(image: MachoImage, name: str) -> bytes | None:
-    for seg in _DATA_SEGMENTS:
-        data = section_bytes(image, seg, name)
-        if data is not None:
-            return data
-    return None
-
-
-def _objc_section_va(image: MachoImage, name: str) -> int | None:
-    for seg in _DATA_SEGMENTS:
-        sect = image.section(seg, name)
-        if sect is not None:
-            return sect.vm_addr
-    return None
-
-
 def _pointer_slots(image: MachoImage, section_name: str) -> list[tuple[int, int]]:
-    """(slot address, PAC-masked value) pairs of an 8-byte-pointer section."""
-    data = _objc_section(image, section_name)
-    base = _objc_section_va(image, section_name)
-    if data is None or base is None:
-        return []
-    out = []
-    for i in range(0, len(data) - len(data) % 8, 8):
-        value = struct.unpack_from("<Q", data, i)[0]
-        out.append((base + i, strip_pac(value)))
-    return out
+    """(slot address, PAC-masked value) pairs of an 8-byte-pointer section,
+    read from the first data segment whose section has file bytes."""
+    for seg in _DATA_SEGMENTS:
+        data = section_bytes(image, seg, section_name)
+        if data is not None:
+            base = image.section(seg, section_name).vm_addr
+            return [
+                (base + i, strip_pac(struct.unpack_from("<Q", data, i)[0]))
+                for i in range(0, len(data) - len(data) % 8, 8)
+            ]
+    return []
 
 
 def parse_selrefs(image: MachoImage) -> dict[int, str]:
@@ -236,23 +220,17 @@ def _read_ivars(image: MachoImage, va: int) -> list[tuple[str, str, int]]:
     return out
 
 
-def _read_properties(image: MachoImage, va: int) -> list[tuple[str, str]]:
+def _check_properties(image: MachoImage, va: int) -> None:
+    """Walk a property list's entries.  Nothing reads the properties, but a
+    list that does not lie wholly inside the file marks its class malformed."""
     if va == 0:
-        return []
+        return
     off = va_to_offset(image, va)
     if off is None:
         raise DanglingReference(f"property list at {va:#x} unmapped")
     _entsize, count = read_struct(image, "<II", off)
-    out = []
     for i in range(count):
-        name_ptr, attr_ptr = read_struct(image, "<QQ", off + 8 + i * 16)
-        out.append(
-            (
-                read_cstring(image, strip_pac(name_ptr)) or "",
-                read_cstring(image, strip_pac(attr_ptr)) or "",
-            )
-        )
-    return out
+        read_struct(image, "<QQ", off + 8 + i * 16)
 
 
 def _parse_class_t(
@@ -294,7 +272,7 @@ def _parse_class_t(
         cls.methods = _read_method_list(image, strip_pac(methods_ptr), True)
         cls.protocol_refs = _read_protocol_refs(image, strip_pac(protocols_ptr))
         cls.ivars = _read_ivars(image, strip_pac(ivars_ptr))
-        cls.properties = _read_properties(image, strip_pac(props_ptr))
+        _check_properties(image, strip_pac(props_ptr))
     except DanglingReference as exc:
         cls.malformed = True
         warnings.append(f"class {name}: {exc}")

@@ -593,6 +593,29 @@ class TestEffects:
         )
         assert compute_effects(fn).eff_defs[ORIGIN + 8] == {stack_slot(8)}
 
+    def test_block_no_state_reaches_has_effects_from_empty_state(self):
+        # `loop` is its own only predecessor, so no state ever reaches it:
+        # its effects still exist, read from the empty state, and its frame
+        # slot is unknown
+        fn = fn_from_asm(
+            """
+            ret
+            loop:
+            str x1, [sp, #8]
+            ldr x2, [sp, #8]
+            cbnz x0, loop
+            ret
+            """
+        )
+        store, load = ORIGIN + 4, ORIGIN + 8
+        eff = compute_effects(fn)
+        eas = [ins.ea for ins in fn.instructions()]
+        assert sorted(eff.eff_defs) == sorted(eff.eff_uses) == eas
+        assert eff.eff_defs[store] == frozenset()
+        assert eff.assign[load] == ("opaque",)
+        edges = compute_use_def(fn, eff)
+        assert not any(loc == stack_slot(8) for _, _, loc in edges)
+
     def test_fixpoint_does_not_depend_on_block_order(self):
         rng = random.Random(20261018)
         for _ in range(200):

@@ -19,8 +19,6 @@ from lios.macho import (
     decode_function_starts,
     decode_uleb128,
     encode_uleb128,
-    extract_entitlements,
-    offset_to_va,
     parse_fat,
     parse_macho,
     section_bytes,
@@ -258,7 +256,6 @@ class TestAddressing:
         for sect in image.sections:
             if sect.is_zerofill:
                 continue
-            assert offset_to_va(image, sect.file_offset) == sect.vm_addr
             assert va_to_offset(image, sect.vm_addr) == sect.file_offset
 
 
@@ -267,11 +264,11 @@ class TestEntitlements:
 
     def test_unsigned(self):
         _, blob = simple_image()
-        assert extract_entitlements(parse_macho(blob)) is None
+        assert parse_macho(blob).entitlements is None
 
     def test_present(self):
         _, blob = simple_image(entitlements=self.PLIST)
-        assert extract_entitlements(parse_macho(blob)) == self.PLIST
+        assert parse_macho(blob).entitlements == self.PLIST
 
     def test_slot_length_past_end(self):
         _, blob = simple_image(entitlements=self.PLIST)
@@ -281,7 +278,7 @@ class TestEntitlements:
         assert at > 0
         struct.pack_into(">I", blob, at + 4, 1 << 24)  # inner blob length
         image = parse_macho(bytes(blob))
-        assert extract_entitlements(image) is None
+        assert image.entitlements is None
         assert image.warnings
 
 

@@ -25,6 +25,7 @@ from lios.objc import (
     parse_classlist,
     parse_protocols,
     parse_selrefs,
+    _pointer_slots,
 )
 
 RET = b"\xc0\x03\x5f\xd6"
@@ -113,7 +114,24 @@ class TestClasslist:
         alpha = next(c for c in classes if c.name == "Alpha" and not c.is_metaclass)
         assert [(n, t) for n, t, _off in alpha.ivars] == [("_count", "q")]
         assert alpha.ivars[0][2] == 8  # first ivar sits after the isa word
-        assert alpha.properties == [("count", "Tq,N,V_count")]
+        assert not alpha.malformed  # its property list lies inside the file
+
+    def test_slots_come_from_the_section_with_bytes(self):
+        # a zero-fill `__DATA,__objc_classlist` comes first in the segment
+        # search; slot addresses and values both come from the section in
+        # `__DATA_CONST` that holds the bytes
+        s = two_class_scaffold()
+        s.b.zerofill("__DATA", "__objc_classlist", 64)
+        blob, manifest = s.build()
+        image = parse_macho(blob)
+        sect = image.section("__DATA_CONST", "__objc_classlist")
+        slots = _pointer_slots(image, "__objc_classlist")
+        assert [slot for slot, _ in slots] == [
+            sect.vm_addr + 8 * i for i in range(len(manifest["classes"]))
+        ]
+        assert sorted(value for _, value in slots) == sorted(
+            entry["address"] for entry in manifest["classes"]
+        )
 
 
 class TestSelrefs:
@@ -372,6 +390,24 @@ class TestMalformedMetadata:
         broken = next(c for c in parse_classlist(mutated) if c.name == "Alpha")
         assert broken.malformed
         assert any(w.startswith("class Alpha: ") for w in mutated.warnings)
+
+    def test_property_list_running_past_end_of_file(self, two_class):
+        # nothing reads the properties, but a dangling list still marks
+        # its class malformed
+        image, _ = two_class
+        alpha = next(c for c in parse_classlist(image) if c.name == "Alpha")
+        blob = bytearray(image.data)
+        ro = va_to_offset(image, read_u64(image, alpha.address + 32) & ~0x7)
+        props = va_to_offset(image, struct.unpack_from("<Q", blob, ro + 64)[0])
+        struct.pack_into("<I", blob, props + 4, 0x7FFFFFFF)
+        mutated = parse_macho(bytes(blob))
+        broken = next(c for c in parse_classlist(mutated) if c.name == "Alpha")
+        assert broken.malformed
+        assert any(
+            w.startswith("class Alpha: 16 bytes at ")
+            and w.endswith(" lie past the end of the file")
+            for w in mutated.warnings
+        )
 
     @pytest.mark.parametrize(
         "fileoff", [1 << 40, 1 << 63], ids=["past_end", "past_ssize_t"]
