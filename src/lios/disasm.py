@@ -676,10 +676,10 @@ class _Effects:
 
     def add_call_uses(self, call_uses: dict[int, set[str]]) -> None:
         """Add the argument registers of resolved call sites to the uses of
-        their `call` instructions; a tail-call `b` keeps its own uses."""
+        their instructions, a tail-call `b` included (it still defines
+        nothing)."""
         for ea, regs in call_uses.items():
-            if self.assign.get(ea) == ("call",):
-                self.eff_uses[ea] = self.eff_uses[ea] | {reg(r) for r in regs}
+            self.eff_uses[ea] = self.eff_uses[ea] | {reg(r) for r in regs}
 
 
 def _merge_states(states: list[dict]) -> dict:

@@ -512,6 +512,7 @@ def _parse_bind_stream(image: MachoImage, bind_off: int, bind_size: int) -> dict
     stream = data[bind_off : bind_off + bind_size]
     result: dict[int, str] = {}
     symbol = ""
+    segment: Segment | None = None
     address = 0
     pos = 0
     try:
@@ -546,7 +547,8 @@ def _parse_bind_stream(image: MachoImage, bind_off: int, bind_size: int) -> dict
                 if imm >= len(image.segments):
                     image.warnings.append(f"bind references segment {imm} out of range")
                     return result
-                address = image.segments[imm].vm_addr + off
+                segment = image.segments[imm]
+                address = segment.vm_addr + off
             elif opcode == BIND_OPCODE_ADD_ADDR_ULEB:
                 delta, pos = decode_uleb128(stream, pos)
                 address += delta
@@ -563,6 +565,15 @@ def _parse_bind_stream(image: MachoImage, bind_off: int, bind_size: int) -> dict
             elif opcode == BIND_OPCODE_DO_BIND_ULEB_TIMES_SKIPPING_ULEB:
                 count, pos = decode_uleb128(stream, pos)
                 skip, pos = decode_uleb128(stream, pos)
+                # dyld binds only inside the segment the stream chose, so a
+                # count that steps past its end is refused before the loop
+                end = address + count * (8 + skip) - skip
+                if segment is None or end > segment.vm_addr + segment.vm_size:
+                    image.warnings.append(
+                        f"bind stream malformed: {count} binds from {address:#x}"
+                        " step past the end of their segment"
+                    )
+                    return result
                 for _ in range(count):
                     result[address] = symbol
                     address += 8 + skip

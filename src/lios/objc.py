@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import struct
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from .errors import CyclicSuperclassChain, DanglingReference
@@ -18,7 +19,6 @@ from .macho import (
     MachoImage,
     read_cstring,
     read_struct,
-    read_u64,
     section_bytes,
     strip_pac,
     va_to_offset,
@@ -140,121 +140,102 @@ def parse_selrefs(image: MachoImage) -> dict[int, str]:
     return selmap
 
 
-def _read_method_list(image: MachoImage, va: int, in_image: bool) -> list[ObjcMethod]:
-    if va == 0:
-        return []
+def _pointers(image: MachoImage, va: int, n: int, what: str) -> list[int]:
+    """The n PAC-masked 8-byte words of a record at `va`; a record that is
+    unmapped or runs past the end of the file raises DanglingReference."""
     off = va_to_offset(image, va)
     if off is None:
-        raise DanglingReference(f"method list at {va:#x} unmapped")
-    entsize_flags, count = read_struct(image, "<II", off)
-    relative = bool(entsize_flags & METHOD_LIST_RELATIVE)
-    direct = bool(entsize_flags & METHOD_LIST_DIRECT_SELECTORS)
-    methods = []
-    if relative:
-        entry_size = entsize_flags & 0x3FFFFFFF & 0xFFFF
-        if entry_size != 12:
-            raise DanglingReference(f"relative method list entsize {entry_size}")
-        for i in range(count):
-            base = va + 8 + i * 12
-            name_off, _types_off, imp_off = read_struct(
-                image, "<iii", off + 8 + i * 12
-            )
-            name_target = base + name_off
-            if not direct:
-                name_target = read_u64(image, name_target)
-                if name_target is None:
-                    raise DanglingReference("relative selector slot unmapped")
-                name_target = strip_pac(name_target)
-            selector = read_cstring(image, name_target) or ""
-            impl = base + 8 + imp_off if in_image else None
-            methods.append(ObjcMethod(selector, impl))
-        return methods
-    for i in range(count):
-        name_ptr, _types_ptr, imp_ptr = read_struct(
-            image, "<QQQ", off + 8 + i * 24
+        raise DanglingReference(f"{what} at {va:#x} unmapped")
+    return [strip_pac(w) for w in read_struct(image, f"<{n}Q", off)]
+
+
+def _entries(
+    image: MachoImage,
+    va: int,
+    header_fmt: str,
+    what: str,
+    entry_fmt: str | Callable[[int], str],
+) -> tuple[tuple, Iterable[tuple]]:
+    """(header, entries) of the count-prefixed list at `va`; a null list is empty.
+
+    The count is the header's last field.  `entry_fmt` is one entry's format,
+    or a function of the header's first field that gives it.  All entries
+    must lie inside the file before any is read, so a bad count fails at once
+    with the error its first missing entry would raise.  The fields of
+    8-byte-word entries come PAC-masked."""
+    if va == 0:
+        return struct.unpack(header_fmt, bytes(struct.calcsize(header_fmt))), ()
+    off = va_to_offset(image, va)
+    if off is None:
+        raise DanglingReference(f"{what} at {va:#x} unmapped")
+    header = read_struct(image, header_fmt, off)
+    if callable(entry_fmt):
+        entry_fmt = entry_fmt(header[0])
+    start, size = off + struct.calcsize(header_fmt), struct.calcsize(entry_fmt)
+    fit = (len(image.data) - start) // size
+    if header[-1] > fit:
+        raise DanglingReference(
+            f"{size} bytes at {start + fit * size:#x} lie past the end of the file"
         )
-        selector = read_cstring(image, strip_pac(name_ptr)) or ""
-        impl = strip_pac(imp_ptr) if in_image and imp_ptr else None
-        methods.append(ObjcMethod(selector, impl))
+    entries = struct.iter_unpack(entry_fmt, image.data[start : start + header[-1] * size])
+    if "Q" in entry_fmt:
+        entries = (tuple(map(strip_pac, e)) for e in entries)
+    return header, entries
+
+
+def _read_method_list(image: MachoImage, va: int, in_image: bool) -> list[ObjcMethod]:
+    (flags, _), entries = _entries(
+        image,
+        va,
+        "<II",
+        "method list",
+        lambda flags: "<iii" if flags & METHOD_LIST_RELATIVE else "<QQQ",
+    )
+    if not flags & METHOD_LIST_RELATIVE:
+        return [
+            ObjcMethod(read_cstring(image, name) or "", imp if in_image and imp else None)
+            for name, _types, imp in entries
+        ]
+    if flags & 0xFFFF != 12:
+        raise DanglingReference(f"relative method list entsize {flags & 0xFFFF}")
+    methods = []
+    for i, (name_off, _types_off, imp_off) in enumerate(entries):
+        base = va + 8 + i * 12
+        name_target = base + name_off
+        if not flags & METHOD_LIST_DIRECT_SELECTORS:
+            (name_target,) = _pointers(image, name_target, 1, "relative selector slot")
+        selector = read_cstring(image, name_target) or ""
+        methods.append(ObjcMethod(selector, base + 8 + imp_off if in_image else None))
     return methods
 
 
 def _read_protocol_refs(image: MachoImage, va: int) -> list[int]:
-    if va == 0:
-        return []
-    off = va_to_offset(image, va)
-    if off is None:
-        raise DanglingReference(f"protocol list at {va:#x} unmapped")
-    count = read_struct(image, "<Q", off)[0]
-    if count > 0x10000:
-        raise DanglingReference(f"protocol list count {count} implausible")
-    refs = []
-    for i in range(count):
-        ptr = read_u64(image, va + 8 + i * 8)
-        if ptr is None:
-            raise DanglingReference("protocol list entry unmapped")
-        refs.append(strip_pac(ptr))
-    return refs
+    _, entries = _entries(image, va, "<Q", "protocol list", "<Q")
+    return [ref for (ref,) in entries]
 
 
 def _read_ivars(image: MachoImage, va: int) -> list[tuple[str, str, int]]:
-    if va == 0:
-        return []
-    off = va_to_offset(image, va)
-    if off is None:
-        raise DanglingReference(f"ivar list at {va:#x} unmapped")
-    _entsize, count = read_struct(image, "<II", off)
+    _, entries = _entries(image, va, "<II", "ivar list", "<QQQII")
     out = []
-    for i in range(count):
-        offset_ptr, name_ptr, type_ptr, _align, _size = read_struct(
-            image, "<QQQII", off + 8 + i * 32
-        )
-        name = read_cstring(image, strip_pac(name_ptr)) or ""
-        type_enc = read_cstring(image, strip_pac(type_ptr)) or ""
-        ivar_offset = 0
-        if offset_ptr:
-            slot = va_to_offset(image, strip_pac(offset_ptr))
-            if slot is not None:
-                ivar_offset = read_struct(image, "<I", slot)[0]
-        out.append((name, type_enc, ivar_offset))
+    for offset_ptr, name_ptr, type_ptr, _align, _size in entries:
+        slot = va_to_offset(image, offset_ptr) if offset_ptr else None
+        ivar_offset = 0 if slot is None else read_struct(image, "<I", slot)[0]
+        type_enc = read_cstring(image, type_ptr) or ""
+        out.append((read_cstring(image, name_ptr) or "", type_enc, ivar_offset))
     return out
-
-
-def _check_properties(image: MachoImage, va: int) -> None:
-    """Walk a property list's entries.  Nothing reads the properties, but a
-    list that does not lie wholly inside the file marks its class malformed."""
-    if va == 0:
-        return
-    off = va_to_offset(image, va)
-    if off is None:
-        raise DanglingReference(f"property list at {va:#x} unmapped")
-    _entsize, count = read_struct(image, "<II", off)
-    for i in range(count):
-        read_struct(image, "<QQ", off + 8 + i * 16)
 
 
 def _parse_class_t(
     image: MachoImage, address: int, is_meta: bool, warnings: list[str]
 ) -> ObjcClass:
-    words = [read_u64(image, address + i * 8) for i in range(5)]
-    if any(w is None for w in words):
-        raise DanglingReference(f"class_t at {address:#x} unmapped")
-    isa, superclass, _cache, _vtable, data = (strip_pac(w) for w in words)
-    ro = data & ~0x7
-    ro_off = va_to_offset(image, ro)
-    if ro_off is None:
-        raise DanglingReference(f"class_ro at {ro:#x} unmapped")
-    flags = read_struct(image, "<I", ro_off)[0]
-    # class_ro: 16 bytes of scalars, then ivarLayout(16), name(24),
-    # baseMethodList(32), baseProtocols(40), ivars(48), weakIvarLayout(56),
-    # baseProperties(64)
-    name_ptr, methods_ptr, protocols_ptr, ivars_ptr = read_struct(
-        image, "<QQQQ", ro_off + 24
+    isa, superclass, _cache, _vtable, data = _pointers(image, address, 5, "class_t")
+    # class_ro: flags and three more 4-byte scalars, then ivarLayout, name,
+    # baseMethodList, baseProtocols, ivars, weakIvarLayout, baseProperties
+    flags, _, _, name_ptr, methods_ptr, protocols_ptr, ivars_ptr, _, props_ptr = (
+        _pointers(image, data & ~0x7, 9, "class_ro")
     )
-    props_ptr = read_struct(image, "<Q", ro_off + 64)[0]
-    name = read_cstring(image, strip_pac(name_ptr)) or f"class@{address:#x}"
+    name = read_cstring(image, name_ptr) or f"class@{address:#x}"
 
-    superclass_ref: int | None = superclass or None
     superclass_name = None
     if superclass == 0:
         bound = image.bind_map.get(address + 8)
@@ -263,16 +244,18 @@ def _parse_class_t(
     cls = ObjcClass(
         name=name,
         address=address,
-        superclass_ref=superclass_ref,
+        superclass_ref=superclass or None,
         metaclass_ref=isa or None,
         is_metaclass=is_meta or bool(flags & RO_META),
         superclass_name=superclass_name,
     )
     try:
-        cls.methods = _read_method_list(image, strip_pac(methods_ptr), True)
-        cls.protocol_refs = _read_protocol_refs(image, strip_pac(protocols_ptr))
-        cls.ivars = _read_ivars(image, strip_pac(ivars_ptr))
-        _check_properties(image, strip_pac(props_ptr))
+        cls.methods = _read_method_list(image, methods_ptr, True)
+        cls.protocol_refs = _read_protocol_refs(image, protocols_ptr)
+        cls.ivars = _read_ivars(image, ivars_ptr)
+        # nothing reads the properties, but a list that does not lie wholly
+        # inside the file marks its class malformed
+        _entries(image, props_ptr, "<II", "property list", "<QQ")
     except DanglingReference as exc:
         cls.malformed = True
         warnings.append(f"class {name}: {exc}")
@@ -357,31 +340,18 @@ def parse_classlist(image: MachoImage) -> list[ObjcClass]:
 
 
 def _parse_protocol_t(image: MachoImage, address: int) -> ObjcProtocol:
-    name_ptr = read_u64(image, address + 8)
-    protos_ptr = read_u64(image, address + 16)
-    inst_ptr = read_u64(image, address + 24)
-    class_ptr = read_u64(image, address + 32)
-    opt_inst_ptr = read_u64(image, address + 40)
-    opt_class_ptr = read_u64(image, address + 48)
-    if name_ptr is None:
-        raise DanglingReference(f"protocol_t at {address:#x} unmapped")
-    name = read_cstring(image, strip_pac(name_ptr)) or f"protocol@{address:#x}"
-    proto = ObjcProtocol(name=name, address=address)
-    required = []
-    for ptr in (inst_ptr, class_ptr):
-        if ptr:
-            required += _read_method_list(image, strip_pac(ptr), False)
-    optional = []
-    for ptr in (opt_inst_ptr, opt_class_ptr):
-        if ptr:
-            optional += _read_method_list(image, strip_pac(ptr), False)
-    proto.required_methods = required
-    proto.optional_methods = optional
-    if protos_ptr:
-        proto.inherited_protocol_refs = _read_protocol_refs(
-            image, strip_pac(protos_ptr)
-        )
-    return proto
+    _isa, name_ptr, protos, inst, cls, opt_inst, opt_cls = _pointers(
+        image, address, 7, "protocol_t"
+    )
+    return ObjcProtocol(
+        name=read_cstring(image, name_ptr) or f"protocol@{address:#x}",
+        address=address,
+        required_methods=_read_method_list(image, inst, False)
+        + _read_method_list(image, cls, False),
+        optional_methods=_read_method_list(image, opt_inst, False)
+        + _read_method_list(image, opt_cls, False),
+        inherited_protocol_refs=_read_protocol_refs(image, protos),
+    )
 
 
 def parse_protocols(image: MachoImage) -> list[ObjcProtocol]:
@@ -410,27 +380,23 @@ def parse_categories(image: MachoImage) -> list[ObjcCategory]:
     for slot, target in _pointer_slots(image, "__objc_catlist"):
         if target == 0:
             continue
-        name_ptr = read_u64(image, target)
-        cls_ptr = read_u64(image, target + 8)
-        inst_ptr = read_u64(image, target + 16)
-        class_meth_ptr = read_u64(image, target + 24)
-        if name_ptr is None:
-            image.warnings.append(f"catlist slot {slot:#x} unmapped")
+        try:
+            name_ptr, cls_ref, inst, class_meth = _pointers(image, target, 4, "category_t")
+        except DanglingReference as exc:
+            image.warnings.append(f"catlist slot {slot:#x}: {exc}")
             continue
-        name = read_cstring(image, strip_pac(name_ptr)) or f"category@{target:#x}"
+        name = read_cstring(image, name_ptr) or f"category@{target:#x}"
         class_name = None
-        cls_ref = strip_pac(cls_ptr) if cls_ptr else None
         if not cls_ref:
             bound = image.bind_map.get(target + 8)
             class_name = strip_class_prefix(bound) if bound else None
         methods = []
         try:
-            for ptr in (inst_ptr, class_meth_ptr):
-                if ptr:
-                    methods += _read_method_list(image, strip_pac(ptr), True)
+            for va in (inst, class_meth):
+                methods += _read_method_list(image, va, True)
         except DanglingReference as exc:
             image.warnings.append(f"category {name}: {exc}")
-        out.append(ObjcCategory(name, cls_ref, class_name, methods))
+        out.append(ObjcCategory(name, cls_ref or None, class_name, methods))
     return out
 
 

@@ -25,7 +25,9 @@ from lios.analyses import (
 )
 from lios.errors import MalformedRuleFile, NotAFunction
 from lios.fixtures import corpus
+from lios.fixtures.scaffold import Scaffold
 from lios.graph import PropertyGraph, build_from_frontends
+from lios.pipeline import AnalysisConfig, lift
 from lios.traverse import run_query
 
 
@@ -236,6 +238,26 @@ class TestTainted:
         b.g.add_edge(b.fn, other, "calls")
         assert b.g.validate() == []
         assert [h.sink_instr for h in tainted(b.g, b.fn, spec)] == [lone]
+
+    @pytest.mark.parametrize("branch", ["bl", "b"])
+    def test_lifted_flow_into_tail_called_sink(self, tmp_path, branch):
+        # a `b` to the stub is a tail call, and its argument is still a use
+        s = Scaffold()
+        s.stub("NSClassFromString")
+        s.func("f", f"mov x0, x2\n{branch} stub_NSClassFromString")
+        path = tmp_path / "app.bin"
+        path.write_bytes(s.build()[0])
+        g, _ingested, _timings = lift(AnalysisConfig(input=str(path)))
+        fn = g.find_nodes("Function", "name", "f")[0]
+        spec = TaintSpec(
+            sources=(ArgSource(2),), sinks=(Sink("NSClassFromString", 0),)
+        )
+        hits = tainted(g, fn.id, spec)
+        assert len(hits) == 1
+        assert [g.node(i).get("asm").split()[0] for i in hits[0].path] == [
+            "mov",
+            branch,
+        ]
 
     def test_rejects_non_function(self):
         b = FlowBuilder()

@@ -31,7 +31,9 @@ from lios.disasm import (
     stack_slot,
     _loc_for,
 )
+from conftest import lift_fixture
 from lios.errors import EmptyRange
+from lios.fixtures import corpus
 from lios.fixtures.asm import assemble
 from lios.fixtures.scaffold import ClassSpec, MethodSpec, Scaffold
 from lios.macho import parse_macho
@@ -58,6 +60,24 @@ def instr_successors(fn):
             else:
                 succ[ins.ea] = list(b.successors)
     return succ
+
+
+def use_def_and_oracle(fn, eff):
+    """compute_use_def(fn, eff) and the brute-force oracle fed the same
+    effects, both as {(use ea, location text): {def ea}}."""
+    triples = [
+        (
+            ins.ea,
+            {str(l) for l in eff.eff_defs[ins.ea]},
+            {str(l) for l in eff.eff_uses[ins.ea]},
+        )
+        for ins in fn.instructions()
+    ]
+    oracle = reaching_defs_oracle(triples, instr_successors(fn), fn.entry_ea)
+    got: dict[tuple[int, str], set[int]] = {}
+    for use_ea, def_ea, loc in compute_use_def(fn, eff):
+        got.setdefault((use_ea, str(loc)), set()).add(def_ea)
+    return got, oracle
 
 
 class TestDecode:
@@ -423,20 +443,24 @@ class TestUseDef:
     )
     def test_matches_brute_force_oracle(self, source):
         fn = fn_from_asm(source)
-        eff = compute_effects(fn)
-        triples = [
-            (
-                ins.ea,
-                {str(l) for l in eff.eff_defs[ins.ea]},
-                {str(l) for l in eff.eff_uses[ins.ea]},
-            )
-            for ins in fn.instructions()
-        ]
-        oracle = reaching_defs_oracle(triples, instr_successors(fn), fn.entry_ea)
-        got: dict[tuple[int, str], set[int]] = {}
-        for use_ea, def_ea, loc in compute_use_def(fn):
-            got.setdefault((use_ea, str(loc)), set()).add(def_ea)
+        got, oracle = use_def_and_oracle(fn, compute_effects(fn))
         assert got == oracle
+
+    def test_call_site_uses_match_brute_force_oracle(self):
+        # every call site reads its argument registers, a tail-call `b`
+        # included, and its edges are the ones the oracle finds
+        blob, manifest = corpus.msgsend_suite()
+        _image, model, functions = lift_fixture(blob, manifest)
+        for fn in functions.values():
+            sites = devirtualize(fn, model, functions=functions)
+            eff = compute_effects(fn, call_effects_from_sites(sites))
+            got, oracle = use_def_and_oracle(fn, eff)
+            assert got == oracle, fn.name
+            if fn.entry_ea == manifest["functions"]["site_tail"]:
+                tail = fn.entry_ea + 16  # adrp/ldr x0, adrp/ldr x1, b
+                assert got[(tail, "x0")] == {fn.entry_ea + 4}
+                assert got[(tail, "x1")] == {fn.entry_ea + 12}
+                assert eff.eff_defs[tail] == frozenset()
 
 
 class TestLocValues:

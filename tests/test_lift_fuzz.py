@@ -5,6 +5,10 @@ offsets, and about one in five is also cut short. The seeds are fixed, so
 every run lifts the same mutants. The dump of each mutant that lifts must
 reload to a graph that validates, dumps to the same bytes and gives the
 same findings as the lift.
+
+The same holds for a fixed sample of the field-boundary sweep
+(`lios.fixtures.sweep`): one 4-byte header, load-command or metadata word
+set to an edge value, where counts and offsets read from the file meet it.
 """
 
 import random
@@ -14,15 +18,17 @@ import pytest
 from lios import analyses, graph
 from lios.errors import LiosError
 from lios.fixtures import corpus
+from lios.fixtures.sweep import boundary_fields, boundary_mutant
 from lios.pipeline import AnalysisConfig, run_pipeline
 
 MUTANTS_PER_FIXTURE = 100
+BOUNDARY_PAIRS_PER_FIXTURE = 300
 
 
-def mutants(blob: bytes, seed: int, count: int):
-    """`count` damaged copies of `blob`, the same ones for the same seed."""
+def mutants(blob: bytes, seed: int):
+    """Damaged copies of `blob`, the same ones for the same seed."""
     rng = random.Random(seed)
-    for _ in range(count):
+    for _ in range(MUTANTS_PER_FIXTURE):
         data = bytearray(blob)
         for _ in range(rng.randint(1, 8)):
             data[rng.randrange(len(data))] = rng.randrange(256)
@@ -32,22 +38,39 @@ def mutants(blob: bytes, seed: int, count: int):
         yield bytes(data)
 
 
+def boundary_mutants(blob: bytes, seed: int):
+    """A seeded sample of the field-boundary mutants of `blob`."""
+    pairs = boundary_fields(blob)
+    for offset, value in random.Random(seed).sample(pairs, BOUNDARY_PAIRS_PER_FIXTURE):
+        yield boundary_mutant(blob, offset, value)
+
+
 @pytest.mark.parametrize(
-    "build, seed",
+    "build, seed, make",
     [
-        (corpus.benign_app, 1),
-        (corpus.msgsend_suite, 2),
-        (corpus.listing_one_app, 3),
+        (corpus.benign_app, 1, mutants),
+        (corpus.msgsend_suite, 2, mutants),
+        (corpus.listing_one_app, 3, mutants),
+        (corpus.benign_app, 4, boundary_mutants),
+        (corpus.msgsend_suite, 5, boundary_mutants),
+        (corpus.listing_one_app, 6, boundary_mutants),
     ],
-    ids=["benign_app", "msgsend_suite", "listing_one"],
+    ids=[
+        "benign_app",
+        "msgsend_suite",
+        "listing_one",
+        "benign_app_boundary",
+        "msgsend_suite_boundary",
+        "listing_one_boundary",
+    ],
 )
-def test_mutants_lift_or_raise_lios_error(tmp_path, build, seed):
+def test_mutants_lift_or_raise_lios_error(tmp_path, build, seed, make):
     blob, _ = build()
     path = tmp_path / "mutant.bin"
     out = tmp_path / "out"
     config = AnalysisConfig(input=str(path), out_dir=str(out))
     outcomes = {"lifted": 0, "rejected": 0}
-    for number, mutant in enumerate(mutants(blob, seed, MUTANTS_PER_FIXTURE)):
+    for number, mutant in enumerate(make(blob, seed)):
         path.write_bytes(mutant)
         try:
             run_pipeline(config)

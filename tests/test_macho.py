@@ -16,6 +16,9 @@ from lios.fixtures.builder import ARM64, ARMV7, MachoBuilder, build_fat
 from lios.macho import (
     S_ATTR_PURE_INSTRUCTIONS,
     S_ATTR_SOME_INSTRUCTIONS,
+    MachoImage,
+    Segment,
+    _parse_bind_stream,
     decode_function_starts,
     decode_uleb128,
     encode_uleb128,
@@ -296,6 +299,45 @@ class TestBinds:
             got.va + slot0: "_objc_msgSend",
             got.va + slot1: "_NSClassFromString",
         }
+
+    def test_bind_times_count_is_bounded_by_its_segment(self):
+        # SET_SEGMENT_AND_OFFSET_ULEB segment 0, offset 0; then
+        # DO_BIND_ULEB_TIMES_SKIPPING_ULEB with a count of 2**40, skip 0
+        stream = bytes([0x70]) + encode_uleb128(0)
+        stream += bytes([0xC0]) + encode_uleb128(2**40) + encode_uleb128(0)
+        image = MachoImage(
+            data=stream, segments=[Segment("__DATA", 0x4000, 0x100, 0, 0x100)]
+        )
+        binds = _parse_bind_stream(image, 0, len(stream))
+        assert len(binds) <= 0x100 // 8
+        assert [w for w in image.warnings if w.startswith("bind stream malformed: ")]
+        assert len(image.warnings) == 1
+
+    def test_bind_times_inside_its_segment(self):
+        stream = bytes([0x71]) + encode_uleb128(0x10)
+        stream += bytes([0xC0]) + encode_uleb128(3) + encode_uleb128(8)
+        segments = [
+            Segment("__TEXT", 0x0, 0x4000, 0, 0x4000),
+            Segment("__DATA", 0x4000, 0x40, 0, 0x40),
+        ]
+        image = MachoImage(data=stream, segments=segments)
+        assert _parse_bind_stream(image, 0, len(stream)) == {
+            0x4010: "", 0x4020: "", 0x4030: ""
+        }
+        assert image.warnings == []
+        # one more bind would cover 0x4040..0x4048, past the segment's end
+        stream = stream[:-2] + encode_uleb128(4) + encode_uleb128(8)
+        image = MachoImage(data=stream, segments=segments)
+        assert _parse_bind_stream(image, 0, len(stream)) == {}
+        assert len(image.warnings) == 1
+
+    def test_bind_times_with_no_segment_chosen(self):
+        stream = bytes([0xC0]) + encode_uleb128(1) + encode_uleb128(0)
+        image = MachoImage(
+            data=stream, segments=[Segment("__DATA", 0x4000, 0x100, 0, 0x100)]
+        )
+        assert _parse_bind_stream(image, 0, len(stream)) == {}
+        assert image.warnings[0].startswith("bind stream malformed: ")
 
     def test_indirect_symbols(self):
         b = MachoBuilder()

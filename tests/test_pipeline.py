@@ -574,7 +574,7 @@ PINNED_GRAPHS = {
     ),
     "msgsend_suite": (
         corpus.msgsend_suite,
-        "79c4762720902e2578ccb05f4b7dc9b7631dbbdede28b0aff743b2953306859f",
+        "70ff450a9965398880ea64b36a75f4c6db39c0e109f5bb8ed345d4e15ad5cdb9",
     ),
     "listing_one": (
         corpus.listing_one_app,
