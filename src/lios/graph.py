@@ -1,29 +1,28 @@
 """Labeled property multi-graph: storage, frontend assembly, passes, persistence.
 
 The graph unifies three frontends (loader, class hierarchy, disassembly)
-behind one store. Nodes and edges carry free-form properties. The edge
-alphabet, its endpoint domains and the property types are checked by
-`add_node` and `add_edge`, and inline by `loads`, which rebuilds the store
-in one pass and reports the dump line of a malformed record.
+behind one store. Nodes and edges carry free-form properties. The node
+labels, the edge alphabet, its endpoint domains and the property types are
+checked by one writer per record kind, `_append_node` and `_append_edge`:
+`add_node` and `add_edge` call them, and so does `loads`, which rebuilds
+the store in one pass and reports the dump line of a malformed record.
+`validate` re-checks each edge through the same rule.
 
 The store keeps each fact once. Ids are dense: node ids run from 0 in
 insertion order, and an edge's id is its index in the edge list, which is
 what `add_edge` returns and what the dump's order implies; an edge does not
 hold it. The nodes, the edges and each node's outgoing and incoming edges
-are lists indexed by id. `_append_node` and `_append_edge` are the only
-writers of that layout. Every edge without properties shares one read-only
-empty mapping, and `build_from_frontends` gives all `def` edges of one
-variable one read-only mapping and all instructions with equal uses one
-`uses` text. Edge properties are never mutated; node properties stay one
-dict per node, since `set_node_prop` writes into them. The disassembly's
-location sets are shared frozensets too (`disasm._locs`).
-
-A reload shares what the lift shares. `loads` maps each label to the
-canonical label object and builds edge endpoints from the node's own id
-int. Edges with equal label and equal text properties share one read-only
-mapping, decoded and checked once per load; edges with other property
-values get one each. Property keys and `uses` texts go through one memo
-per load, so that each repeated string is held once.
+are lists indexed by id, and the two writers are the only code that writes
+them. Edges with equal label and equal text properties share one read-only
+mapping, whether they were added or reloaded; every edge without properties
+shares one empty mapping, and edges with other property values get one
+each. Edge properties are never mutated; node properties stay one dict per
+node, since `set_node_prop` writes into them. `build_from_frontends` gives
+all instructions with equal uses one `uses` text, and a reload maps each
+label to the canonical label object and sends property keys and `uses`
+texts through one memo per load, so that each repeated string is held
+once. The disassembly's location sets are shared frozensets too
+(`disasm._locs`).
 
 A dump (format v1) is one header line, then one JSON object per line: the
 nodes in id order, then the edges in id order. The nodes' ids are 0..n-1
@@ -40,9 +39,11 @@ from __future__ import annotations
 import binascii
 import gc
 import json
+from collections import Counter
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from types import MappingProxyType
 
 from .disasm import (
@@ -54,6 +55,7 @@ from .disasm import (
     resolve_constant,
 )
 from .errors import (
+    GraphError,
     LabelDomainViolation,
     MalformedDump,
     MissingEndpoint,
@@ -203,6 +205,13 @@ def _check_properties(label: str, properties: Mapping) -> None:
             )
 
 
+def _copy_checked(label: str, properties: Mapping) -> dict:
+    """A type-checked copy of the properties a caller hands the store."""
+    props = dict(properties)
+    _check_properties(label, props)
+    return props
+
+
 class PropertyGraph:
     def __init__(self):
         self._nodes: list[Node] = []
@@ -211,33 +220,77 @@ class PropertyGraph:
         # adjacency in edge-id order, so that it needs no sort
         self._out: list[list[Edge]] = []
         self._in: list[list[Edge]] = []
+        # (label, *properties.items()) -> the read-only mapping of every edge
+        # with that label and those text properties
+        self._shared: dict[tuple, Mapping] = {}
         self.warnings: list[str] = []
 
     # ---- mutation ----
 
-    def _append_node(self, label: str, props: dict) -> int:
-        """Store a checked node under the next id; the one node writer."""
+    def _append_node(self, name, props, check) -> int:
+        """Store a node under the next id; the one node writer.
+        `check(label, props)` returns its checked properties dict."""
+        try:
+            label = _NODE_LABEL[name]
+        except (KeyError, TypeError):
+            raise UnknownLabel(f"unknown node label {name!r}") from None
         node_id = len(self._nodes)
-        self._nodes.append(Node(node_id, label, props))
+        self._nodes.append(Node(node_id, label, check(label, props)))
         self._by_label.setdefault(label, []).append(node_id)
         self._out.append([])
         self._in.append([])
         return node_id
 
-    def _append_edge(self, src: int, dst: int, label: str, props: Mapping) -> int:
-        """Store a checked edge under the next id; the one edge writer."""
-        edge = Edge(src, dst, label, props)
+    def _edge_label(self, src, dst, name) -> str:
+        """The canonical label of an edge `name` from `src` to `dst`; the
+        edge rule. Raises the `GraphError` of the first check it fails."""
+        try:
+            label = _EDGE_LABEL[name]
+        except (KeyError, TypeError):
+            raise UnknownLabel(f"unknown edge label {name!r}") from None
+        nodes = self._nodes
+        n = len(nodes)
+        if not (type(src) is type(dst) is int and 0 <= src < n and 0 <= dst < n):
+            raise MissingEndpoint(f"edge {label} endpoints {src!r}->{dst!r} are not node ids")
+        domain, codomain = EDGE_RULES[label]
+        src_label, dst_label = nodes[src].label, nodes[dst].label
+        if src_label not in domain or dst_label not in codomain:
+            raise LabelDomainViolation(f"{label}: {src_label} -> {dst_label} not allowed")
+        return label
+
+    def _append_edge(self, src, dst, name, props, check) -> int:
+        """Store an edge under the next id; the one edge writer.
+
+        Edges without properties share one empty mapping, and edges with
+        equal label and equal text properties one read-only mapping;
+        `check(label, props)` returns the checked properties of any other.
+        """
+        label = self._edge_label(src, dst, name)
+        if not props and (props is _NO_PROPERTIES or type(props) is dict):
+            shared = _NO_PROPERTIES
+        else:
+            try:
+                key = (label, *props.items())
+                shared = self._shared.get(key)
+            except (AttributeError, TypeError):  # not a mapping, or unhashable
+                key = shared = None
+            if shared is None:
+                checked = check(label, props)
+                shared = MappingProxyType(checked)
+                # only text: True == 1 == 1.0 hash alike, but no text equals
+                # any of them, so a hit is never mistyped
+                if key is not None and all(type(v) is str for v in checked.values()):
+                    self._shared[(label, *checked.items())] = shared
+        # the nodes' own id ints: a reload then holds no copy of them
+        nodes = self._nodes
+        edge = Edge(nodes[src].id, nodes[dst].id, label, shared)
         self._edges.append(edge)
         self._out[src].append(edge)
         self._in[dst].append(edge)
         return len(self._edges) - 1
 
     def add_node(self, label: str, properties: dict | None = None) -> int:
-        if label not in NODE_LABELS:
-            raise UnknownLabel(f"unknown node label {label!r}")
-        props = dict(properties or {})
-        _check_properties(label, props)
-        return self._append_node(label, props)
+        return self._append_node(label, properties or {}, _copy_checked)
 
     def set_node_prop(self, node_id: int, key: str, value) -> None:
         node = self.node(node_id)
@@ -247,24 +300,9 @@ class PropertyGraph:
     def add_edge(
         self, src: int, dst: int, label: str, properties: dict | None = None
     ) -> int:
-        if label not in EDGE_RULES:
-            raise UnknownLabel(f"unknown edge label {label!r}")
-        nodes = self._nodes
-        if not (0 <= src < len(nodes) and 0 <= dst < len(nodes)):
-            raise MissingEndpoint(f"edge {label} endpoints {src}->{dst}")
-        domain, codomain = EDGE_RULES[label]
-        src_label = nodes[src].label
-        dst_label = nodes[dst].label
-        if src_label not in domain or dst_label not in codomain:
-            raise LabelDomainViolation(
-                f"{label}: {src_label} -> {dst_label} not allowed"
-            )
-        if properties:
-            props = dict(properties)
-            _check_properties(label, props)
-        else:
-            props = _NO_PROPERTIES
-        return self._append_edge(src, dst, label, props)
+        return self._append_edge(
+            src, dst, label, properties or _NO_PROPERTIES, _copy_checked
+        )
 
     # ---- access ----
 
@@ -320,21 +358,23 @@ class PropertyGraph:
     def validate(self) -> list[str]:
         """Whole-graph re-check; empty list when well-formed.
 
-        Beyond each edge's domain and range, every instruction-level
-        `calls` edge must have a function-level twin: a `calls` edge to the
-        same target from each function that holds the instruction (through
+        Each edge is re-checked by the rule its writer applies, and its
+        property types as well. Beyond that, every instruction-level `calls`
+        edge must have a function-level twin: a `calls` edge to the same
+        target from each function that holds the instruction (through
         `has_bb` and `instr`). `analyses.tainted` relies on it.
         """
         problems = []
-        nodes, n = self._nodes, len(self._nodes)
+        rule, checked = self._edge_label, set()
         for i, e in enumerate(self._edges):
-            if not (0 <= e.src < n and 0 <= e.dst < n):
-                problems.append(f"edge {i}: dangling endpoint")
-                continue
-            domain, codomain = EDGE_RULES[e.label]
-            s, d = nodes[e.src].label, nodes[e.dst].label
-            if s not in domain or d not in codomain:
-                problems.append(f"edge {i}: {e.label} {s}->{d}")
+            try:
+                rule(e.src, e.dst, e.label)
+                # a shared mapping needs its check once
+                if (e.label, id(e.properties)) not in checked:
+                    _check_properties(e.label, e.properties)
+                    checked.add((e.label, id(e.properties)))
+            except (GraphError, TypeError) as exc:
+                problems.append(f"edge {i}: {exc}")
         out = self._out
         calls = {(e.src, e.dst) for e in self._edges if e.label == "calls"}
         orphans = []
@@ -360,21 +400,15 @@ class PropertyGraph:
         return problems
 
     def stats(self) -> dict:
-        nodes: dict[str, int] = {}
-        edges: dict[str, int] = {}
-        n_props = 0
-        for n in self._nodes:
-            nodes[n.label] = nodes.get(n.label, 0) + 1
-            n_props += len(n.properties)
-        for e in self._edges:
-            edges[e.label] = edges.get(e.label, 0) + 1
-            n_props += len(e.properties)
+        by_label = self._by_label
+        edges = Counter(e.label for e in self._edges)
         return {
-            "nodes": dict(sorted(nodes.items())),
+            "nodes": {label: len(by_label[label]) for label in sorted(by_label)},
             "edges": dict(sorted(edges.items())),
             "node_total": len(self._nodes),
             "edge_total": len(self._edges),
-            "property_total": n_props,
+            "property_total": sum(len(n.properties) for n in self._nodes)
+            + sum(len(e.properties) for e in self._edges),
         }
 
     # ---- persistence ----
@@ -396,8 +430,8 @@ class PropertyGraph:
     def loads(cls, text: str) -> "PropertyGraph":
         """Rebuild a store from `dumps` output in one pass.
 
-        Records are checked inline, as `add_node` and `add_edge` check
-        them; any malformed record raises `MalformedDump` with its line.
+        Each record goes through the writer `add_node` or `add_edge` uses;
+        any malformed record raises `MalformedDump` with its line.
         """
         # not splitlines(): text properties may hold U+0085 and U+2028/9 raw
         return cls._load_lines(text.split("\n"))
@@ -409,10 +443,8 @@ class PropertyGraph:
         g = cls()
         nodes = g._nodes
         append_node, append_edge = g._append_node, g._append_edge
-        # for this load only: one object per distinct key and `uses` text, and
-        # one checked read-only mapping per edge label and raw text properties
-        intern = {}.setdefault
-        edge_props: dict[tuple, Mapping] = {}
+        # for this load only: one object per distinct key and `uses` text
+        decode = partial(_decode_props, {}.setdefault)
         lines = iter(lines)
         if next(lines, "").strip() != DUMP_HEADER:
             raise MalformedDump(f"missing `{DUMP_HEADER}` header", 1)
@@ -433,64 +465,18 @@ class PropertyGraph:
             try:
                 kind = rec["t"]
                 if kind == "n":
-                    node_id, name = rec["id"], rec["l"]
-                    if type(node_id) is not int:
-                        raise MalformedDump(f"node id {node_id!r} is not an int", number)
-                    label = _NODE_LABEL.get(name) if type(name) is str else None
-                    if label is None:
-                        raise MalformedDump(f"unknown label {name!r}", number)
-                    if node_id != len(nodes):
-                        raise MalformedDump(
-                            f"node id {node_id} out of order, expected {len(nodes)}",
-                            number,
-                        )
-                    props = _decode_props(label, rec.get("p", {}), number, intern)
-                    append_node(label, props)
+                    node_id = rec["id"]
+                    if type(node_id) is not int or node_id != len(nodes):
+                        raise GraphError(f"node id {node_id!r}, expected {len(nodes)}")
+                    append_node(rec["l"], rec.get("p", {}), decode)
                 elif kind == "e":
-                    src, dst, name = rec["s"], rec["d"], rec["l"]
-                    if type(src) is not int or type(dst) is not int:
-                        raise MalformedDump(
-                            f"edge endpoints {src!r}->{dst!r} are not node ids", number
-                        )
-                    if not (0 <= src < len(nodes) and 0 <= dst < len(nodes)):
-                        raise MalformedDump(
-                            f"edge references unknown node {src}->{dst}", number
-                        )
-                    label = _EDGE_LABEL.get(name) if type(name) is str else None
-                    if label is None:
-                        raise MalformedDump(f"unknown edge label {name!r}", number)
-                    src_node, dst_node = nodes[src], nodes[dst]
-                    domain, codomain = EDGE_RULES[label]
-                    if src_node.label not in domain or dst_node.label not in codomain:
-                        raise MalformedDump(
-                            f"{label}: {src_node.label} -> {dst_node.label} not allowed",
-                            number,
-                        )
-                    props = rec.get("p", {})
-                    key = shared = None
-                    if type(props) is dict:
-                        if not props:
-                            shared = _NO_PROPERTIES
-                        else:
-                            try:
-                                key = (label, *props.items())
-                                shared = edge_props.get(key)
-                            except TypeError:
-                                key = None  # an object or a list among the values
-                    if shared is None:
-                        shared = _decode_props(label, props, number, intern)
-                        shared = MappingProxyType(shared)
-                        # only text: True == 1 == 1.0 hash alike, but no
-                        # text equals any of them, so a hit is never mistyped
-                        if key is not None and all(
-                            type(value) is str for value in shared.values()
-                        ):
-                            edge_props[key] = shared
-                    append_edge(src_node.id, dst_node.id, label, shared)
+                    append_edge(rec["s"], rec["d"], rec["l"], rec.get("p", {}), decode)
                 else:
-                    raise MalformedDump(f"unknown record type {kind!r}", number)
+                    raise GraphError(f"unknown record type {kind!r}")
             except KeyError as exc:
                 raise MalformedDump(f"missing field {exc}", number) from exc
+            except GraphError as exc:
+                raise MalformedDump(str(exc), number) from exc
         return g
 
 
@@ -524,25 +510,25 @@ def _format_props(props: Mapping) -> str:
     return "{" + ",".join(parts) + "}"
 
 
-def _decode_props(label: str, props, number: int, intern) -> dict:
+def _decode_props(intern, label: str, props) -> dict:
     """A dump record's properties, decoded, type-checked and with interned
-    keys and `uses` texts."""
+    keys and `uses` texts; raises `GraphError` when they are malformed."""
     if type(props) is not dict:
-        raise MalformedDump("properties are not an object", number)
+        raise GraphError("properties are not an object")
     decoded = {}
     for key, value in props.items():
         if type(value) is dict and len(value) == 1 and "b64" in value:
             try:
                 value = binascii.a2b_base64(value["b64"])
             except (TypeError, ValueError) as exc:
-                raise MalformedDump(f"{label}.{key}: bad base64: {exc}", number) from exc
+                raise GraphError(f"{label}.{key}: bad base64: {exc}") from exc
         elif key == "uses" and type(value) is str:
             value = intern(value, value)
         decoded[intern(key, key)] = value
     try:
         _check_properties(label, decoded)
     except TypeError as exc:
-        raise MalformedDump(str(exc), number) from exc
+        raise GraphError(str(exc)) from exc
     return decoded
 
 
@@ -641,9 +627,8 @@ def build_from_frontends(
             fn_nodes[ea] = nid
         return nid
 
-    # one read-only properties mapping per `def` variable, and one `uses`
-    # text per distinct location set, shared by every record that has it
-    def_props: dict[str, Mapping] = {}
+    # one `uses` text per distinct location set, shared by every record
+    # that has it
     uses_text: dict[frozenset, str] = {}
     for entry in sorted(functions):
         fn = functions[entry]
@@ -681,16 +666,10 @@ def build_from_frontends(
         for block in fn.blocks:
             for nxt in block.successors:
                 g.add_edge(bb_nodes[block.ea], bb_nodes[nxt], "succ")
-        # both ends are Instruction nodes made just above, so the edge needs
-        # only its properties checked, once per new mapping
         for use_ea, def_ea, var in sorted(
             (use_ea, def_ea, str(loc)) for use_ea, def_ea, loc in use_def
         ):
-            props = def_props.get(var)
-            if props is None:
-                props = def_props[var] = MappingProxyType({"var": var})
-                _check_properties("def", props)
-            g._append_edge(instr_nodes[use_ea], instr_nodes[def_ea], "def", props)
+            g.add_edge(instr_nodes[use_ea], instr_nodes[def_ea], "def", {"var": var})
         for ins in fn.instructions():
             if ins.xref is not None and ins.xref in fn_nodes:
                 g.add_edge(instr_nodes[ins.ea], fn_nodes[ins.xref], "xref")

@@ -292,9 +292,17 @@ def _parse_segment64(image: MachoImage, body: bytes, index: int) -> None:
     segname = body[8:24].rstrip(b"\x00").decode("ascii", "replace")
     vmaddr, vmsize, fileoff, filesize = struct.unpack_from("<QQQQ", body, 24)
     nsects = struct.unpack_from("<I", body, 64)[0]
-    image.segments.append(Segment(segname, vmaddr, vmsize, fileoff, filesize))
     if 72 + nsects * 80 > len(body):
         raise MalformedLoadCommand(f"LC_SEGMENT_64 {index} section headers overrun cmdsize")
+    if filesize > 0 and fileoff >= len(image.data):
+        # no byte of it is in the file; one that starts inside and runs past
+        # the end is kept, so that a truncated file lifts what it holds
+        image.warnings.append(
+            f"segment {segname} file offset {fileoff:#x} lies past the end of the "
+            f"file; segment and its {nsects} sections dropped"
+        )
+        return
+    image.segments.append(Segment(segname, vmaddr, vmsize, fileoff, filesize))
     for s in range(nsects):
         off = 72 + s * 80
         sectname = body[off : off + 16].rstrip(b"\x00").decode("ascii", "replace")

@@ -5,6 +5,12 @@ turns every failure of the reader into a `MalformedPlist`, and walks the
 result once to plain Python types: dict, list, str, int, float, bool, None,
 naive-UTC datetime, bytes. A keyed-archiver UID reads as its int.
 
+An XML plist first goes through one `expat` pass that admits only what
+PropertyList-1.0.dtd admits: its elements, under one `<plist>` that holds
+exactly one value, text only inside scalar elements, and keys and values
+that alternate in each `<dict>`. `plistlib` alone skips unknown elements and
+keeps the last of several values, so damage would read as another value.
+
 Dictionary keys must be unique strings; a duplicate is a parse error rather
 than a silent last-wins. A container found inside itself, nesting deeper
 than `MAX_DEPTH`, more than `MAX_VALUES` values once shared containers are
@@ -18,7 +24,7 @@ import datetime
 import itertools
 import json
 import plistlib
-from xml.parsers.expat import ExpatError
+from xml.parsers.expat import ExpatError, ParserCreate
 
 from .errors import MalformedPlist
 
@@ -32,6 +38,11 @@ MAX_DEPTH = 256
 MAX_VALUES = 1 << 16
 
 _SCALARS = (str, bool, int, float, bytes, datetime.datetime, type(None))
+
+# the elements of PropertyList-1.0.dtd that hold text; `true` and `false`
+# are empty, and `plist`, `array` and `dict` hold elements
+_TEXT_ELEMENTS = frozenset({"key", "string", "data", "date", "integer", "real"})
+_ELEMENTS = _TEXT_ELEMENTS | {"true", "false", "plist", "array", "dict"}
 
 
 class _UniqueKeyDict(dict):
@@ -55,6 +66,8 @@ def parse_plist(data: bytes):
     else:
         raise MalformedPlist("neither an XML plist nor bplist00")
     try:
+        if fmt is plistlib.FMT_XML:
+            _check_xml(data)
         value = plistlib.loads(data, fmt=fmt, dict_type=_UniqueKeyDict)
     except MalformedPlist:
         raise
@@ -67,6 +80,50 @@ def parse_plist(data: bytes):
     if value is None:
         raise MalformedPlist("plist holds no value")
     return _plain(value, 0, set(), itertools.count(1))
+
+
+def _check_xml(data: bytes) -> None:
+    """Raise `MalformedPlist` unless `data` has the shape the DTD admits."""
+    open_elements: list[list] = []  # [name, children so far], outermost first
+
+    def start(name, _attributes):
+        if name not in _ELEMENTS:
+            raise MalformedPlist(f"unknown element <{name}>")
+        if not open_elements:
+            if name != "plist":
+                raise MalformedPlist(f"root element is <{name}>, not <plist>")
+        else:
+            parent = open_elements[-1]
+            holder, count = parent
+            if holder not in ("plist", "array", "dict") or name == "plist":
+                raise MalformedPlist(f"<{name}> inside <{holder}>")
+            if holder == "plist" and count:
+                raise MalformedPlist("<plist> holds more than one value")
+            if (name == "key") != (holder == "dict" and count % 2 == 0):
+                raise MalformedPlist(f"<{name}> out of place in <{holder}>")
+            parent[1] += 1
+        open_elements.append([name, 0])
+
+    def end(_name):
+        name, children = open_elements.pop()
+        if name == "dict" and children % 2:
+            raise MalformedPlist("<dict> ends after a key")
+        if name == "plist" and not children:
+            raise MalformedPlist("plist holds no value")
+
+    def text(chars):
+        if open_elements and open_elements[-1][0] in _TEXT_ELEMENTS:
+            return
+        if chars.strip(" \t\r\n"):
+            raise MalformedPlist(f"text {chars[:20]!r} outside a scalar element")
+
+    def entity(*_args):
+        raise MalformedPlist("XML entity declarations are not supported")
+
+    parser = ParserCreate()
+    parser.StartElementHandler, parser.EndElementHandler = start, end
+    parser.CharacterDataHandler, parser.EntityDeclHandler = text, entity
+    parser.Parse(data, True)
 
 
 def _plain(value, depth: int, open_ids: set[int], produced):

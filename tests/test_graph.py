@@ -26,6 +26,7 @@ from lios.fixtures import corpus
 from lios.graph import (
     DUMP_HEADER,
     NODE_LABELS,
+    Edge,
     PropertyGraph,
     build_from_frontends,
     dump,
@@ -218,6 +219,53 @@ class TestStore:
         assert s["nodes"] == {"BasicBlock": 1, "Function": 1}
         assert s["edges"] == {"has_bb": 1}
         assert s["node_total"] == 2 and s["edge_total"] == 1
+
+
+# one malformed edge per case, (src, dst, label, properties), in a store of
+# a Class node 0 and a Protocol node 1, and the error `add_edge` raises
+MALFORMED_EDGES = {
+    "unknown-label": ((0, 0, "invokes", {}), UnknownLabel),
+    "dangling-endpoint": ((0, 5, "isa", {}), MissingEndpoint),
+    "bool-endpoint": ((True, 0, "isa", {}), MissingEndpoint),
+    "domain-violation": ((1, 0, "isa", {}), LabelDomainViolation),
+    "non-scalar-property": ((0, 0, "isa", {"k": [1]}), TypeError),
+}
+
+
+def class_and_protocol():
+    g = PropertyGraph()
+    g.add_node("Class", {"name": "A"})
+    g.add_node("Protocol", {"name": "P"})
+    return g
+
+
+@pytest.mark.parametrize("case", MALFORMED_EDGES)
+class TestEdgeRule:
+    """`add_edge`, `loads` and `validate` reject each malformed edge alike."""
+
+    def test_add_edge_raises(self, case):
+        (src, dst, label, props), error = MALFORMED_EDGES[case]
+        g = class_and_protocol()
+        with pytest.raises(error):
+            g.add_edge(src, dst, label, props)
+        assert g.edge_count() == 0
+
+    def test_loads_reports_line(self, case):
+        (src, dst, label, props), _error = MALFORMED_EDGES[case]
+        record = json.dumps({"t": "e", "s": src, "d": dst, "l": label, "p": props})
+        with pytest.raises(MalformedDump) as exc:
+            PropertyGraph.loads(class_and_protocol().dumps() + record + "\n")
+        assert exc.value.line_no == 4
+
+    def test_validate_reports_edge_id(self, case):
+        (src, dst, label, props), _error = MALFORMED_EDGES[case]
+        g = class_and_protocol()
+        g.add_edge(0, 0, "isa")
+        assert g.validate() == []
+        # an edge written past the store's writer
+        g._edges.append(Edge(src, dst, label, props))
+        problems = g.validate()
+        assert len(problems) == 1 and problems[0].startswith("edge 1: "), problems
 
 
 class TestBuildSuite:
@@ -589,6 +637,12 @@ class TestDump:
                 by_var["x0"]["var"] = "x1"
             uses = [n.get("uses") for n in store.nodes("Instruction") if n.get("uses")]
             assert len({id(u) for u in uses}) == len(set(uses)) < len(uses)
+            # and one per equal `selector` and `recv` of a call site
+            sites = [e.properties for e in store.edges("calls") if e.properties]
+            by_site = {}
+            for p in sites:
+                assert by_site.setdefault(tuple(sorted(p.items())), p) is p
+            assert len(by_site) < len(sites)
         before = [dict(n.properties) for n in clone.nodes()]
         target = clone.nodes("Instruction")[0]
         clone.set_node_prop(target.id, "note", "changed")
@@ -718,6 +772,7 @@ class TestDump:
             for suffix, read in [("", "loads"), ("-from-path", "load")]
             for name, record in [
                 ("props-not-object", '{"t":"n","id":1,"l":"Class","p":[1]}'),
+                ("edge-props-not-object", '{"t":"e","s":0,"d":0,"l":"isa","p":[]}'),
                 ("id-not-int", '{"t":"n","id":"a","l":"Class","p":{}}'),
                 ("label-unhashable", '{"t":"n","id":1,"l":["Class"],"p":{}}'),
                 ("endpoint-unhashable", '{"t":"e","s":[0],"d":0,"l":"isa","p":{}}'),

@@ -410,18 +410,31 @@ class TestMalformedMetadata:
         )
 
     @pytest.mark.parametrize(
-        "fileoff", [1 << 40, 1 << 63], ids=["past_end", "past_ssize_t"]
+        "fileoff",
+        [1 << 40, 1 << 63, -16],
+        ids=["past_end", "past_ssize_t", "runs_past_end"],
     )
     def test_class_ro_past_end_of_file(self, fileoff):
         # the segment holding class_ro claims a file offset far past the end
-        # of the file, and past what a C offset can hold
+        # of the file, past what a C offset can hold, or 16 bytes before it
         blob = bytearray(two_class_scaffold().build()[0])
         field = segment_fileoff_field(blob, "__DATA_CONST")
-        struct.pack_into("<Q", blob, field, fileoff)
+        struct.pack_into("<Q", blob, field, fileoff if fileoff > 0 else len(blob) + fileoff)
         image = parse_macho(bytes(blob))
         in_image = [c for c in parse_classlist(image) if not c.is_external]
-        assert in_image and all(c.name.startswith("malformed@") for c in in_image)
-        assert any("past the end of the file" in w for w in image.warnings)
+        if fileoff > 0:
+            # no byte of it is in the file: the segment goes, with its
+            # sections, the class list among them
+            assert in_image == []
+            assert image.warnings == [
+                f"segment __DATA_CONST file offset {fileoff:#x} lies past the end "
+                "of the file; segment and its 2 sections dropped"
+            ]
+        else:
+            # it starts inside the file, so it stays, and each class_ro read
+            # runs past the end
+            assert in_image and all(c.name.startswith("malformed@") for c in in_image)
+            assert any("past the end of the file" in w for w in image.warnings)
 
     def test_no_objc_sections_is_empty_model(self):
         b = MachoBuilder()

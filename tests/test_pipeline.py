@@ -342,11 +342,17 @@ class TestRunPipeline:
         assert graphs[0] == graphs[1] == graphs[2]
 
     def test_skipped_functions_reach_stats(self, tmp_path):
-        # a __TEXT segment whose file offset lies past the end of the file:
-        # no function decodes, and each skipped one leaves a warning
-        blob = bytearray(corpus.benign_app()[0])
-        struct.pack_into("<Q", blob, segment_fileoff_field(blob, "__TEXT"), 1 << 57)
-        path = tmp_path / "far_text.bin"
+        # __TEXT's file data starts inside the file, and the file ends in the
+        # middle of __text: the functions it holds decode, and each one that
+        # starts past its end is skipped with a warning
+        blob = bytearray(corpus.msgsend_suite()[0])
+        image = parse_macho(bytes(blob))
+        segment = next(s for s in image.segments if s.name == "__TEXT")
+        text = image.section("__TEXT", "__text")
+        cut = text.vm_addr + text.size // 2
+        fileoff = len(blob) - (cut - segment.vm_addr)
+        struct.pack_into("<Q", blob, segment_fileoff_field(blob, "__TEXT"), fileoff)
+        path = tmp_path / "cut_text.bin"
         path.write_bytes(blob)
         result = run_pipeline(
             AnalysisConfig(input=str(path), out_dir=str(tmp_path / "out"))
@@ -355,7 +361,30 @@ class TestRunPipeline:
         ranges = discover_functions(image, load_model(image))
         stats = json.loads(Path(result.artifacts["stats"]).read_text())
         skipped = [w for w in stats["warnings"] if " skipped: " in w]
-        assert ranges and len(skipped) == len(ranges)
+        past = [start for start in ranges if start >= cut]
+        assert past and len(skipped) == len(past) < len(ranges)
+        functions = {n.get("ea") for n in result.graph.nodes("Function")}
+        assert functions >= set(ranges) - set(past)
+        assert len(result.graph.nodes("BasicBlock")) >= len(ranges) - len(past)
+
+    @pytest.mark.parametrize("fileoff", [1 << 40, 1 << 63], ids=["2^40", "2^63"])
+    def test_segment_past_end_of_file_is_dropped(self, tmp_path, fileoff):
+        # no byte of __TEXT is in the file: the segment and its sections go
+        # with one warning, instead of one warning per function
+        blob = bytearray(corpus.msgsend_suite()[0])
+        struct.pack_into("<Q", blob, segment_fileoff_field(blob, "__TEXT"), fileoff)
+        path = tmp_path / "far_text.bin"
+        path.write_bytes(blob)
+        result = run_pipeline(
+            AnalysisConfig(input=str(path), out_dir=str(tmp_path / "out"))
+        )
+        stats = json.loads(Path(result.artifacts["stats"]).read_text())
+        dropped = [w for w in stats["warnings"] if w.startswith("segment ")]
+        assert dropped == [
+            f"segment __TEXT file offset {fileoff:#x} lies past the end of the file; "
+            "segment and its 5 sections dropped"
+        ]
+        assert not [w for w in stats["warnings"] if " skipped: " in w]
         assert result.graph.nodes("BasicBlock") == []
 
     def test_text_past_its_segment_is_clamped(self, tmp_path):

@@ -86,6 +86,32 @@ def test_unknown_element():
         parse_plist(raw)
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        # plistlib alone reads these as {}, "c" and [1, True]
+        b"<plist><dict><key>NSAllowsArbitraryLoads</key><true/></dict><dict/></plist>",
+        b"<plist><string>a<b/>c</string></plist>",
+        b"<plist><array><integer>1</integer><foo/><true/></array></plist>",
+        b"<plist><array><string>a</string>b</array></plist>",
+        b"<plist><true>yes</true></plist>",
+        b"<plist><dict><string>a</string><key>k</key></dict></plist>",
+        b"<plist><key>k</key></plist>",
+        b"<plist><array><plist><true/></plist></array></plist>",
+        b'<?xml version="1.0"?><dict/>',
+        b"<plist/>",
+    ],
+    ids=[
+        "two-values", "element-in-string", "unknown-in-array", "text-in-array",
+        "text-in-true", "value-before-key", "key-outside-dict", "nested-plist",
+        "root-not-plist", "no-value",
+    ],
+)
+def test_xml_outside_the_dtd_rejected(raw):
+    with pytest.raises(MalformedPlist):
+        parse_plist(raw)
+
+
 def test_cyclic_binary_rejected():
     # hand-built bplist where the array's single element is the array itself
     objects = bytes([0xA1, 0x00])  # array of 1 ref -> object 0

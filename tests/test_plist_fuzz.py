@@ -5,13 +5,16 @@ an XML and a binary plist checks the rest. The seeds are fixed, so every
 run reads the same mutants.
 """
 
+import json
 import plistlib
 import random
+import re
 import struct
 import time
 
 import pytest
 
+import lios.plist
 from lios.cli import main
 from lios.errors import MalformedPlist
 from lios.fixtures import corpus
@@ -109,6 +112,28 @@ def test_mutants_raise_only_malformed_plist(blob, seed):
             pass
 
 
+def test_strict_xml_only_rejects_more(monkeypatch):
+    # the DTD pass may reject a mutant that plistlib reads, but a mutant it
+    # admits reads as plistlib alone reads it
+    rng = random.Random(13)
+    admitted = 0
+    for _ in range(MUTANTS):
+        tags = re.split(rb"(<[^>]*>)", _XML)
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.randrange(len(tags)), rng.randrange(len(tags))
+            tags[i : i + 1] = [[], [tags[i], tags[j]], [tags[j]]][rng.randrange(3)]
+        data = b"".join(tags)
+        try:
+            value = parse_plist(data)
+        except MalformedPlist:
+            continue
+        admitted += 1
+        with monkeypatch.context() as patch:
+            patch.setattr(lios.plist, "_check_xml", lambda data: None)
+            assert parse_plist(data) == value
+    assert admitted
+
+
 def _lift_findings(tmp_path, plist: bytes) -> str:
     binary, _ = corpus.listing_one_app(sanitized=True)
     path = tmp_path / "deep.ipa"
@@ -119,6 +144,14 @@ def _lift_findings(tmp_path, plist: bytes) -> str:
 
 def test_ipa_with_deep_plist_lifts(tmp_path, capsys):
     assert "info-plist-malformed" in _lift_findings(tmp_path, xml_arrays(5000))
+
+
+def test_ipa_with_two_plist_values_is_malformed(tmp_path, capsys):
+    # plistlib alone keeps the last value, {}, and the ATS setting is lost
+    plist = corpus.info_plist(executable="App", ats=corpus.ATS_ARBITRARY)
+    plist = plist.replace(b"</plist>", b"<dict/></plist>")
+    findings = json.loads(_lift_findings(tmp_path, plist))
+    assert [f["rule"] for f in findings] == ["info-plist-malformed"]
 
 
 def test_ipa_with_shared_plist_lifts(tmp_path, capsys):
