@@ -266,7 +266,9 @@ def parse_macho(data: bytes) -> MachoImage:
     if text is not None:
         image.image_base = text.vm_addr
     elif image.segments:
-        image.image_base = min(s.vm_addr for s in image.segments if s.file_size)
+        image.image_base = min(
+            (s.vm_addr for s in image.segments if s.file_size), default=0
+        )
 
     if symtab is not None:
         _parse_symtab(image, *symtab)
@@ -295,12 +297,15 @@ def _parse_segment64(image: MachoImage, body: bytes, index: int) -> None:
     if 72 + nsects * 80 > len(body):
         raise MalformedLoadCommand(f"LC_SEGMENT_64 {index} section headers overrun cmdsize")
     if filesize > 0 and fileoff >= len(image.data):
-        # no byte of it is in the file; one that starts inside and runs past
-        # the end is kept, so that a truncated file lifts what it holds
+        # no byte of it is in the file: it keeps its slot, which bind
+        # opcodes name by ordinal, and its vmaddr, with no file bytes and no
+        # sections. One that starts inside the file and runs past the end
+        # stays whole, so that a truncated file lifts what it holds
         image.warnings.append(
             f"segment {segname} file offset {fileoff:#x} lies past the end of the "
-            f"file; segment and its {nsects} sections dropped"
+            f"file; its file data and its {nsects} sections dropped"
         )
+        image.segments.append(Segment(segname, vmaddr, vmsize, fileoff, 0))
         return
     image.segments.append(Segment(segname, vmaddr, vmsize, fileoff, filesize))
     for s in range(nsects):

@@ -27,7 +27,10 @@ from lios.macho import (
     section_bytes,
     va_to_offset,
 )
+from lios.pipeline import AnalysisConfig, run_pipeline
 
+from conftest import segment_fileoff_field
+from lios.fixtures import corpus
 from oracles import uleb_decode_oracle, uleb_encode_oracle
 
 TEXT_FLAGS = S_ATTR_PURE_INSTRUCTIONS | S_ATTR_SOME_INSTRUCTIONS
@@ -221,6 +224,54 @@ class TestParseMacho:
         image = parse_macho(b.build())
         sym = next(s for s in image.symbols if s.name == "_objc_msgSend")
         assert sym.is_external and sym.address is None
+
+
+def pagezero_and_text(text_fileoff):
+    """A header, a __PAGEZERO and a __TEXT with no sections, and 64 bytes."""
+    commands = b"".join(
+        struct.pack("<II16sQQQQiiII", 0x19, 72, name, vmaddr, vmsize, fileoff, filesize,
+                    0, 0, 0, 0)
+        for name, vmaddr, vmsize, fileoff, filesize in [
+            (b"__PAGEZERO", 0, 1 << 32, 0, 0),
+            (b"__TEXT", 1 << 32, 0x4000, text_fileoff, 0x4000),
+        ]
+    )
+    header = struct.pack("<IiiIIIII", 0xFEEDFACF, 0x0100000C, 0, 2, 2, len(commands), 0, 0)
+    return header + commands + bytes(64)
+
+
+class TestSegmentPastEndOfFile:
+    """A segment whose file data starts past the end of the file keeps its
+    slot and its vmaddr, with no file bytes and no sections."""
+
+    def test_binds_of_later_segments_keep_their_addresses(self):
+        # bind opcodes name a segment by its load-command ordinal; __TEXT is
+        # ordinal 0 and every bind of the suite lies in a later segment
+        blob = bytearray(corpus.msgsend_suite()[0])
+        whole = parse_macho(bytes(blob))
+        struct.pack_into("<Q", blob, segment_fileoff_field(blob, "__TEXT"), 1 << 40)
+        image = parse_macho(bytes(blob))
+        assert whole.bind_map and image.bind_map == whole.bind_map
+        assert image.image_base == whole.image_base
+        assert [s.name for s in image.segments] == [s.name for s in whole.segments]
+        assert image.section("__TEXT", "__text") is None
+        assert va_to_offset(image, whole.image_base) is None
+        assert len(image.warnings) == 1
+
+    def test_pagezero_and_far_text(self, tmp_path):
+        # __TEXT is the only segment with file data, and it has none here
+        assert parse_macho(pagezero_and_text(0x100)).image_base == 1 << 32
+        image = parse_macho(pagezero_and_text(1 << 40))
+        assert image.image_base == 1 << 32
+        assert image.warnings == [
+            "segment __TEXT file offset 0x10000000000 lies past the end of the "
+            "file; its file data and its 0 sections dropped"
+        ]
+        path = tmp_path / "far_text.bin"
+        path.write_bytes(pagezero_and_text(1 << 40))
+        config = AnalysisConfig(input=str(path), out_dir=str(tmp_path / "out"))
+        graph = run_pipeline(config).graph
+        assert graph.nodes("Program")[0].get("ea") == 1 << 32
 
 
 class TestAddressing:

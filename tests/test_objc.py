@@ -423,12 +423,12 @@ class TestMalformedMetadata:
         image = parse_macho(bytes(blob))
         in_image = [c for c in parse_classlist(image) if not c.is_external]
         if fileoff > 0:
-            # no byte of it is in the file: the segment goes, with its
-            # sections, the class list among them
+            # no byte of it is in the file: its sections go, the class list
+            # among them
             assert in_image == []
             assert image.warnings == [
                 f"segment __DATA_CONST file offset {fileoff:#x} lies past the end "
-                "of the file; segment and its 2 sections dropped"
+                "of the file; its file data and its 2 sections dropped"
             ]
         else:
             # it starts inside the file, so it stays, and each class_ro read

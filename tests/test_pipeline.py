@@ -369,8 +369,8 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("fileoff", [1 << 40, 1 << 63], ids=["2^40", "2^63"])
     def test_segment_past_end_of_file_is_dropped(self, tmp_path, fileoff):
-        # no byte of __TEXT is in the file: the segment and its sections go
-        # with one warning, instead of one warning per function
+        # no byte of __TEXT is in the file: its file data and its sections
+        # go with one warning, instead of one warning per function
         blob = bytearray(corpus.msgsend_suite()[0])
         struct.pack_into("<Q", blob, segment_fileoff_field(blob, "__TEXT"), fileoff)
         path = tmp_path / "far_text.bin"
@@ -382,10 +382,13 @@ class TestRunPipeline:
         dropped = [w for w in stats["warnings"] if w.startswith("segment ")]
         assert dropped == [
             f"segment __TEXT file offset {fileoff:#x} lies past the end of the file; "
-            "segment and its 5 sections dropped"
+            "its file data and its 5 sections dropped"
         ]
         assert not [w for w in stats["warnings"] if " skipped: " in w]
         assert result.graph.nodes("BasicBlock") == []
+        # the segment keeps its vmaddr, so the Program stays at the image base
+        whole = parse_macho(corpus.msgsend_suite()[0])
+        assert result.graph.nodes("Program")[0].get("ea") == whole.image_base
 
     def test_text_past_its_segment_is_clamped(self, tmp_path):
         # a __text size far past the __TEXT segment would make the last
