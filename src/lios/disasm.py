@@ -1,9 +1,13 @@
 """aarch64 subset decoder, CFG construction, use-def chains, devirtualization.
 
 The decoder covers the instructions compilers emit around message dispatch
-and control flow: moves, address formation, integer add/sub, loads/stores,
-and branches.  Everything else decodes to an opaque `.word` that defines and
-uses nothing, which keeps downstream analyses conservative but total.
+and control flow, one arm per group of forms: NOP; RET, BR and BLR; B and
+BL; B.cond, CBZ/CBNZ and TBZ/TBNZ; ADR and ADRP; MOVZ, MOVN and MOVK; the
+ORR register move; ADD/SUB immediate and shifted register with their
+CMP/CMN aliases; and the loads and stores: LDR/STR with an unsigned offset,
+the imm9 forms (LDUR/STUR and pre- and post-indexed LDR/STR) and LDP/STP.
+Everything else decodes to an opaque `.word` that defines and uses nothing,
+which keeps downstream analyses conservative but total.
 
 Register-to-register dataflow is tracked per function with a light constant
 and stack-offset propagation; stack slots addressed as sp/fp plus a constant
@@ -13,6 +17,7 @@ become first-class locations so spills don't break use-def chains.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -156,6 +161,17 @@ _COND_NAMES = [
 
 _unpack_word = struct.Struct("<I").unpack
 
+# RET, BR and BLR by their fixed bits: kind and mnemonic
+_REGISTER_BRANCHES = {
+    0xD65F0000: ("return", "ret"),
+    0xD61F0000: ("branch", "br"),
+    0xD63F0000: ("call", "blr"),
+}
+# LDUR/STUR and post- and pre-indexed LDR/STR by bits 10-11: mnemonic tail, mode
+_IMM9_MODES = {0: ("ur", "off"), 1: ("r", "post"), 3: ("r", "pre")}
+# LDP/STP by bits 23-24: mode
+_PAIR_MODES = {1: "post", 2: "off", 3: "pre"}
+
 
 def _opaque(ins: Instruction, word: int) -> Instruction:
     ins.asm = f".word 0x{word:08x}"
@@ -172,110 +188,70 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         ins.kind, ins.asm, ins.mnemonic = "nop", "nop", "nop"
         return ins
 
-    if word & 0xFFFFFC1F == 0xD65F0000:  # RET
+    hit = _REGISTER_BRANCHES.get(word & 0xFFFFFC1F)
+    if hit is not None:  # RET, BR, BLR
         rn = (word >> 5) & 0x1F
-        ins.kind, ins.mnemonic = "return", "ret"
-        ins.asm = "ret" if rn == 30 else f"ret x{rn}"
-        ins.uses = _locs(reg(_XNAMES[rn]))
-        return ins
-
-    if word & 0xFFFFFC1F == 0xD61F0000:  # BR
-        rn = (word >> 5) & 0x1F
-        ins.kind, ins.mnemonic = "branch", "br"
+        ins.kind, name = hit
+        ins.mnemonic = name
+        if name == "ret":  # reads x31 for 31, and leaves `rn` unset
+            ins.asm = "ret" if rn == 30 else f"ret x{rn}"
+            ins.uses = _locs(reg(_XNAMES[rn]))
+            return ins
         ins.rn = _XNAMES[rn]
-        ins.asm = f"br x{rn}"
-        loc = _loc_for(rn)
-        ins.uses = _locs(loc)
-        return ins
-
-    if word & 0xFFFFFC1F == 0xD63F0000:  # BLR
-        rn = (word >> 5) & 0x1F
-        ins.kind, ins.mnemonic = "call", "blr"
-        ins.rn = _XNAMES[rn]
-        ins.asm = f"blr x{rn}"
-        loc = _loc_for(rn)
-        ins.uses = _locs(loc)
-        ins.defs = _locs(reg(LINK_REG))
-        return ins
-
-    top6 = word >> 26
-    if top6 in (0x05, 0x25):  # B / BL
-        target = ea + 4 * _sext(word & 0x3FFFFFF, 26)
-        ins.branch_target = target
-        if top6 == 0x05:
-            ins.kind, ins.mnemonic = "branch", "b"
-            ins.asm = f"b 0x{target:x}"
-        else:
-            ins.kind, ins.mnemonic = "call", "bl"
-            ins.asm = f"bl 0x{target:x}"
+        ins.asm = f"{name} x{rn}"
+        ins.uses = _locs(_loc_for(rn))
+        if name == "blr":
             ins.defs = _locs(reg(LINK_REG))
         return ins
 
-    if word & 0xFF000010 == 0x54000000:  # B.cond
-        cond = _COND_NAMES[word & 0xF]
-        target = ea + 4 * _sext((word >> 5) & 0x7FFFF, 19)
-        ins.kind, ins.mnemonic = "branch", f"b.{cond}"
-        ins.conditional = True
+    if word & 0x7C000000 == 0x14000000:  # B, BL
+        target = ea + 4 * _sext(word & 0x3FFFFFF, 26)
         ins.branch_target = target
-        ins.asm = f"b.{cond} 0x{target:x}"
+        if word >> 31:
+            ins.kind, ins.mnemonic = "call", "bl"
+            ins.defs = _locs(reg(LINK_REG))
+        else:
+            ins.kind, ins.mnemonic = "branch", "b"
+        ins.asm = f"{ins.mnemonic} 0x{target:x}"
         return ins
 
-    if word & 0x7E000000 == 0x34000000:  # CBZ/CBNZ
-        sixty_four = bool(word >> 31)
-        nonzero = bool((word >> 24) & 1)
-        rt = word & 0x1F
-        target = ea + 4 * _sext((word >> 5) & 0x7FFFF, 19)
-        name = "cbnz" if nonzero else "cbz"
+    if word & 0xFF000010 == 0x54000000 or word & 0x7C000000 == 0x34000000:
+        # B.cond, CBZ/CBNZ and TBZ/TBNZ
+        offset, operands = _sext((word >> 5) & 0x7FFFF, 19), ""
+        if word & 0x40000000:  # B.cond
+            name = f"b.{_COND_NAMES[word & 0xF]}"
+        else:
+            rt = word & 0x1F
+            nz = "nz" if word & 0x01000000 else "z"
+            if word & 0x02000000:  # TBZ/TBNZ: tests bit b5:b40, 14-bit offset
+                bit = ((word >> 31) << 5) | ((word >> 19) & 0x1F)
+                ins.immediate, ins.sixty_four = bit, bit >= 32
+                name, operands = f"tb{nz}", f", #{bit}"
+                offset = _sext((word >> 5) & 0x3FFF, 14)
+            else:
+                name = f"cb{nz}"
+                ins.sixty_four = bool(word >> 31)
+            operands = f" {_print_reg(rt, ins.sixty_four)}{operands},"
+            ins.uses = _locs(_loc_for(rt))
+        target = ea + 4 * offset
         ins.kind, ins.mnemonic = "branch", name
         ins.conditional = True
         ins.branch_target = target
-        ins.sixty_four = sixty_four
-        ins.asm = f"{name} {_print_reg(rt, sixty_four)}, 0x{target:x}"
-        loc = _loc_for(rt)
-        ins.uses = _locs(loc)
+        ins.asm = f"{name}{operands} 0x{target:x}"
         return ins
 
-    if word & 0x7E000000 == 0x36000000:  # TBZ/TBNZ
-        bit = ((word >> 31) << 5) | ((word >> 19) & 0x1F)
-        nonzero = bool((word >> 24) & 1)
-        rt = word & 0x1F
-        target = ea + 4 * _sext((word >> 5) & 0x3FFF, 14)
-        name = "tbnz" if nonzero else "tbz"
-        sixty_four = bit >= 32
-        ins.kind, ins.mnemonic = "branch", name
-        ins.conditional = True
-        ins.branch_target = target
-        ins.immediate = bit
-        ins.sixty_four = sixty_four
-        ins.asm = f"{name} {_print_reg(rt, sixty_four)}, #{bit}, 0x{target:x}"
-        loc = _loc_for(rt)
-        ins.uses = _locs(loc)
-        return ins
-
-    if word & 0x9F000000 == 0x90000000:  # ADRP
-        rd = word & 0x1F
-        imm = _sext(((word >> 3) & 0x1FFFFC) | ((word >> 29) & 0x3), 21) << 12
-        page = (ea & ~0xFFF) + imm
-        ins.kind, ins.mnemonic = "assignment", "adrp"
-        ins.rd = _XNAMES[rd]
-        ins.immediate = page
-        ins.xref = page
-        ins.asm = f"adrp x{rd}, 0x{page:x}"
-        loc = _loc_for(rd)
-        ins.defs = _locs(loc)
-        return ins
-
-    if word & 0x9F000000 == 0x10000000:  # ADR
+    if word & 0x1F000000 == 0x10000000:  # ADR, ADRP
         rd = word & 0x1F
         imm = _sext(((word >> 3) & 0x1FFFFC) | ((word >> 29) & 0x3), 21)
-        target = ea + imm
-        ins.kind, ins.mnemonic = "assignment", "adr"
+        if word >> 31:
+            name, value = "adrp", (ea & ~0xFFF) + (imm << 12)
+        else:
+            name, value = "adr", ea + imm
+        ins.kind, ins.mnemonic = "assignment", name
         ins.rd = _XNAMES[rd]
-        ins.immediate = target
-        ins.xref = target
-        ins.asm = f"adr x{rd}, 0x{target:x}"
-        loc = _loc_for(rd)
-        ins.defs = _locs(loc)
+        ins.immediate = ins.xref = value
+        ins.asm = f"{name} x{rd}, 0x{value:x}"
+        ins.defs = _locs(_loc_for(rd))
         return ins
 
     if word & 0x1F800000 == 0x12800000:  # MOVN/MOVZ/MOVK
@@ -289,8 +265,7 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         shift = 16 * hw
         ins.sixty_four = sixty_four
         ins.rd = _XNAMES[rd]
-        loc = _loc_for(rd)
-        ins.defs = _locs(loc)
+        ins.defs = _locs(_loc_for(rd))
         rd_text = _print_reg(rd, sixty_four)
         if opc == 3:  # MOVK: keeps other bits, so value alone is not the result
             ins.kind, ins.mnemonic = "assignment", "movk"
@@ -318,149 +293,73 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         ins.rd = _XNAMES[rd]
         ins.rm = _XNAMES[rm]
         ins.asm = f"mov {_print_reg(rd, sixty_four)}, {_print_reg(rm, sixty_four)}"
-        dloc, uloc = _loc_for(rd), _loc_for(rm)
-        ins.defs = _locs(dloc)
-        ins.uses = _locs(uloc)
+        ins.defs = _locs(_loc_for(rd))
+        ins.uses = _locs(_loc_for(rm))
         return ins
 
-    if word & 0x1F800000 == 0x11000000:  # ADD/SUB immediate
+    if word & 0x1F800000 == 0x11000000 or word & 0x1F200000 == 0x0B000000:
+        # ADD/SUB immediate and shifted register; only the immediate form
+        # reads register 31 as sp
         sixty_four = bool(word >> 31)
-        is_sub = bool((word >> 30) & 1)
-        sets_flags = bool((word >> 29) & 1)
-        shifted = bool((word >> 22) & 1)
-        raw12 = (word >> 10) & 0xFFF
-        imm = raw12 << (12 if shifted else 0)
+        is_sub = (word >> 30) & 1
+        sets_flags = (word >> 29) & 1
         rn = (word >> 5) & 0x1F
         rd = word & 0x1F
+        sp_ok = bool(word & 0x10000000)
         ins.sixty_four = sixty_four
-        ins.rn = "sp" if rn == 31 else _XNAMES[rn]
-        ins.immediate = imm
-        uloc = _loc_for(rn, sp_ok=True)
-        if sets_flags and rd == 31:  # CMP/CMN aliases
+        ins.rn = "sp" if rn == 31 and sp_ok else _XNAMES[rn]
+        if sp_ok:
+            raw12 = (word >> 10) & 0xFFF
+            shifted = (word >> 22) & 1
+            ins.immediate = raw12 << 12 if shifted else raw12
+            operand = f"#{raw12}, lsl #12" if shifted else f"#{raw12}"
+            ins.uses = _locs(_loc_for(rn, sp_ok=True))
+        else:
+            rm = (word >> 16) & 0x1F
+            imm6 = (word >> 10) & 0x3F
+            shift_kind = ("lsl", "lsr", "asr", "ror")[(word >> 22) & 0x3]
+            operand = _print_reg(rm, sixty_four)
+            operand += f", {shift_kind} #{imm6}" if imm6 else ""
+            ins.rm = _XNAMES[rm]
+            ins.uses = _locs(_loc_for(rn), _loc_for(rm))
+        rn_text = _print_reg(rn, sixty_four, sp_ok)
+        if sets_flags and rd == 31:  # CMP/CMN; an immediate prints shifted
             name = "cmp" if is_sub else "cmn"
             ins.kind, ins.mnemonic = "compare", name
-            ins.asm = f"{name} {_print_reg(rn, sixty_four, sp_ok=True)}, #{imm}"
-            ins.uses = _locs(uloc)
+            ins.asm = f"{name} {rn_text}, " + (f"#{ins.immediate}" if sp_ok else operand)
             return ins
-        name = ("subs" if is_sub else "adds") if sets_flags else ("sub" if is_sub else "add")
+        name = ("sub" if is_sub else "add") + ("s" if sets_flags else "")
         ins.kind, ins.mnemonic = "assignment", name
-        ins.rd = "sp" if rd == 31 else _XNAMES[rd]
-        suffix = ", lsl #12" if shifted else ""
-        ins.asm = (
-            f"{name} {_print_reg(rd, sixty_four, sp_ok=not sets_flags)}, "
-            f"{_print_reg(rn, sixty_four, sp_ok=True)}, #{raw12}{suffix}"
-        )
-        dloc = _loc_for(rd, sp_ok=not sets_flags)
-        ins.defs = _locs(dloc)
-        ins.uses = _locs(uloc)
+        ins.rd = "sp" if rd == 31 and sp_ok else _XNAMES[rd]
+        ins.asm = f"{name} {_print_reg(rd, sixty_four, sp_ok)}, {rn_text}, {operand}"
+        ins.defs = _locs(_loc_for(rd, sp_ok))
         return ins
 
-    if word & 0x1F200000 == 0x0B000000:  # ADD/SUB shifted register
-        sixty_four = bool(word >> 31)
-        is_sub = bool((word >> 30) & 1)
-        sets_flags = bool((word >> 29) & 1)
-        rm = (word >> 16) & 0x1F
-        imm6 = (word >> 10) & 0x3F
-        rn = (word >> 5) & 0x1F
-        rd = word & 0x1F
-        shift_kind = ("lsl", "lsr", "asr", "ror")[(word >> 22) & 0x3]
-        suffix = f", {shift_kind} #{imm6}" if imm6 else ""
-        ins.sixty_four = sixty_four
-        ins.rn = _XNAMES[rn]
-        ins.rm = _XNAMES[rm]
-        nloc, mloc = _loc_for(rn), _loc_for(rm)
-        uses = _locs(nloc, mloc)
-        if sets_flags and rd == 31:
-            name = "cmp" if is_sub else "cmn"
-            ins.kind, ins.mnemonic = "compare", name
-            ins.asm = (
-                f"{name} {_print_reg(rn, sixty_four)}, "
-                f"{_print_reg(rm, sixty_four)}{suffix}"
-            )
-            ins.uses = uses
-            return ins
-        name = ("subs" if is_sub else "adds") if sets_flags else ("sub" if is_sub else "add")
-        ins.kind, ins.mnemonic = "assignment", name
-        ins.rd = _XNAMES[rd]
-        ins.asm = (
-            f"{name} {_print_reg(rd, sixty_four)}, {_print_reg(rn, sixty_four)}, "
-            f"{_print_reg(rm, sixty_four)}{suffix}"
-        )
-        dloc = _loc_for(rd)
-        ins.defs = _locs(dloc)
-        ins.uses = uses
+    if _decode_loadstore(word, ins):
         return ins
-
-    ldst = _decode_loadstore(word, ins)
-    if ldst is not None:
-        return ldst
-
     return _opaque(ins, word)
 
 
-# LDR/STR unsigned scaled offset: top ten bits -> (name, is_load, sixty_four)
-_LDST_UNSIGNED = {
-    0xF9400000: ("ldr", True, True),
-    0xF9000000: ("str", False, True),
-    0xB9400000: ("ldr", True, False),
-    0xB9000000: ("str", False, False),
-}
-_PAIR_MODES = {1: "post", 2: "off", 3: "pre"}
-
-
-def _decode_loadstore(word: int, ins: Instruction) -> Instruction | None:
-    hit = _LDST_UNSIGNED.get(word & 0xFFC00000)
-    if hit is not None:
-        name, is_load, sixty_four = hit
-        scale = 3 if sixty_four else 2
-        imm = ((word >> 10) & 0xFFF) << scale
-        return _fill_loadstore(ins, name, is_load, sixty_four, word, imm, "off")
-
-    # LDUR/STUR and pre/post-indexed LDR/STR (imm9 forms)
-    if word & 0xFFE00000 in (0xF8400000, 0xF8000000, 0xB8400000, 0xB8000000):
-        sixty_four = (word >> 30) & 0x3 == 0x3
-        is_load = bool((word >> 22) & 1)
-        mode_bits = (word >> 10) & 0x3
+def _decode_loadstore(word: int, ins: Instruction) -> bool:
+    """Fill a load or store of `rt`, and of `rt2` for LDP/STP, at [rn +/- imm];
+    False for any other word."""
+    is_load = bool(word & 0x400000)
+    sixty_four = bool(word & 0x40000000)
+    rt2 = None
+    if word & 0xBF800000 == 0xB9000000:  # LDR/STR, unsigned scaled offset
+        tail, mode = "r", "off"
+        imm = ((word >> 10) & 0xFFF) << (3 if sixty_four else 2)
+    elif word & 0xBFA00000 == 0xB8000000 and (word >> 10) & 0x3 in _IMM9_MODES:
+        tail, mode = _IMM9_MODES[(word >> 10) & 0x3]
         imm = _sext((word >> 12) & 0x1FF, 9)
-        if mode_bits == 0:
-            name = "ldur" if is_load else "stur"
-            return _fill_loadstore(ins, name, is_load, sixty_four, word, imm, "off")
-        if mode_bits == 3:
-            name = "ldr" if is_load else "str"
-            return _fill_loadstore(ins, name, is_load, sixty_four, word, imm, "pre")
-        if mode_bits == 1:
-            name = "ldr" if is_load else "str"
-            return _fill_loadstore(ins, name, is_load, sixty_four, word, imm, "post")
-        return None
-
-    # LDP/STP
-    if (word >> 25) & 0x1F == 0x14:
-        mode_bits = (word >> 23) & 0x3
-        if mode_bits == 0:
-            return None
+    elif (word >> 25) & 0x1F == 0x14 and (word >> 23) & 0x3:  # LDP/STP
         sixty_four = bool(word >> 31)
-        is_load = bool((word >> 22) & 1)
-        scale = 3 if sixty_four else 2
-        imm = _sext((word >> 15) & 0x7F, 7) << scale
+        tail, mode = "p", _PAIR_MODES[(word >> 23) & 0x3]
+        imm = _sext((word >> 15) & 0x7F, 7) << (3 if sixty_four else 2)
         rt2 = (word >> 10) & 0x1F
-        name = "ldp" if is_load else "stp"
-        return _fill_loadstore(
-            ins, name, is_load, sixty_four, word, imm, _PAIR_MODES[mode_bits], rt2
-        )
-    return None
-
-
-def _fill_loadstore(
-    ins: Instruction,
-    name: str,
-    is_load: bool,
-    sixty_four: bool,
-    word: int,
-    imm: int,
-    mode: str,
-    rt2: int | None = None,
-) -> Instruction:
-    """Fill a load or store of `rt`, and of `rt2` for LDP/STP, at [rn +/- imm]."""
+    else:
+        return False
+    name = ("ld" if is_load else "st") + tail
     rn = (word >> 5) & 0x1F
     rt = word & 0x1F
     ins.kind, ins.mnemonic = "assignment", name
@@ -492,7 +391,7 @@ def _fill_loadstore(
     else:
         ins.defs = _locs(*written)
         ins.uses = _locs(*tlocs, bloc)
-    return ins
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -516,31 +415,14 @@ class FunctionBody:
     name: str
     blocks: list[BasicBlock]
     end_ea: int
+    # block ea -> the eas of its predecessor blocks, for every block
+    predecessors: dict[int, list[int]]
     objc_class_name: str | None = None
     objc_selector: str | None = None
-
-    def block_at(self, ea: int) -> BasicBlock | None:
-        for b in self.blocks:
-            if b.ea == ea:
-                return b
-        return None
-
-    def instruction_at(self, ea: int) -> Instruction | None:
-        for b in self.blocks:
-            if b.ea <= ea < b.end:
-                return b.instructions[(ea - b.ea) // 4]
-        return None
 
     def instructions(self):
         for b in self.blocks:
             yield from b.instructions
-
-    def predecessors(self) -> dict[int, list[int]]:
-        preds: dict[int, list[int]] = {b.ea: [] for b in self.blocks}
-        for b in self.blocks:
-            for s in b.successors:
-                preds[s].append(b.ea)
-        return preds
 
 
 def build_function(
@@ -610,6 +492,7 @@ def _shape_blocks(entry_ea: int, instructions: list[Instruction], name: str) -> 
         blocks.append(BasicBlock(current[0].ea, current))
 
     starts = {b.ea for b in blocks}
+    preds: dict[int, list[int]] = {b.ea: [] for b in blocks}
     for b in blocks:
         last = b.instructions[-1]
         succ: list[int] = []
@@ -624,7 +507,11 @@ def _shape_blocks(entry_ea: int, instructions: list[Instruction], name: str) -> 
         elif last.ea + 4 < end_ea:
             succ.append(last.ea + 4)  # fell into the next leader
         b.successors = sorted(s for s in set(succ) if s in starts)
-    return FunctionBody(entry_ea=entry_ea, name=name, blocks=blocks, end_ea=end_ea)
+        for s in b.successors:
+            preds[s].append(b.ea)
+    return FunctionBody(
+        entry_ea=entry_ea, name=name, blocks=blocks, end_ea=end_ea, predecessors=preds
+    )
 
 
 def _fuse_xrefs(fn: FunctionBody) -> None:
@@ -741,6 +628,8 @@ def _step(state: dict, ins: Instruction) -> tuple:
             return (defs.union(slots) if slots else defs), uses, None
         info = ("load", slots[0]) if len(slots) == 1 else ("opaque",)
         return defs, (uses.union(slots) if slots else uses), info
+    if not defs:  # writes nothing, or the zero register: binds nothing
+        return defs, uses, None
     if m == "mov" and ins.rm is not None:
         _put(state, ins.rd, state.get(ins.rm))
         return defs, uses, ("copy", reg(ins.rm))
@@ -771,7 +660,7 @@ def _step(state: dict, ins: Instruction) -> tuple:
         for d in defs:
             if d.kind == "reg":
                 state.pop(d.value, None)
-    return defs, uses, ("opaque",) if defs else None
+    return defs, uses, ("opaque",)
 
 
 def compute_effects(fn: FunctionBody, call_uses: dict | None = None) -> _Effects:
@@ -798,7 +687,7 @@ def compute_effects(fn: FunctionBody, call_uses: dict | None = None) -> _Effects
     A call clobbers x0 and x30 and reads x0, plus any argument registers
     `call_uses` (from `call_effects_from_sites`) adds; those change no
     block state, so the fixpoint does not depend on them."""
-    preds = fn.predecessors()
+    preds = fn.predecessors
     block_out: dict[int, dict] = {}
     effects = _Effects({}, {}, {})
     eff_defs, eff_uses, assign = effects.eff_defs, effects.eff_uses, effects.assign
@@ -835,7 +724,7 @@ def compute_use_def(
     pass effects with the call sites' argument uses when those are known.
     """
     eff = effects if effects is not None else compute_effects(fn)
-    preds = fn.predecessors()
+    preds = fn.predecessors
 
     gen: dict[int, dict[Loc, frozenset[int]]] = {}
     for block in fn.blocks:
@@ -958,14 +847,13 @@ def backtrace(
 ) -> set[ResolvedValue]:
     """Possible values of `location` immediately before `addr` executes."""
     eff = _effects if _effects is not None else compute_effects(fn)
-    preds = fn.predecessors()
-    entry_ins_ea = fn.blocks[0].instructions[0].ea
+    blocks, preds = fn.blocks, fn.predecessors
+    starts = [b.ea for b in blocks]
 
-    def positions_before(ea: int) -> list[int]:
-        block = next(b for b in fn.blocks if b.ea <= ea < b.end)
-        if ea != block.ea:
-            return [ea - 4]
-        return [fn.block_at(p).instructions[-1].ea for p in preds[block.ea]]
+    def block_at(ea: int) -> BasicBlock | None:
+        """The block that holds the instruction at `ea`."""
+        i = bisect_right(starts, ea) - 1
+        return blocks[i] if i >= 0 and ea < blocks[i].end else None
 
     def at_entry_value(loc: Loc) -> ResolvedValue:
         if loc == reg("x0"):
@@ -980,11 +868,12 @@ def backtrace(
 
     def push_before(loc: Loc, ea: int) -> None:
         """Keep tracing `loc` from just before the instruction at `ea`."""
-        if ea == entry_ins_ea:
+        if ea == fn.entry_ea:
             results.add(at_entry_value(loc))
-            return
-        for p in positions_before(ea):
-            work.append((loc, p))
+        elif ea in preds:  # a block's first instruction
+            work.extend((loc, block_at(p).end - 4) for p in preds[ea])
+        else:
+            work.append((loc, ea - 4))
 
     push_before(location, addr)
     while work:
@@ -992,10 +881,11 @@ def backtrace(
         if (loc, ea) in visited:
             continue
         visited.add((loc, ea))
-        ins = fn.instruction_at(ea)
-        if ins is None:
+        block = block_at(ea)
+        if block is None:
             results.add(UNKNOWN)
             continue
+        ins = block.instructions[(ea - block.ea) // 4]
         if loc in eff.eff_defs.get(ea, ()):
             if ins.is_store and loc.kind in ("stack", "mem"):
                 source = ins.rd

@@ -217,8 +217,9 @@ class PropertyGraph:
         self._nodes: list[Node] = []
         self._edges: list[Edge] = []
         self._by_label: dict[str, list[int]] = {}
-        # adjacency in edge-id order, so that it needs no sort
-        self._out: list[list[Edge]] = []
+        # adjacency in edge-id order, so that it needs no sort; a node
+        # without outgoing edges holds the one empty tuple
+        self._out: list[list[Edge] | tuple] = []
         self._in: list[list[Edge]] = []
         # (label, *properties.items()) -> the read-only mapping of every edge
         # with that label and those text properties
@@ -237,7 +238,7 @@ class PropertyGraph:
         node_id = len(self._nodes)
         self._nodes.append(Node(node_id, label, check(label, props)))
         self._by_label.setdefault(label, []).append(node_id)
-        self._out.append([])
+        self._out.append(())
         self._in.append([])
         return node_id
 
@@ -285,7 +286,10 @@ class PropertyGraph:
         nodes = self._nodes
         edge = Edge(nodes[src].id, nodes[dst].id, label, shared)
         self._edges.append(edge)
-        self._out[src].append(edge)
+        if self._out[src]:
+            self._out[src].append(edge)
+        else:
+            self._out[src] = [edge]
         self._in[dst].append(edge)
         return len(self._edges) - 1
 

@@ -4,6 +4,9 @@ Hand-stated expectations come from assembling known source; cross-checks use
 the brute-force oracles in oracles.py over the same effective def/use sets.
 """
 
+import dataclasses
+import hashlib
+import operator
 import random
 import struct
 
@@ -30,6 +33,7 @@ from lios.disasm import (
     reg,
     stack_slot,
     _loc_for,
+    _locs,
 )
 from conftest import lift_fixture
 from lios.errors import EmptyRange
@@ -197,6 +201,64 @@ class TestDecode:
         assert ins.ea % 4 == 0 and len(ins.bytes) == 4
 
 
+# The fixed bits (mask, value) of each decoded form, spelled out from the
+# architecture manual here rather than read from the decoder.
+DECODED_FORMS = (
+    (0xFFFFFFFF, 0xD503201F),  # nop
+    (0xFFFFFC1F, 0xD65F0000),  # ret
+    (0xFFFFFC1F, 0xD61F0000),  # br
+    (0xFFFFFC1F, 0xD63F0000),  # blr
+    (0x7C000000, 0x14000000),  # b, bl
+    (0xFF000010, 0x54000000),  # b.cond
+    (0x7E000000, 0x34000000),  # cbz, cbnz
+    (0x7E000000, 0x36000000),  # tbz, tbnz
+    (0x9F000000, 0x90000000),  # adrp
+    (0x9F000000, 0x10000000),  # adr
+    (0x1F800000, 0x12800000),  # movn, movz, movk
+    (0x7FE0FFE0, 0x2A0003E0),  # orr rd, zr, rm
+    (0x1F800000, 0x11000000),  # add/sub immediate
+    (0x1F200000, 0x0B000000),  # add/sub shifted register
+    (0xFFC00000, 0xF9400000),  # ldr x, unsigned offset
+    (0xFFC00000, 0xF9000000),  # str x, unsigned offset
+    (0xFFC00000, 0xB9400000),  # ldr w, unsigned offset
+    (0xFFC00000, 0xB9000000),  # str w, unsigned offset
+    (0xFFE00000, 0xF8400000),  # ldur/ldr x, imm9
+    (0xFFE00000, 0xF8000000),  # stur/str x, imm9
+    (0xFFE00000, 0xB8400000),  # ldur/ldr w, imm9
+    (0xFFE00000, 0xB8000000),  # stur/str w, imm9
+    (0x3E000000, 0x28000000),  # ldp, stp
+)
+
+
+def test_decoder_output_is_pinned():
+    """Every slot of about 60k decoded words, random and forced into each
+    form's fixed bits, hashes to one digest.  Location sets enter as sorted
+    text, since frozenset order follows PYTHONHASHSEED, plus whether the set
+    is the shared `_locs` object."""
+    rng = random.Random(18)
+    words = [rng.getrandbits(32) for _ in range(16_000)]
+    for mask, value in DECODED_FORMS:
+        words += [rng.getrandbits(32) & ~mask | value for _ in range(2_000)]
+    names = [f.name for f in dataclasses.fields(Instruction)]
+    others = operator.attrgetter(*(n for n in names if n not in ("defs", "uses")))
+    seen = {}  # id -> (set, its text); holding the set keeps its id unique
+
+    def text(s):
+        if id(s) not in seen:
+            seen[id(s)] = s, repr((sorted(map(str, s)), s is _locs(*s)))
+        return seen[id(s)][1]
+
+    digest = hashlib.sha256()
+    for i, word in enumerate(words):
+        ins = decode(struct.pack("<I", word), ORIGIN + 4 * i)
+        record = (others(ins), text(ins.defs), text(ins.uses))
+        digest.update(repr(record).encode())
+    assert len(words) == 62_000
+    assert digest.hexdigest() == (
+        "c2e541564acfa197dbda69401737e8d881d29fcfa89a94c9422e2e4bbe053ddb"
+    )
+
+
 class TestCfg:
     def test_straight_line_is_one_block(self):
         fn = fn_from_asm("mov x0, #1\nmov x1, #2\nret")
@@ -230,7 +292,7 @@ class TestCfg:
             """
         )
         assert len(fn.blocks) == 4
-        preds = fn.predecessors()
+        preds = fn.predecessors
         join = fn.blocks[-1].ea
         assert len(preds[join]) == 2
 
@@ -687,6 +749,34 @@ class TestEffects:
         assert first == second
         assert first.eff_uses[call.ea] == {reg("x0"), reg("x1"), reg("x2")}
         assert first.eff_defs[call.ea] == {reg("x0"), reg("x30")}
+
+    @pytest.mark.parametrize(
+        "setup, strays",
+        [
+            ((), (0xD28000BF,)),  # mov xzr, #5
+            ((), (0x928000BF,)),  # movn xzr, #5
+            ((), (0xD28000BF, 0xF2A000BF)),  # mov xzr, #5; movk xzr, #5, lsl #16
+            ((0xD28000A2,), (0xAA0203FF,)),  # mov x2, #5; mov xzr, x2
+            ((), (0x1000001F,)),  # adr xzr, .
+            ((), (0x9000001F,)),  # adrp xzr, .
+        ],
+    )
+    def test_write_to_zero_register_binds_nothing(self, setup, strays):
+        # then mov x0, xzr; ldr x1, [x0]; ret
+        tail = (0xAA1F03E0, 0xF9400001, 0xD65F03C0)
+
+        def tail_effects(words):
+            fn = build_function_from_instructions(
+                [decode(struct.pack("<I", w), ORIGIN + 4 * i) for i, w in enumerate(words)]
+            )
+            eff = compute_effects(fn)
+            eas = [ORIGIN + 4 * i for i in range(len(words) - len(tail), len(words))]
+            return [(eff.eff_defs[ea], eff.eff_uses[ea], eff.assign.get(ea)) for ea in eas]
+
+        nops = (0xD503201F,) * len(strays)
+        got = tail_effects(setup + strays + tail)
+        assert got == tail_effects(setup + nops + tail)
+        assert got[1][1:] == ({reg("x0")}, ("opaque",))
 
 
 @pytest.fixture(scope="module")

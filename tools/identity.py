@@ -9,7 +9,8 @@ the same `findings.json`.
     python tools/identity.py --against REV        # inputs that differ from REV
     python tools/identity.py --hash-seeds 0,1     # inputs that differ by hash seed
 
-`--against` lifts the same input files in a temporary `git worktree` of REV.
+`--against` lifts the same input files with REV's `src/`, which `git archive`
+extracts into the temporary directory, so nothing is written under `.git`.
 The inputs are written once, by this checkout's generators, so both sides
 lift the same bytes under the same file names.  The set:
 
@@ -187,29 +188,23 @@ def main(argv=None) -> int:
         runs = {("checkout", seed): ROOT for seed in seeds}
         if args.against:
             rev_tree = tmp / "rev"
-            subprocess.run(
-                ["git", "-C", str(ROOT), "worktree", "add", "--detach", "-q",
-                 str(rev_tree), args.against],
+            rev_tree.mkdir()
+            archive = subprocess.run(
+                ["git", "-C", str(ROOT), "archive", args.against, "src"],
                 check=True,
-            )
+                capture_output=True,
+            ).stdout
+            subprocess.run(["tar", "-x", "-C", str(rev_tree)], input=archive, check=True)
             runs.update({(args.against, seed): rev_tree for seed in seeds})
-        try:
-            outputs = {key: tmp / f"run{i}.jsonl" for i, key in enumerate(runs)}
-            workers = [
-                run_tree(tree, tmp / "inputs", seed, outputs[rev, seed])
-                for (rev, seed), tree in runs.items()
-            ]
-            if any([w.wait() for w in workers]):
-                print("a worker failed", file=sys.stderr)
-                return 1
-            results = {key: read_records(path) for key, path in outputs.items()}
-        finally:
-            if args.against:
-                subprocess.run(
-                    ["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                     str(rev_tree)],
-                    check=False,
-                )
+        outputs = {key: tmp / f"run{i}.jsonl" for i, key in enumerate(runs)}
+        workers = [
+            run_tree(tree, tmp / "inputs", seed, outputs[rev, seed])
+            for (rev, seed), tree in runs.items()
+        ]
+        if any([w.wait() for w in workers]):
+            print("a worker failed", file=sys.stderr)
+            return 1
+        results = {key: read_records(path) for key, path in outputs.items()}
 
     head = results[("checkout", seeds[0])]
     for name, record in head.items():
