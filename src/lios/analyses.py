@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import MalformedRuleFile, NotAFunction
-from .traverse import register_step
+from .traverse import _defs_of, _require, callees, register_step
 
 SEVERITIES = ("critical", "warning", "info")
 _SEVERITY_RANK = {s: i for i, s in enumerate(SEVERITIES)}
@@ -108,15 +108,6 @@ def findings_to_json(findings) -> str:
 # graph access helpers
 
 
-def _require_function(graph, fn) -> int:
-    nid = fn.id if hasattr(fn, "id") else fn
-    if not graph.has_node(nid):
-        raise NotAFunction(f"node {nid} is not in the graph")
-    if graph.node(nid).label != "Function":
-        raise NotAFunction(f"node {nid} is a {graph.node(nid).label}")
-    return nid
-
-
 def _instructions_of(graph, fn_id: int):
     for bb in graph.out_nodes(fn_id, "has_bb"):
         yield from graph.out_nodes(bb.id, "instr")
@@ -173,11 +164,11 @@ def tainted(graph, fn, spec: TaintSpec) -> list[TaintHit]:
     pinned to the argument's register, later hops follow any variable.
     A branch is abandoned when it runs through a sanitizer call.
     """
-    fn_id = _require_function(graph, fn)
+    fn_id = _require(graph, fn, "Function", NotAFunction)
     # every instruction-level call has a function-level twin (`validate`
     # checks it), so a function that calls no sink has no sink call site
-    callees = {n.get("name") for n in graph.out_nodes(fn_id, "calls")}
-    if not any(sink.callee in callees for sink in spec.sinks):
+    called = {n.get("name") for n in graph.out_nodes(fn_id, "calls")}
+    if not any(sink.callee in called for sink in spec.sinks):
         return []
     arg_regs = _arg_registers_for(graph, fn_id, spec.sources)
     return_callees = {
@@ -217,13 +208,7 @@ def tainted(graph, fn, spec: TaintSpec) -> list[TaintHit]:
             budget = _TAINT_STEP_BUDGET
             node = graph.node(nid)
             found: dict[str, tuple[int, ...]] = {}
-            first = sorted(
-                {
-                    e.dst
-                    for e in graph.out_edges(node.id, "def")
-                    if e.get("var") == reg
-                }
-            )
+            first = _defs_of(graph, node.id, reg)
             if reg in _free_uses(graph, node) and reg in arg_regs:
                 found.setdefault(arg_regs[reg], (node.id,))
             stack = [(node.id, nid) for nid in reversed(first)]
@@ -291,29 +276,30 @@ _BRIDGE_SPEC = TaintSpec(
 )
 
 
-def _ats_state(graph) -> tuple[dict | None, bool]:
-    """(parsed NSAppTransportSecurity dict or None, had_parse_error)."""
+def _ats_state(graph) -> tuple[object, dict, bool]:
+    """(Program node or None, its parsed NSAppTransportSecurity dict or {},
+    had_parse_error)."""
     programs = graph.nodes("Program")
     if not programs:
-        return None, False
+        return None, {}, False
     prog = programs[0]
     if prog.get("info_error"):
-        return None, True
+        return prog, {}, True
     text = prog.get("info")
     if text is None:
-        return None, False
+        return prog, {}, False
     try:
         data = json.loads(text)
     except ValueError:
-        return None, True
+        return prog, {}, True
     ats = data.get("NSAppTransportSecurity") if isinstance(data, dict) else None
-    return (ats if isinstance(ats, dict) else None), False
+    return prog, (ats if isinstance(ats, dict) else {}), False
 
 
 def _invoke_reachable(graph, fn_id: int) -> bool:
     """Does this function or a direct in-image callee fire a built invocation?"""
-    callees = [n.id for n in graph.out_nodes(fn_id, "calls") if not n.get("is_ext")]
-    for fid in dict.fromkeys([fn_id, *callees]):
+    inner = [n.id for n in callees(graph, fn_id) if not n.get("is_ext")]
+    for fid in dict.fromkeys([fn_id, *inner]):
         for node in _instructions_of(graph, fid):
             for e in graph.out_edges(node.id, "calls"):
                 selector = e.get("selector") or graph.node(e.dst).get("name") or ""
@@ -327,8 +313,8 @@ def _invoke_reachable(graph, fn_id: int) -> bool:
 def detect_webview_bridge(graph) -> list[Finding]:
     """WebView delegates that build classes/selectors out of request data
     and then fire them through NSInvocation or performSelector."""
-    ats, _err = _ats_state(graph)
-    arbitrary = bool(ats and ats.get("NSAllowsArbitraryLoads") is True)
+    _prog, ats, _err = _ats_state(graph)
+    arbitrary = ats.get("NSAllowsArbitraryLoads") is True
     severity = "critical" if arbitrary else "warning"
     findings = []
     for fn, matched, hits in _rule_hits(graph, _BRIDGE_SELECTORS, _BRIDGE_SPEC):
@@ -355,46 +341,34 @@ def detect_webview_bridge(graph) -> list[Finding]:
 
 def ats_check(graph) -> list[Finding]:
     """App Transport Security posture from the bundled Info.plist."""
-    programs = graph.nodes("Program")
-    if not programs:
-        return []
-    prog = programs[0]
-    ats, err = _ats_state(graph)
-    findings = []
+    prog, ats, err = _ats_state(graph)
+    raised = []  # (rule, severity, message)
     if err:
-        findings.append(
-            Finding(
-                rule="info-plist-malformed",
-                severity="warning",
-                subjects=(prog.id,),
-                evidence=(),
-                message="Info.plist could not be parsed; ATS posture unknown",
+        raised.append(
+            (
+                "info-plist-malformed",
+                "warning",
+                "Info.plist could not be parsed; ATS posture unknown",
             )
         )
-    if ats and ats.get("NSAllowsArbitraryLoads") is True:
-        findings.append(
-            Finding(
-                rule="ats-disabled",
-                severity="warning",
-                subjects=(prog.id,),
-                evidence=(),
-                message="NSAllowsArbitraryLoads is set: ATS is disabled globally",
+    if ats.get("NSAllowsArbitraryLoads") is True:
+        raised.append(
+            (
+                "ats-disabled",
+                "warning",
+                "NSAllowsArbitraryLoads is set: ATS is disabled globally",
             )
         )
-    if ats:
-        domains = ats.get("NSExceptionDomains")
-        if isinstance(domains, dict):
-            for domain in sorted(domains):
-                findings.append(
-                    Finding(
-                        rule="ats-exception",
-                        severity="info",
-                        subjects=(prog.id,),
-                        evidence=(),
-                        message=f"ATS exception configured for {domain}",
-                    )
-                )
-    return sort_findings(findings)
+    domains = ats.get("NSExceptionDomains")
+    if isinstance(domains, dict):
+        raised += [
+            ("ats-exception", "info", f"ATS exception configured for {domain}")
+            for domain in sorted(domains)
+        ]
+    return sort_findings(
+        Finding(rule, severity, (prog.id,), (), message)
+        for rule, severity, message in raised
+    )
 
 
 # ---------------------------------------------------------------------------

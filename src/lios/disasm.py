@@ -6,8 +6,9 @@ BL; B.cond, CBZ/CBNZ and TBZ/TBNZ; ADR and ADRP; MOVZ, MOVN and MOVK; the
 ORR register move; ADD/SUB immediate and shifted register with their
 CMP/CMN aliases; and the loads and stores: LDR/STR with an unsigned offset,
 the imm9 forms (LDUR/STUR and pre- and post-indexed LDR/STR) and LDP/STP.
-Everything else decodes to an opaque `.word` that defines and uses nothing,
-which keeps downstream analyses conservative but total.
+Everything else, the reserved encodings of these forms included, decodes to
+an opaque `.word` that defines and uses nothing, which keeps downstream
+analyses conservative but total.
 
 Register-to-register dataflow is tracked per function with a light constant
 and stack-offset propagation; stack slots addressed as sp/fp plus a constant
@@ -297,7 +298,11 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         ins.uses = _locs(_loc_for(rm))
         return ins
 
-    if word & 0x1F800000 == 0x11000000 or word & 0x1F200000 == 0x0B000000:
+    if word & 0x1F800000 == 0x11000000 or (
+        word & 0x1F200000 == 0x0B000000
+        and (word >> 22) & 0x3 != 3  # shift type 3 is reserved,
+        and (word >> 31 or not word & 0x8000)  # as is a w-register shift >= 32
+    ):
         # ADD/SUB immediate and shifted register; only the immediate form
         # reads register 31 as sp
         sixty_four = bool(word >> 31)
@@ -352,7 +357,8 @@ def _decode_loadstore(word: int, ins: Instruction) -> bool:
     elif word & 0xBFA00000 == 0xB8000000 and (word >> 10) & 0x3 in _IMM9_MODES:
         tail, mode = _IMM9_MODES[(word >> 10) & 0x3]
         imm = _sext((word >> 12) & 0x1FF, 9)
-    elif (word >> 25) & 0x1F == 0x14 and (word >> 23) & 0x3:  # LDP/STP
+    elif (word >> 25) & 0x1F == 0x14 and (word >> 23) & 0x3 and word >> 30 != 3:
+        # LDP/STP; opc 11 is reserved
         sixty_four = bool(word >> 31)
         tail, mode = "p", _PAIR_MODES[(word >> 23) & 0x3]
         imm = _sext((word >> 15) & 0x7F, 7) << (3 if sixty_four else 2)
@@ -773,15 +779,6 @@ class ResolvedValue:
     text: str | None = None
     receiver: "ResolvedValue | None" = None
     selector: "ResolvedValue | None" = None
-
-    def __str__(self) -> str:
-        if self.variant == "const_string":
-            return f"ConstString({self.text!r})"
-        if self.variant == "composed":
-            return f"Composed({self.receiver}, {self.selector})"
-        return {"self_ref": "SelfRef", "own_selector": "OwnSelector"}.get(
-            self.variant, "Unknown"
-        )
 
 
 CONST_STRING = lambda text: ResolvedValue("const_string", text=text)

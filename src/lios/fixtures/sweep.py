@@ -6,10 +6,14 @@ each set to one of eight values (0, 1, -1, 2^31-1, 2^31, and the file size
 -1, +0 and +1), and every 4-byte word in the first 4 KB of each `__DATA*`
 section and ObjC name section, each set to one of four values.  Counts,
 offsets and sizes read from the file meet these values first.
+
+`boundary_sample` draws the fixed, seeded part of the sweep that the whole-lift
+fuzz test and the byte-identity harness both lift.
 """
 
 from __future__ import annotations
 
+import random
 import struct
 
 from ..macho import parse_macho
@@ -17,6 +21,10 @@ from ..macho import parse_macho
 _DATA_VALUES = (0, 1, 0xFFFFFFFF, 0x80000000)
 _DATA_BYTES = 4096
 _OBJC_NAME_SECTIONS = ("__objc_methname", "__objc_classname", "__objc_methtype")
+
+# corpus fixture -> seed of its boundary sample
+BOUNDARY_SAMPLE_SEEDS = {"benign_app": 4, "msgsend_suite": 5, "listing_one": 6}
+BOUNDARY_SAMPLE_SIZE = 300
 
 
 def boundary_fields(blob: bytes) -> list[tuple[int, int]]:
@@ -49,3 +57,9 @@ def boundary_mutant(blob: bytes, offset: int, value: int) -> bytes:
     data = bytearray(blob)
     struct.pack_into("<I", data, offset, value)
     return bytes(data)
+
+
+def boundary_sample(blob: bytes, seed: int) -> list[tuple[int, int]]:
+    """`BOUNDARY_SAMPLE_SIZE` pairs of `boundary_fields(blob)`, the same ones
+    for the same seed."""
+    return random.Random(seed).sample(boundary_fields(blob), BOUNDARY_SAMPLE_SIZE)

@@ -90,28 +90,27 @@ class Traversal:
         return Traversal(run)
 
 
-def step_out(label: str) -> Traversal:
+def _hop(label: str, neighbours: str) -> Traversal:
+    """One hop along `label` edges, each node's neighbours in id order;
+    `neighbours` names the graph's lookup, `out_nodes` or `in_nodes`."""
     if label not in EDGE_RULES:
         raise UnknownLabel(f"unknown edge label {label!r}")
 
     def run(graph, stream):
+        lookup = getattr(graph, neighbours)
         for x in stream:
-            for n in sorted(graph.out_nodes(x, label), key=lambda n: n.id):
+            for n in sorted(lookup(x, label), key=lambda n: n.id):
                 yield n.id
 
     return Traversal(run)
+
+
+def step_out(label: str) -> Traversal:
+    return _hop(label, "out_nodes")
 
 
 def step_in(label: str) -> Traversal:
-    if label not in EDGE_RULES:
-        raise UnknownLabel(f"unknown edge label {label!r}")
-
-    def run(graph, stream):
-        for x in stream:
-            for n in sorted(graph.in_nodes(x, label), key=lambda n: n.id):
-                yield n.id
-
-    return Traversal(run)
+    return _hop(label, "in_nodes")
 
 
 def step_filter(pred) -> Traversal:
@@ -144,6 +143,7 @@ def step_limit(n: int) -> Traversal:
 # core traversals
 
 _CALLS = step_out("calls")
+_DEF_CLOSURE = step_out("def").star()
 
 
 def _require(graph, node, label: str, err) -> int:
@@ -206,6 +206,11 @@ def exe_paths(graph, block, l_max: int = 64) -> list[tuple[int, ...]]:
     return out
 
 
+def _defs_of(graph, nid: int, var: str) -> list[int]:
+    """The instructions whose definition of `var` reaches `nid`, in id order."""
+    return sorted({e.dst for e in graph.out_edges(nid, "def") if e.get("var") == var})
+
+
 def data_flow(graph, instr, var: str) -> list:
     """Definitions feeding `var` at `instr`, then everything they depend on.
 
@@ -214,22 +219,7 @@ def data_flow(graph, instr, var: str) -> list:
     cone of that one operand.
     """
     nid = _require(graph, instr, "Instruction", NotAnInstruction)
-    first = sorted(
-        {e.dst for e in graph.out_edges(nid, "def") if e.get("var") == var}
-    )
-    seen = set(first)
-    order = list(first)
-    frontier = list(first)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for e in sorted(graph.out_edges(x, "def"), key=lambda e: e.dst):
-                if e.dst not in seen:
-                    seen.add(e.dst)
-                    order.append(e.dst)
-                    nxt.append(e.dst)
-        frontier = nxt
-    return [graph.node(i) for i in order]
+    return [graph.node(i) for i in _DEF_CLOSURE.run(graph, _defs_of(graph, nid, var))]
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,22 @@ class TestDecode:
             assert ins.asm == f".word 0x{word:08x}"
 
     @pytest.mark.parametrize(
+        "word",
+        [
+            0x8BC20020,  # add x0, x1, x2 with shift type 3
+            0x0B028020,  # add w0, w1, w2 shifted by 32
+            0xE9400000,  # ldp with opc 11
+        ],
+        ids=hex,
+    )
+    def test_reserved_encodings_are_opaque(self, word):
+        ins = decode(struct.pack("<I", word), ORIGIN)
+        # the same as any word outside the covered forms
+        assert ins == Instruction(
+            ORIGIN, ins.bytes, f".word 0x{word:08x}", "other", mnemonic=".word"
+        )
+
+    @pytest.mark.parametrize(
         "text",
         [
             "mov x0, #1",
@@ -255,7 +271,7 @@ def test_decoder_output_is_pinned():
         digest.update(repr(record).encode())
     assert len(words) == 62_000
     assert digest.hexdigest() == (
-        "c2e541564acfa197dbda69401737e8d881d29fcfa89a94c9422e2e4bbe053ddb"
+        "3bdf92575289f6b5c331080adf5c3cc20f05e93f317ba3ecd1e50c9c0cc26d21"
     )
 
 
@@ -632,6 +648,20 @@ def effects_by_line(source: str, blocks: dict[str, list[str]]) -> dict:
 
 
 class TestEffects:
+    @pytest.mark.parametrize(
+        "setup, assign",
+        [
+            ("mov x8, #0x1234", ("load", mem(0x100001234))),
+            ("nop", ("opaque",)),  # x8 holds no known value
+        ],
+    )
+    def test_movk_keeps_the_other_bits_of_a_known_constant(self, setup, assign):
+        fn = fn_from_asm(f"{setup}\nmovk x8, #0x1, lsl #32\nldr x0, [x8]\nret")
+        ldr = ORIGIN + 8
+        eff = compute_effects(fn)
+        assert eff.assign[ldr] == assign
+        assert eff.eff_uses[ldr] == {reg("x8"), *assign[1:]}
+
     @pytest.mark.parametrize("registers", [10, 12, 28])
     def test_register_shift_loop_reaches_the_fixpoint(self, registers):
         fn = fn_from_asm(shift_chain(registers))
@@ -881,6 +911,14 @@ class TestBacktrace:
     def test_trace_at_entry_instruction(self):
         fn = fn_from_asm("ret")
         assert backtrace(fn, reg("x0"), ORIGIN) == {SELF_REF}
+
+    def test_store_pair_slots_hold_each_register(self):
+        fn = fn_from_asm(
+            "stp x0, x1, [sp, #16]\nldr x2, [sp, #24]\nldr x3, [sp, #16]\nret"
+        )
+        ret = ORIGIN + 12
+        assert backtrace(fn, reg("x2"), ret) == {OWN_SELECTOR}
+        assert backtrace(fn, reg("x3"), ret) == {SELF_REF}
 
     def _fn(self, image, manifest, name, n_instr, model=None):
         entry = manifest["functions"][name]

@@ -23,6 +23,7 @@ from lios.errors import (
     UnknownLabel,
 )
 from lios.fixtures import corpus
+from lios.fixtures.scaffold import ClassSpec, ProtocolSpec, Scaffold
 from lios.graph import (
     DUMP_HEADER,
     NODE_LABELS,
@@ -37,6 +38,7 @@ from lios.graph import (
 )
 from lios.macho import parse_macho
 from lios.objc import load_model
+from lios.pipeline import AnalysisConfig, lift
 
 
 def build_suite():
@@ -266,6 +268,33 @@ class TestEdgeRule:
         g._edges.append(Edge(src, dst, label, props))
         problems = g.validate()
         assert len(problems) == 1 and problems[0].startswith("edge 1: "), problems
+
+
+def test_assembly_writes_ivars_protocol_inheritance_and_fused_xrefs(tmp_path):
+    s = Scaffold()
+    s.func("helper", "ret")
+    s.func("main", "adrp x8, helper@page\nadd x8, x8, helper@pageoff\nret")
+    s.add_protocol(ProtocolSpec("Base"))
+    s.add_protocol(ProtocolSpec("Derived", inherits=["Base"]))
+    s.add_class(ClassSpec(name="Thing", ivars=[("_count", "q")]))
+    path = tmp_path / "app.bin"
+    path.write_bytes(s.build()[0])
+    g, _ingested, _timings = lift(AnalysisConfig(input=str(path)))
+    assert [(n.get("ea"), n.get("name"), n.get("owner")) for n in g.nodes("Ivar")] == [
+        (8, "_count", "Thing")
+    ]
+    inherits = {
+        p.get("name"): [q.get("name") for q in g.out_nodes(p.id, "has_protocol")]
+        for p in g.nodes("Protocol")
+    }
+    assert inherits == {"Base": [], "Derived": ["Base"]}
+    xrefs = [
+        (i.get("asm").split()[0], f.get("name"))
+        for i in g.nodes("Instruction")
+        for f in g.out_nodes(i.id, "xref")
+    ]
+    assert xrefs == [("add", "helper")]
+    assert g.validate() == []
 
 
 class TestBuildSuite:

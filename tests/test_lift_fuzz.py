@@ -18,11 +18,10 @@ import pytest
 from lios import analyses, graph
 from lios.errors import LiosError
 from lios.fixtures import corpus
-from lios.fixtures.sweep import boundary_fields, boundary_mutant
+from lios.fixtures.sweep import BOUNDARY_SAMPLE_SEEDS, boundary_mutant, boundary_sample
 from lios.pipeline import AnalysisConfig, run_pipeline
 
 MUTANTS_PER_FIXTURE = 100
-BOUNDARY_PAIRS_PER_FIXTURE = 300
 
 
 def mutants(blob: bytes, seed: int):
@@ -40,8 +39,7 @@ def mutants(blob: bytes, seed: int):
 
 def boundary_mutants(blob: bytes, seed: int):
     """A seeded sample of the field-boundary mutants of `blob`."""
-    pairs = boundary_fields(blob)
-    for offset, value in random.Random(seed).sample(pairs, BOUNDARY_PAIRS_PER_FIXTURE):
+    for offset, value in boundary_sample(blob, seed):
         yield boundary_mutant(blob, offset, value)
 
 
@@ -51,9 +49,9 @@ def boundary_mutants(blob: bytes, seed: int):
         (corpus.benign_app, 1, mutants),
         (corpus.msgsend_suite, 2, mutants),
         (corpus.listing_one_app, 3, mutants),
-        (corpus.benign_app, 4, boundary_mutants),
-        (corpus.msgsend_suite, 5, boundary_mutants),
-        (corpus.listing_one_app, 6, boundary_mutants),
+        (corpus.benign_app, BOUNDARY_SAMPLE_SEEDS["benign_app"], boundary_mutants),
+        (corpus.msgsend_suite, BOUNDARY_SAMPLE_SEEDS["msgsend_suite"], boundary_mutants),
+        (corpus.listing_one_app, BOUNDARY_SAMPLE_SEEDS["listing_one"], boundary_mutants),
     ],
     ids=[
         "benign_app",

@@ -38,7 +38,6 @@ import argparse
 import hashlib
 import json
 import os
-import random
 import resource
 import subprocess
 import sys
@@ -49,9 +48,6 @@ ROOT = Path(__file__).resolve().parent.parent
 ADDRESS_SPACE_CAP = 2 << 30
 FIXTURE_MUTANT_SEEDS = range(5000, 5150)
 BATCH_SEEDS = (7, 11)
-# fixture -> seed of its field-boundary sample, as in tests/test_lift_fuzz.py
-BOUNDARY_SAMPLE_SEEDS = {"benign_app": 4, "msgsend_suite": 5, "listing_one": 6}
-BOUNDARY_PAIRS_PER_FIXTURE = 300
 
 
 def write_inputs(dest: Path) -> None:
@@ -59,7 +55,11 @@ def write_inputs(dest: Path) -> None:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     from bench import inputs
     from lios.fixtures import corpus
-    from lios.fixtures.sweep import boundary_fields, boundary_mutant
+    from lios.fixtures.sweep import (
+        BOUNDARY_SAMPLE_SEEDS,
+        boundary_mutant,
+        boundary_sample,
+    )
 
     apps = dest / "apps"
     apps.mkdir(parents=True)
@@ -80,10 +80,7 @@ def write_inputs(dest: Path) -> None:
             (apps / f"{name}_anywhere_{s}.bin").write_bytes(mutant)
     for name, seed in BOUNDARY_SAMPLE_SEEDS.items():
         blob = fixtures[name]
-        pairs = random.Random(seed).sample(
-            boundary_fields(blob), BOUNDARY_PAIRS_PER_FIXTURE
-        )
-        for offset, value in pairs:
+        for offset, value in boundary_sample(blob, seed):
             mutant = boundary_mutant(blob, offset, value)
             (apps / f"{name}_word{offset:#x}_{value:#x}.bin").write_bytes(mutant)
     for seed in BATCH_SEEDS:
