@@ -242,10 +242,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except LiosError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (LiosError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

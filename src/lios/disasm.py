@@ -5,10 +5,12 @@ and control flow, one arm per group of forms: NOP; RET, BR and BLR; B and
 BL; B.cond, CBZ/CBNZ and TBZ/TBNZ; ADR and ADRP; MOVZ, MOVN and MOVK; the
 ORR register move; ADD/SUB immediate and shifted register with their
 CMP/CMN aliases; and the loads and stores: LDR/STR with an unsigned offset,
-the imm9 forms (LDUR/STUR and pre- and post-indexed LDR/STR) and LDP/STP.
-Everything else, the reserved encodings of these forms included, decodes to
-an opaque `.word` that defines and uses nothing, which keeps downstream
-analyses conservative but total.
+the imm9 forms (LDUR/STUR and pre- and post-indexed LDR/STR), LDP/STP and
+LDPSW, which loads two words into x registers and so reads 4-byte frame
+slots.  Everything else, the reserved encodings of these forms and STGP
+(LDPSW's encoding as a store) included, decodes to an opaque `.word` that
+defines and uses nothing, which keeps downstream analyses conservative but
+total.
 
 Register-to-register dataflow is tracked per function with a light constant
 and stack-offset propagation; stack slots addressed as sp/fp plus a constant
@@ -31,7 +33,7 @@ from .macho import (
     symbol_name_for_function,
     va_to_offset,
 )
-from .objc import strip_class_prefix
+from .objc import method_name, strip_class_prefix
 
 RETURN_REG = "x0"
 LINK_REG = "x30"
@@ -358,9 +360,12 @@ def _decode_loadstore(word: int, ins: Instruction) -> bool:
         tail, mode = _IMM9_MODES[(word >> 10) & 0x3]
         imm = _sext((word >> 12) & 0x1FF, 9)
     elif (word >> 25) & 0x1F == 0x14 and (word >> 23) & 0x3 and word >> 30 != 3:
-        # LDP/STP; opc 11 is reserved
+        # LDP/STP; opc 11 is reserved, and opc 01 is LDPSW or STGP
+        if word >> 30 == 1 and not is_load:
+            return False  # STGP stores a tag, not two registers
         sixty_four = bool(word >> 31)
-        tail, mode = "p", _PAIR_MODES[(word >> 23) & 0x3]
+        tail = "psw" if word >> 30 == 1 else "p"
+        mode = _PAIR_MODES[(word >> 23) & 0x3]
         imm = _sext((word >> 15) & 0x7F, 7) << (3 if sixty_four else 2)
         rt2 = (word >> 10) & 0x1F
     else:
@@ -375,11 +380,12 @@ def _decode_loadstore(word: int, ins: Instruction) -> bool:
     ins.mem_base = "sp" if rn == 31 else _XNAMES[rn]
     ins.mem_offset = imm
     ins.mem_mode = mode
-    regs = _print_reg(rt, sixty_four)
+    x_text = sixty_four or tail == "psw"  # LDPSW sign-extends into x registers
+    regs = _print_reg(rt, x_text)
     tlocs = (_loc_for(rt),)
     if rt2 is not None:
         ins.rt2 = _XNAMES[rt2]
-        regs += ", " + _print_reg(rt2, sixty_four)
+        regs += ", " + _print_reg(rt2, x_text)
         tlocs += (_loc_for(rt2),)
     base = _print_reg(rn, True, sp_ok=True)
     if mode == "off":
@@ -453,7 +459,7 @@ def build_function(
         name = symbol_name_for_function(image, entry_ea) or ""
     else:
         cls, method = hit
-        name = f"{'+' if cls.is_metaclass else '-'}[{cls.name} {method.selector}]"
+        name = method_name(cls.is_metaclass, cls.name, method.selector)
     fn = build_function_from_instructions(instructions, name)
     if hit is not None:
         fn.objc_class_name = cls.name
@@ -785,13 +791,15 @@ CONST_STRING = lambda text: ResolvedValue("const_string", text=text)
 SELF_REF = ResolvedValue("self_ref")
 OWN_SELECTOR = ResolvedValue("own_selector")
 UNKNOWN = ResolvedValue("unknown")
+# what the argument registers hold on entry to a method; anything else is UNKNOWN
+_AT_ENTRY = {reg("x0"): SELF_REF, reg("x1"): OWN_SELECTOR}
 
 
 def composed(receiver: ResolvedValue, selector: ResolvedValue) -> ResolvedValue:
     return ResolvedValue("composed", receiver=receiver, selector=selector)
 
 
-def _resolve_memory(model, address: int) -> ResolvedValue | None:
+def _resolve_memory(model, address: int) -> str | None:
     """A constant address into objc metadata or string sections, as text."""
     if model is None or model.image is None:
         return None
@@ -799,38 +807,30 @@ def _resolve_memory(model, address: int) -> ResolvedValue | None:
     if model.selmap is not None:
         sel = model.selmap.get(address)
         if sel is not None:
-            return CONST_STRING(sel)
+            return sel
     cls = model.by_address.get(address)
     if cls is not None:
-        return CONST_STRING(cls.name)
+        return cls.name
     for sect_name in ("__objc_methname", "__cstring", "__objc_classname"):
         sect = image.section("__TEXT", sect_name)
         if sect is not None and sect.contains_va(address):
             text = read_cstring(image, address)
             if text is not None:
-                return CONST_STRING(text)
+                return text
     bound = image.bind_map.get(address)
-    if bound is not None:
-        return CONST_STRING(strip_class_prefix(bound))
-    return None
+    return strip_class_prefix(bound) if bound is not None else None
 
 
-def resolve_constant(model, address: int) -> ResolvedValue | None:
-    """Public lookup of an address against metadata and string sections;
-    on a miss, follow the one pointer stored there (a classref/selref-style
-    slot) and resolve its target."""
-    if model is None or model.image is None:
-        return None
-    direct = _resolve_memory(model, address)
-    if direct is not None:
-        return direct
-    pointer = read_u64(model.image, address)
-    if pointer is None:
-        return None
-    pointer = strip_pac(pointer)
-    if pointer:
-        return _resolve_memory(model, pointer)
-    return None
+def resolve_constant(model, address: int) -> str | None:
+    """Public lookup of an address against metadata and string sections, as
+    text; on a miss, follow the one pointer stored there (a classref/selref-
+    style slot) and resolve its target."""
+    text = _resolve_memory(model, address)
+    if text is None and model is not None and model.image is not None:
+        pointer = strip_pac(read_u64(model.image, address) or 0)
+        if pointer:
+            text = _resolve_memory(model, pointer)
+    return text
 
 
 def backtrace(
@@ -852,13 +852,6 @@ def backtrace(
         i = bisect_right(starts, ea) - 1
         return blocks[i] if i >= 0 and ea < blocks[i].end else None
 
-    def at_entry_value(loc: Loc) -> ResolvedValue:
-        if loc == reg("x0"):
-            return SELF_REF
-        if loc == reg("x1"):
-            return OWN_SELECTOR
-        return UNKNOWN
-
     results: set[ResolvedValue] = set()
     visited: set[tuple[Loc, int]] = set()
     work: list[tuple[Loc, int]] = []
@@ -866,7 +859,7 @@ def backtrace(
     def push_before(loc: Loc, ea: int) -> None:
         """Keep tracing `loc` from just before the instruction at `ea`."""
         if ea == fn.entry_ea:
-            results.add(at_entry_value(loc))
+            results.add(_AT_ENTRY.get(loc, UNKNOWN))
         elif ea in preds:  # a block's first instruction
             work.extend((loc, block_at(p).end - 4) for p in preds[ea])
         else:
@@ -885,31 +878,22 @@ def backtrace(
         ins = block.instructions[(ea - block.ea) // 4]
         if loc in eff.eff_defs.get(ea, ()):
             if ins.is_store and loc.kind in ("stack", "mem"):
-                source = ins.rd
-                if ins.rt2 is not None and _is_second_slot(eff, ins, loc):
-                    source = ins.rt2
-                if source is not None:
-                    push_before(reg(source), ea)
-                else:
-                    results.add(UNKNOWN)
+                second = ins.rt2 is not None and _is_second_slot(eff, ins, loc)
+                push_before(reg(ins.rt2 if second else ins.rd), ea)
                 continue
             info = eff.assign.get(ea, ("opaque",))
+            text = None
             if info[0] == "const":
-                resolved = _resolve_memory(model, info[1]) if info[1] else None
-                results.add(resolved if resolved is not None else UNKNOWN)
-            elif info[0] == "load":
-                target = info[1]
-                if target.kind == "mem":
-                    resolved = resolve_constant(model, target.value)
-                    results.add(resolved if resolved is not None else UNKNOWN)
-                else:
-                    push_before(target, ea)
-            elif info[0] == "copy":
+                text = _resolve_memory(model, info[1]) if info[1] else None
+            elif info[0] == "load" and info[1].kind == "mem":
+                text = resolve_constant(model, info[1].value)
+            elif info[0] in ("load", "copy"):
                 push_before(info[1], ea)
+                continue
             elif info[0] == "call" and loc == reg(RETURN_REG):
                 results |= _trace_through_call(fn, ins, model, depth, functions, eff)
-            else:
-                results.add(UNKNOWN)
+                continue
+            results.add(UNKNOWN if text is None else CONST_STRING(text))
             continue
         push_before(loc, ea)
     return results or {UNKNOWN}
@@ -925,32 +909,28 @@ def _is_second_slot(eff: _Effects, ins: Instruction, loc: Loc) -> bool:
 
 
 def _trace_through_call(fn, ins, model, depth, functions, eff):
-    if depth <= 0:
-        return {UNKNOWN}
+    """Values of x0 after the call at `ins`: what an in-image callee returns,
+    or a message send composed of its receiver and selector."""
     target = ins.branch_target
-    name = None
+    if depth <= 0 or target is None:
+        return {UNKNOWN}
     if functions is not None and target in functions:
         callee = functions[target]
-        returns = [
-            i.ea for i in callee.instructions() if i.kind == "return"
-        ]
+        returns = [i.ea for i in callee.instructions() if i.kind == "return"]
+        callee_eff = compute_effects(callee) if returns else None
         out: set[ResolvedValue] = set()
         for ret_ea in returns:
             out |= backtrace(
-                callee, reg(RETURN_REG), ret_ea, model, depth - 1, functions
+                callee, reg(RETURN_REG), ret_ea, model, depth - 1, functions, callee_eff
             )
         return out or {UNKNOWN}
-    if model is not None and model.image is not None and target is not None:
-        name = _stub_name(model.image, target)
-    if name is not None and name.startswith("objc_msgSend"):
-        receivers = backtrace(
-            fn, reg("x0"), ins.ea, model, depth - 1, functions, _effects=eff
-        )
-        selectors = backtrace(
-            fn, reg("x1"), ins.ea, model, depth - 1, functions, _effects=eff
-        )
-        return {composed(r, s) for r in receivers for s in selectors}
-    return {UNKNOWN}
+    image = model.image if model is not None else None
+    stub = _stub_name(image, target) if image is not None else None
+    if stub is None or not stub.startswith("objc_msgSend"):
+        return {UNKNOWN}
+    receivers = backtrace(fn, reg("x0"), ins.ea, model, depth - 1, functions, eff)
+    selectors = backtrace(fn, reg("x1"), ins.ea, model, depth - 1, functions, eff)
+    return {composed(r, s) for r in receivers for s in selectors}
 
 
 # ---------------------------------------------------------------------------
@@ -1023,15 +1003,10 @@ def devirtualize(
     sites: list[CallSite] = []
     for ins in fn.instructions():
         target = ins.branch_target
-        if ins.kind == "call" and ins.mnemonic == "bl":
-            pass
-        elif ins.kind == "branch" and not ins.conditional and target is not None:
-            if fn.entry_ea <= target < fn.end_ea:
-                continue  # ordinary jump, not a tail call
-        else:
-            continue
-        if target is None:
-            continue
+        if ins.mnemonic != "bl" and (
+            ins.mnemonic != "b" or fn.entry_ea <= target < fn.end_ea
+        ):
+            continue  # neither a call nor a tail call out of the function
         stub = _stub_name(image, target) if image is not None else None
         if stub is None:
             name = None
@@ -1050,67 +1025,34 @@ def devirtualize(
     return sites
 
 
+def _text(value: ResolvedValue, stand_in: ResolvedValue, own: str | None):
+    """A constant's text, or `own` where `value` is its role's entry stand-in
+    (SELF_REF for a receiver, OWN_SELECTOR for a selector); else None."""
+    if value.variant == "const_string":
+        return value.text
+    return own if value == stand_in else None
+
+
 def _resolve_msgsend(fn, ins, model, depth, functions, eff) -> list[CallSite]:
-    receivers = backtrace(fn, reg("x0"), ins.ea, model, depth, functions, _effects=eff)
-    selectors = backtrace(fn, reg("x1"), ins.ea, model, depth, functions, _effects=eff)
-
-    def selector_text(value: ResolvedValue) -> str | None:
-        if value.variant == "const_string":
-            return value.text
-        if value.variant == "own_selector":
-            return fn.objc_selector
-        return None
-
-    def receiver_class(value: ResolvedValue) -> str | None:
-        value = _flatten_receiver(value)
-        if value.variant == "const_string":
-            return value.text
-        if value.variant == "self_ref":
-            return fn.objc_class_name
-        return None
-
-    sites: list[CallSite] = []
-    seen_selectors = set()
-    seen_receivers = set()
-    for r in receivers:
-        for s in selectors:
-            sel = selector_text(s)
-            cls_name = receiver_class(r)
-            if sel is not None:
-                seen_selectors.add(sel)
-            if cls_name is not None:
-                seen_receivers.add(cls_name)
-            if sel is None or cls_name is None or model is None:
-                continue
+    receivers = backtrace(fn, reg("x0"), ins.ea, model, depth, functions, eff)
+    selectors = backtrace(fn, reg("x1"), ins.ea, model, depth, functions, eff)
+    classes = {
+        _text(_flatten_receiver(r), SELF_REF, fn.objc_class_name) for r in receivers
+    } - {None}
+    sels = {_text(s, OWN_SELECTOR, fn.objc_selector) for s in selectors} - {None}
+    sites = set()
+    for cls_name in classes:
+        for sel in sels:
             hit = model.lookup(cls_name, sel)
-            if hit is None:
-                continue
-            cls, method = hit
-            if method.impl_address is None:
-                continue
-            marker = "+" if cls.is_metaclass else "-"
-            sites.append(
-                CallSite(
-                    ins.ea,
-                    "in_image",
-                    method.impl_address,
-                    f"{marker}[{cls.name} {sel}]",
-                    selector=sel,
-                )
-            )
-    if not sites:
-        return [
-            CallSite(
-                ins.ea,
-                "external",
-                None,
-                "objc_msgSend",
-                selector=min(seen_selectors) if seen_selectors else None,
-                receiver=min(seen_receivers) if seen_receivers else None,
-            )
-        ]
-    # the value sets iterate in hash order, which varies between processes
-    return sorted(set(sites), key=lambda s: (s.target_ea, s.target_name))
+            if hit is not None and hit[1].impl_address is not None:
+                cls, method = hit
+                name = method_name(cls.is_metaclass, cls.name, sel)
+                sites.add(CallSite(ins.ea, "in_image", method.impl_address, name, sel))
+    if sites:
+        # the value sets iterate in hash order, which varies between processes
+        return sorted(sites, key=lambda s: (s.target_ea, s.target_name))
+    selector, receiver = min(sels, default=None), min(classes, default=None)
+    return [CallSite(ins.ea, "external", None, "objc_msgSend", selector, receiver)]
 
 
 def call_effects_from_sites(sites: list[CallSite]) -> dict[int, set[str]]:

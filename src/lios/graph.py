@@ -61,6 +61,7 @@ from .errors import (
     MissingEndpoint,
     UnknownLabel,
 )
+from .objc import method_name
 
 DUMP_HEADER = "lios-graph v1"
 
@@ -662,8 +663,8 @@ def build_from_frontends(
                 if ins.xref is not None:
                     props["xref"] = ins.xref
                     const = resolve_constant(model, ins.xref)
-                    if const is not None and const.variant == "const_string":
-                        props["const"] = const.text
+                    if const is not None:
+                        props["const"] = const
                 iid = g.add_node("Instruction", props)
                 instr_nodes[ins.ea] = iid
                 g.add_edge(bid, iid, "instr")
@@ -790,10 +791,9 @@ def link_pass(graph: PropertyGraph) -> dict:
         graph.add_edge(fn.id, method.id, "implements")
         added += 1
         if fn.get("name", "").startswith("sub_"):
-            marker = "+" if method.get("is_class_method") else "-"
-            graph.set_node_prop(
-                fn.id, "name", f"{marker}[{method.get('owner')} {method.get('name')}]"
-            )
+            is_class = method.get("is_class_method")
+            name = method_name(is_class, method.get("owner"), method.get("name"))
+            graph.set_node_prop(fn.id, "name", name)
             upgraded += 1
     return {"implements_added": added, "names_upgraded": upgraded,
             "unmatched_methods": unmatched}

@@ -127,7 +127,11 @@ class SymbolEntry:
 
 @dataclass
 class MachoImage:
-    """A parsed 64-bit Mach-O image.  Immutable after parse; safe to share."""
+    """A parsed 64-bit Mach-O image.
+
+    Its fields do not change after parse, except `warnings`: `load_model`'s
+    parsers and the pipeline's end-of-code scan append to it.  So share an
+    image only between lifts that may see each other's warnings."""
 
     data: bytes
     segments: list[Segment] = field(default_factory=list)

@@ -270,6 +270,11 @@ def strip_class_prefix(symbol: str) -> str:
     return symbol.lstrip("_")
 
 
+def method_name(is_class_method: bool, owner: str, selector: str) -> str:
+    """A method's display name: `+[Owner sel]` or `-[Owner sel]`."""
+    return f"{'+' if is_class_method else '-'}[{owner} {selector}]"
+
+
 def parse_classlist(image: MachoImage) -> list[ObjcClass]:
     """Concrete classes from `__objc_classlist` plus their meta-classes and
     placeholder entries for import-bound external superclasses."""

@@ -116,6 +116,7 @@ class TestDecode:
             0x8BC20020,  # add x0, x1, x2 with shift type 3
             0x0B028020,  # add w0, w1, w2 shifted by 32
             0xE9400000,  # ldp with opc 11
+            0x69008BE1,  # stgp x1, x2, [sp, #16]: stores a tag, outside the subset
         ],
         ids=hex,
     )
@@ -125,6 +126,16 @@ class TestDecode:
         assert ins == Instruction(
             ORIGIN, ins.bytes, f".word 0x{word:08x}", "other", mnemonic=".word"
         )
+
+    def test_ldpsw_loads_two_words_into_x_registers(self):
+        ldpsw = decode(struct.pack("<I", 0x69408BE1), ORIGIN)
+        assert ldpsw.asm == "ldpsw x1, x2, [sp, #4]"
+        assert ldpsw.defs == {reg("x1"), reg("x2")} and ldpsw.uses == {reg("sp")}
+        assert not ldpsw.sixty_four and ldpsw.mem_offset == 4
+        fn = build_function_from_instructions([ldpsw])
+        assert compute_effects(fn).eff_uses[ORIGIN] == {
+            reg("sp"), stack_slot(4), stack_slot(8)
+        }
 
     @pytest.mark.parametrize(
         "text",
@@ -271,7 +282,7 @@ def test_decoder_output_is_pinned():
         digest.update(repr(record).encode())
     assert len(words) == 62_000
     assert digest.hexdigest() == (
-        "3bdf92575289f6b5c331080adf5c3cc20f05e93f317ba3ecd1e50c9c0cc26d21"
+        "41615911dafde125f2d8324a0b5743880a6a6c1683c117511b0b825a4ec0c510"
     )
 
 
@@ -1046,6 +1057,33 @@ def call_image():
         b stub_objc_msgSend
         """,
     )
+    s.func("self_as_sel", "mov x1, x0\nbl stub_objc_msgSend\nret")
+    s.func("cmd_as_recv", "mov x0, x1\nbl stub_objc_msgSend\nret")
+    s.func(
+        "msg_ghost",
+        """
+        adrp x0, classref_Worker@page
+        ldr x0, [x0, classref_Worker@pageoff]
+        adrp x1, sel_ghost@page
+        ldr x1, [x1, sel_ghost@pageoff]
+        bl stub_objc_msgSend
+        ret
+        """,
+    )
+    s.func(
+        "msg_unknown_result",
+        """
+        adrp x0, classref_Worker@page
+        ldr x0, [x0, classref_Worker@pageoff]
+        mov x1, x5
+        bl stub_objc_msgSend
+        adrp x1, sel_doWork@page
+        ldr x1, [x1, sel_doWork@pageoff]
+        bl stub_objc_msgSend
+        ret
+        """,
+    )
+    s.selref("ghost")
     s.classref("Worker")
     s.classref("Sub")
     s.add_class(
@@ -1054,6 +1092,9 @@ def call_image():
             methods=[
                 MethodSpec("doWork", "impl_work"),
                 MethodSpec("otherThing", "method_body"),
+                MethodSpec("self_as_sel", "self_as_sel"),
+                MethodSpec("cmd_as_recv", "cmd_as_recv"),
+                MethodSpec("ghost", None),
             ],
         )
     )
@@ -1130,6 +1171,29 @@ class TestDevirtualize:
         assert hit.kind == "external"
         assert hit.target_name == "objc_msgSend"
         assert hit.selector == "doWork"
+
+    @pytest.mark.parametrize(
+        "name, n, call, selector, receiver",
+        [
+            # self passed as the selector, and _cmd as the receiver, name no
+            # method: each stand-in counts only in its own role
+            ("self_as_sel", 3, 4, None, "Worker"),
+            ("cmd_as_recv", 3, 4, "cmd_as_recv", None),
+            # a declared method with no implementation in the image
+            ("msg_ghost", 6, 16, "ghost", "Worker"),
+            # what a send of an unknown selector returns is of no known class
+            ("msg_unknown_result", 8, 24, "doWork", None),
+        ],
+    )
+    def test_unresolved_send_keeps_what_it_knows(
+        self, call_image, name, n, call, selector, receiver
+    ):
+        image, manifest, model = call_image
+        fn = self._fn(image, manifest, name, n, model=model)
+        call_ea = manifest["functions"][name] + call
+        assert [s for s in devirtualize(fn, model) if s.caller_ea == call_ea] == [
+            CallSite(call_ea, "external", None, "objc_msgSend", selector, receiver)
+        ]
 
     def test_tail_call_is_devirtualized(self, call_image):
         image, manifest, model = call_image

@@ -390,6 +390,25 @@ class TestBinds:
         assert _parse_bind_stream(image, 0, len(stream)) == {}
         assert image.warnings[0].startswith("bind stream malformed: ")
 
+    @pytest.mark.parametrize(
+        "tail, binds, warnings",
+        [
+            # SET_ADDEND_SLEB is skipped, and DO_BIND_ADD_ADDR_IMM_SCALED
+            # with immediate 1 steps 8 + 1 * 8 bytes
+            (b"\x40_a\x00\x60\x78\xb1\x90\x00", {0x4000: "_a", 0x4010: "_a"}, []),
+            (b"\x90\xd0\x90", {0x4000: ""}, ["unknown bind opcode 0xd0"]),
+            (b"\x40_a", {}, ["bind stream malformed: unterminated bind symbol name"]),
+        ],
+    )
+    def test_addend_scaled_unknown_and_unterminated(self, tail, binds, warnings):
+        # SET_SEGMENT_AND_OFFSET_ULEB segment 0, offset 0, then the tail
+        stream = bytes([0x70]) + encode_uleb128(0) + tail
+        image = MachoImage(
+            data=stream, segments=[Segment("__DATA", 0x4000, 0x100, 0, 0x100)]
+        )
+        assert _parse_bind_stream(image, 0, len(stream)) == binds
+        assert image.warnings == warnings
+
     def test_indirect_symbols(self):
         b = MachoBuilder()
         b.section("__TEXT", "__text", align=4, flags=TEXT_FLAGS).append(RET)
