@@ -7,8 +7,9 @@ ORR register move; ADD/SUB immediate and shifted register with their
 CMP/CMN aliases; and the loads and stores: LDR/STR with an unsigned offset,
 the imm9 forms (LDUR/STUR and pre- and post-indexed LDR/STR), LDP/STP and
 LDPSW, which loads two words into x registers and so reads 4-byte frame
-slots.  Everything else, the reserved encodings of these forms and STGP
-(LDPSW's encoding as a store) included, decodes to an opaque `.word` that
+slots.  Everything else, the reserved encodings of these forms, STGP
+(LDPSW's encoding as a store) and a 32-bit MOVZ, MOVN or MOVK that shifts
+by 32 or 48 (`hw` >= 2) included, decodes to an opaque `.word` that
 defines and uses nothing, which keeps downstream analyses conservative but
 total.
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -259,10 +261,10 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
 
     if word & 0x1F800000 == 0x12800000:  # MOVN/MOVZ/MOVK
         opc = (word >> 29) & 0x3
-        if opc == 1:
-            return _opaque(ins, word)
         sixty_four = bool(word >> 31)
         hw = (word >> 21) & 0x3
+        if opc == 1 or (hw >= 2 and not sixty_four):
+            return _opaque(ins, word)
         imm16 = (word >> 5) & 0xFFFF
         rd = word & 0x1F
         shift = 16 * hw
@@ -437,33 +439,45 @@ class FunctionBody:
             yield from b.instructions
 
 
-def build_function(
-    image: MachoImage, entry_ea: int, end_ea: int, model=None
-) -> FunctionBody:
-    """Decode [entry_ea, end_ea) and shape it into basic blocks."""
+def word_span(image: MachoImage, entry_ea: int, end_ea: int) -> tuple[int, int]:
+    """(file offset, count) of the whole words of [entry_ea, end_ea) in the
+    file, which can end mid-word; EmptyRange if there are none."""
     offset = va_to_offset(image, entry_ea)
     if offset is None:
         raise EmptyRange(f"entry {entry_ea:#x} is not mapped")
-    # only the whole words the file holds: a truncated image can end mid-word
     count = min(end_ea - entry_ea, len(image.data) - offset) // 4
     if count <= 0:
         raise EmptyRange(
             f"function range [{entry_ea:#x}, {end_ea:#x}) holds no whole word"
         )
+    return offset, count
+
+
+def function_name(image: MachoImage, model, entry_ea: int) -> str:
+    """The name `build_function` gives the body at `entry_ea`, without
+    decoding it: `±[Class sel]` for a method, else the symbol, else `sub_…`."""
+    hit = model.class_of_impl(entry_ea) if model is not None else None
+    if hit is not None:
+        cls, method = hit
+        return method_name(cls.is_metaclass, cls.name, method.selector)
+    return symbol_name_for_function(image, entry_ea) or f"sub_{entry_ea:x}"
+
+
+def build_function(
+    image: MachoImage, entry_ea: int, end_ea: int, model=None
+) -> FunctionBody:
+    """Decode [entry_ea, end_ea) and shape it into basic blocks."""
+    offset, count = word_span(image, entry_ea, end_ea)
     instructions = [
         decode(image.data[offset + 4 * i : offset + 4 * i + 4], entry_ea + 4 * i)
         for i in range(count)
     ]
+    fn = build_function_from_instructions(
+        instructions, function_name(image, model, entry_ea)
+    )
     hit = model.class_of_impl(entry_ea) if model is not None else None
-    if hit is None:
-        name = symbol_name_for_function(image, entry_ea) or ""
-    else:
-        cls, method = hit
-        name = method_name(cls.is_metaclass, cls.name, method.selector)
-    fn = build_function_from_instructions(instructions, name)
     if hit is not None:
-        fn.objc_class_name = cls.name
-        fn.objc_selector = method.selector
+        fn.objc_class_name, fn.objc_selector = hit[0].name, hit[1].selector
     return fn
 
 
@@ -839,7 +853,7 @@ def backtrace(
     addr: int,
     model=None,
     depth: int = 2,
-    functions: dict[int, FunctionBody] | None = None,
+    functions: Mapping[int, FunctionBody] | None = None,
     _effects: _Effects | None = None,
 ) -> set[ResolvedValue]:
     """Possible values of `location` immediately before `addr` executes."""
@@ -991,7 +1005,7 @@ def _flatten_receiver(value: ResolvedValue) -> ResolvedValue:
 def devirtualize(
     fn: FunctionBody,
     model=None,
-    functions: dict[int, FunctionBody] | None = None,
+    functions: Mapping[int, FunctionBody] | None = None,
     depth: int = 2,
     effects: _Effects | None = None,
 ) -> list[CallSite]:
@@ -1012,8 +1026,8 @@ def devirtualize(
             name = None
             if image is not None:
                 name = symbol_name_for_function(image, target)
-            if name is None and functions is not None and target in functions:
-                name = functions[target].name
+                if name is None and functions is not None and target in functions:
+                    name = function_name(image, model, target)  # no decode
             sites.append(
                 CallSite(ins.ea, "in_image", target, name or f"sub_{target:x}")
             )

@@ -52,6 +52,7 @@ from .disasm import (
     compute_effects,
     compute_use_def,
     devirtualize,
+    function_name,
     resolve_constant,
 )
 from .errors import (
@@ -581,7 +582,12 @@ def build_from_frontends(
     entitlements: str | None = None,
     depth: int = 2,
 ) -> PropertyGraph:
-    """Assemble the unified graph; tolerates any frontend being absent."""
+    """Assemble the unified graph; tolerates any frontend being absent.
+
+    `functions` holds bodies decoded from `image`, named by `function_name`.
+    Each is looked up once and let go after its dataflow and assembly, so
+    bodies decoded at lookup cost the store plus one function.
+    """
     g = PropertyGraph()
     functions = functions or {}
 
@@ -604,8 +610,8 @@ def build_from_frontends(
 
     fn_nodes: dict[int, int] = {}
     for entry in sorted(functions):
-        fn = functions[entry]
-        props = {"ea": entry, "name": fn.name, "is_ext": False}
+        name = function_name(image, model, entry)
+        props = {"ea": entry, "name": name, "is_ext": False}
         if entry in exported:
             props["exported"] = True
         fid = g.add_node("Function", props)

@@ -11,11 +11,12 @@ import json
 import logging
 import time
 import zipfile
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import analyses
-from .disasm import build_function
+from .disasm import FunctionBody, build_function, word_span
 from .errors import (
     EmptyRange,
     EncryptedBinary,
@@ -170,6 +171,30 @@ def _end_of_code(image, text) -> int:
     return bound
 
 
+class FunctionBodies(Mapping):
+    """Function bodies by entry address, decoded by `build_function` at each
+    lookup and not kept; `seconds` adds up the time spent decoding."""
+
+    def __init__(self, image, model, ranges: dict[int, tuple[int, int]]):
+        self._image, self._model, self._ranges = image, model, ranges
+        self.seconds = 0.0
+
+    def __getitem__(self, entry: int) -> FunctionBody:
+        t = time.perf_counter()
+        fn = build_function(self._image, *self._ranges[entry], model=self._model)
+        self.seconds += time.perf_counter() - t
+        return fn
+
+    def __contains__(self, entry) -> bool:
+        return entry in self._ranges
+
+    def __iter__(self):
+        return iter(self._ranges)
+
+    def __len__(self) -> int:
+        return len(self._ranges)
+
+
 @dataclass
 class PipelineResult:
     graph: PropertyGraph
@@ -183,7 +208,9 @@ class PipelineResult:
 def lift(config: AnalysisConfig):
     """(graph, ingested, timings) for the configured input, passes applied.
 
-    The cyclic collector is paused throughout: see `paused_gc`.
+    Bodies are decoded one at a time and dropped after assembly, so peak
+    memory is the store plus one function. The cyclic collector is paused
+    throughout: see `paused_gc`.
     """
     timings: dict[str, float] = {}
     t = time.perf_counter()
@@ -208,15 +235,17 @@ def lift(config: AnalysisConfig):
              len(model.classes), len(model.protocols))
 
     t = time.perf_counter()
-    functions = {}
+    ranges = {}
     skipped = []
     for start, (s, e) in discover_functions(image, model).items():
         try:
-            functions[start] = build_function(image, s, e, model=model)
+            word_span(image, s, e)
         except EmptyRange as exc:
             skipped.append(f"function {start:#x} skipped: {exc}")
+        else:
+            ranges[start] = (s, e)
+    functions = FunctionBodies(image, model, ranges)
     timings["disasm"] = time.perf_counter() - t
-    log.info("decoded %d functions", len(functions))
 
     entitlements = None
     if config.entitlements:
@@ -238,7 +267,9 @@ def lift(config: AnalysisConfig):
         graph.set_node_prop(program.id, "info_error", ingested.info_error)
     log.info("link pass: %s", link_pass(graph))
     log.info("entrypoint pass: %s", mark_entrypoints(graph))
-    timings["graph"] = time.perf_counter() - t
+    timings["graph"] = time.perf_counter() - t - functions.seconds
+    timings["disasm"] += functions.seconds
+    log.info("decoded %d functions", len(functions))
     return graph, ingested, timings
 
 

@@ -117,6 +117,8 @@ class TestDecode:
             0x0B028020,  # add w0, w1, w2 shifted by 32
             0xE9400000,  # ldp with opc 11
             0x69008BE1,  # stgp x1, x2, [sp, #16]: stores a tag, outside the subset
+            0x52DD34D6,  # movz w22 with hw 2: a shift by 32 needs an x register
+            0x72E00020,  # movk w0 with hw 3
         ],
         ids=hex,
     )
@@ -126,6 +128,12 @@ class TestDecode:
         assert ins == Instruction(
             ORIGIN, ins.bytes, f".word 0x{word:08x}", "other", mnemonic=".word"
         )
+
+    def test_wide_move_shifts_past_32_bits_only_in_x_registers(self):
+        # the x form of 0x52DD34D6, the reserved `mov w22, #0xe9a6 << 32`
+        ins = decode(struct.pack("<I", 0xD2DD34D6), ORIGIN)
+        assert ins.asm == "mov x22, #256899173842944"
+        assert ins.immediate == 0xE9A6 << 32 and ins.defs == {reg("x22")}
 
     def test_ldpsw_loads_two_words_into_x_registers(self):
         ldpsw = decode(struct.pack("<I", 0x69408BE1), ORIGIN)
@@ -282,7 +290,7 @@ def test_decoder_output_is_pinned():
         digest.update(repr(record).encode())
     assert len(words) == 62_000
     assert digest.hexdigest() == (
-        "41615911dafde125f2d8324a0b5743880a6a6c1683c117511b0b825a4ec0c510"
+        "c20d6d24d5b166e6ec3cd98800ef36927a0c36f06728c4f2ab0d4215def678cf"
     )
 
 
