@@ -383,14 +383,26 @@ class TaintRule:
     severity: str
 
 
+def _is_arg(value) -> bool:
+    """A register index of x0-x30: an int, and not a bool."""
+    return type(value) is int and 0 <= value <= 30
+
+
+def _list_of(raw: dict, key: str, kind: type, rule_id: str) -> list:
+    """A rule's list of `kind` items under `key`; empty where absent."""
+    value = raw.get(key, [])
+    if isinstance(value, list) and all(isinstance(v, kind) for v in value):
+        return value
+    raise MalformedRuleFile(f"rule {rule_id}: '{key}' is not a list of {kind.__name__}")
+
+
 def _parse_source(raw: dict, rule_id: str):
     kind = raw.get("kind")
     if kind == "argument":
-        if not isinstance(raw.get("arg"), int):
-            raise MalformedRuleFile(f"rule {rule_id}: argument source needs an int 'arg'")
-        return ArgSource(
-            raw["arg"], selector=raw.get("selector"), owner=raw.get("owner")
-        )
+        names = (raw.get("selector"), raw.get("owner"))
+        if _is_arg(raw.get("arg")) and {type(n) for n in names} <= {str, type(None)}:
+            return ArgSource(raw["arg"], *names)
+        raise MalformedRuleFile(f"rule {rule_id}: bad argument source {raw!r}")
     if kind == "return":
         if not isinstance(raw.get("callee"), str):
             raise MalformedRuleFile(f"rule {rule_id}: return source needs a 'callee'")
@@ -419,34 +431,35 @@ def load_rules(source) -> list[TaintRule]:
         raise MalformedRuleFile("rule file must contain a 'rules' array")
     out = []
     for raw in raw_rules:
-        rule_id = raw.get("id")
+        rule_id = raw.get("id") if isinstance(raw, dict) else None
         if not isinstance(rule_id, str) or not rule_id:
-            raise MalformedRuleFile("every rule needs a string 'id'")
+            raise MalformedRuleFile("every rule must be an object with a string 'id'")
         severity = raw.get("severity", "warning")
         if severity not in SEVERITIES:
             raise MalformedRuleFile(f"rule {rule_id}: unknown severity {severity!r}")
-        sinks = []
-        for sink in raw.get("sinks", ()):
-            if not isinstance(sink.get("callee"), str) or not isinstance(
-                sink.get("arg"), int
-            ):
-                raise MalformedRuleFile(
-                    f"rule {rule_id}: sinks need 'callee' and int 'arg'"
-                )
-            sinks.append(Sink(sink["callee"], sink["arg"]))
-        if not sinks:
-            raise MalformedRuleFile(f"rule {rule_id}: at least one sink required")
-        sources = tuple(_parse_source(s, rule_id) for s in raw.get("sources", ()))
+        sinks = tuple(
+            Sink(s.get("callee"), s.get("arg"))
+            for s in _list_of(raw, "sinks", dict, rule_id)
+        )
+        if not sinks or not all(
+            isinstance(s.callee, str) and _is_arg(s.arg) for s in sinks
+        ):
+            raise MalformedRuleFile(
+                f"rule {rule_id}: needs sinks, each a 'callee' and an 'arg' of 0-30"
+            )
+        sources = tuple(
+            _parse_source(s, rule_id) for s in _list_of(raw, "sources", dict, rule_id)
+        )
         if not sources:
             raise MalformedRuleFile(f"rule {rule_id}: at least one source required")
         out.append(
             TaintRule(
                 id=rule_id,
-                selectors=tuple(raw.get("selectors", ())),
+                selectors=tuple(_list_of(raw, "selectors", str, rule_id)),
                 spec=TaintSpec(
                     sources=sources,
-                    sinks=tuple(sinks),
-                    sanitizers=frozenset(raw.get("sanitizers", ())),
+                    sinks=sinks,
+                    sanitizers=frozenset(_list_of(raw, "sanitizers", str, rule_id)),
                 ),
                 severity=severity,
             )

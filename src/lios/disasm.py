@@ -13,6 +13,11 @@ by 32 or 48 (`hw` >= 2) included, decodes to an opaque `.word` that
 defines and uses nothing, which keeps downstream analyses conservative but
 total.
 
+Register 31 is sp as a load or store base and in ADD/SUB immediate (bar
+the rd of ADDS/SUBS: CMP/CMN), and the zero register everywhere else.  It
+prints as LLVM prints it (`sp`/`wsp`, `xzr`/`wzr`), and the zero register
+is no location: `ret xzr` and `br xzr` use nothing, `adr xzr` defines nothing.
+
 Register-to-register dataflow is tracked per function with a light constant
 and stack-offset propagation; stack slots addressed as sp/fp plus a constant
 become first-class locations so spills don't break use-def chains.
@@ -32,7 +37,6 @@ from .macho import (
     read_cstring,
     read_u64,
     strip_pac,
-    symbol_name_for_function,
     va_to_offset,
 )
 from .objc import method_name, strip_class_prefix
@@ -65,18 +69,17 @@ class Loc(NamedTuple):
 
 
 # operand names by register number; "x31" is what an rd/rn/rm field of 31
-# reads as where the decoder does not spell it sp
+# reads as where the decoder does not spell it sp; `_REGS` has no x31
 _XNAMES = tuple(f"x{n}" for n in range(32))
-_REGS = {name: Loc("reg", name) for name in _XNAMES + ("sp",)}
+_REGS = {name: Loc("reg", name) for name in _XNAMES[:31] + ("sp",)}
 _X_LOCS = tuple(_REGS[name] for name in _XNAMES[:31])
 _SP_LOC = _REGS["sp"]
 
 # One shared frozenset per distinct location set the decoder builds, so that
 # instructions with equal sets hold the same object.  A decoded set holds at
 # most three register Locs (a load or store pair with writeback: rt, rt2 and
-# the base) out of the 33 in `_REGS`; only `ret x31` names x31.  So the table
-# never holds more than 1 + 33 + C(33, 2) + C(33, 3) = 6,018 sets, whatever
-# the input.
+# the base) out of the 32 in `_REGS`.  So the table never holds more than
+# 1 + 32 + C(32, 2) + C(32, 3) = 5,489 sets, whatever the input.
 _LOC_SETS: dict[frozenset, frozenset] = {}
 
 
@@ -141,7 +144,7 @@ class Instruction:
 def _print_reg(n: int, sixty_four: bool, sp_ok: bool = False) -> str:
     if n == 31:
         if sp_ok:
-            return "sp"
+            return "sp" if sixty_four else "wsp"
         return "xzr" if sixty_four else "wzr"
     return f"{'x' if sixty_four else 'w'}{n}"
 
@@ -197,13 +200,9 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
     if hit is not None:  # RET, BR, BLR
         rn = (word >> 5) & 0x1F
         ins.kind, name = hit
-        ins.mnemonic = name
-        if name == "ret":  # reads x31 for 31, and leaves `rn` unset
-            ins.asm = "ret" if rn == 30 else f"ret x{rn}"
-            ins.uses = _locs(reg(_XNAMES[rn]))
-            return ins
-        ins.rn = _XNAMES[rn]
-        ins.asm = f"{name} x{rn}"
+        ins.mnemonic, ins.rn = name, _XNAMES[rn]
+        plain_ret = name == "ret" and rn == 30
+        ins.asm = name if plain_ret else f"{name} {_print_reg(rn, True)}"
         ins.uses = _locs(_loc_for(rn))
         if name == "blr":
             ins.defs = _locs(reg(LINK_REG))
@@ -255,7 +254,7 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         ins.kind, ins.mnemonic = "assignment", name
         ins.rd = _XNAMES[rd]
         ins.immediate = ins.xref = value
-        ins.asm = f"{name} x{rd}, 0x{value:x}"
+        ins.asm = f"{name} {_print_reg(rd, True)}, 0x{value:x}"
         ins.defs = _locs(_loc_for(rd))
         return ins
 
@@ -431,8 +430,6 @@ class FunctionBody:
     end_ea: int
     # block ea -> the eas of its predecessor blocks, for every block
     predecessors: dict[int, list[int]]
-    objc_class_name: str | None = None
-    objc_selector: str | None = None
 
     def instructions(self):
         for b in self.blocks:
@@ -454,13 +451,12 @@ def word_span(image: MachoImage, entry_ea: int, end_ea: int) -> tuple[int, int]:
 
 
 def function_name(image: MachoImage, model, entry_ea: int) -> str:
-    """The name `build_function` gives the body at `entry_ea`, without
-    decoding it: `±[Class sel]` for a method, else the symbol, else `sub_…`."""
+    """The one naming rule, read without decoding: `±[Class sel]` for a method
+    at `entry_ea`, else its symbol (`image.symbol_names`), else `sub_…`."""
     hit = model.class_of_impl(entry_ea) if model is not None else None
     if hit is not None:
-        cls, method = hit
-        return method_name(cls.is_metaclass, cls.name, method.selector)
-    return symbol_name_for_function(image, entry_ea) or f"sub_{entry_ea:x}"
+        return method_name(hit[0].is_metaclass, hit[0].name, hit[1].selector)
+    return image.symbol_names.get(entry_ea) or f"sub_{entry_ea:x}"
 
 
 def build_function(
@@ -472,13 +468,9 @@ def build_function(
         decode(image.data[offset + 4 * i : offset + 4 * i + 4], entry_ea + 4 * i)
         for i in range(count)
     ]
-    fn = build_function_from_instructions(
+    return build_function_from_instructions(
         instructions, function_name(image, model, entry_ea)
     )
-    hit = model.class_of_impl(entry_ea) if model is not None else None
-    if hit is not None:
-        fn.objc_class_name, fn.objc_selector = hit[0].name, hit[1].selector
-    return fn
 
 
 def build_function_from_instructions(
@@ -1023,14 +1015,12 @@ def devirtualize(
             continue  # neither a call nor a tail call out of the function
         stub = _stub_name(image, target) if image is not None else None
         if stub is None:
-            name = None
-            if image is not None:
-                name = symbol_name_for_function(image, target)
-                if name is None and functions is not None and target in functions:
-                    name = function_name(image, model, target)  # no decode
-            sites.append(
-                CallSite(ins.ea, "in_image", target, name or f"sub_{target:x}")
-            )
+            name = f"sub_{target:x}"
+            if image is not None:  # the symbol first, then the naming rule
+                name = image.symbol_names.get(target) or function_name(
+                    image, model, target
+                )
+            sites.append(CallSite(ins.ea, "in_image", target, name))
             continue
         if stub.startswith("objc_msgSend"):
             sites.extend(_resolve_msgsend(fn, ins, model, depth, functions, effects))
@@ -1050,10 +1040,12 @@ def _text(value: ResolvedValue, stand_in: ResolvedValue, own: str | None):
 def _resolve_msgsend(fn, ins, model, depth, functions, eff) -> list[CallSite]:
     receivers = backtrace(fn, reg("x0"), ins.ea, model, depth, functions, eff)
     selectors = backtrace(fn, reg("x1"), ins.ea, model, depth, functions, eff)
+    hit = model.class_of_impl(fn.entry_ea)
+    own_class, own_sel = (hit[0].name, hit[1].selector) if hit else (None, None)
     classes = {
-        _text(_flatten_receiver(r), SELF_REF, fn.objc_class_name) for r in receivers
+        _text(_flatten_receiver(r), SELF_REF, own_class) for r in receivers
     } - {None}
-    sels = {_text(s, OWN_SELECTOR, fn.objc_selector) for s in selectors} - {None}
+    sels = {_text(s, OWN_SELECTOR, own_sel) for s in selectors} - {None}
     sites = set()
     for cls_name in classes:
         for sel in sels:

@@ -129,6 +129,9 @@ class SymbolEntry:
 class MachoImage:
     """A parsed 64-bit Mach-O image.
 
+    `symbol_names` is the address -> name view of `symbols`: the first defined,
+    non-debug, named symbol at an address, with one leading `_` stripped.
+
     Its fields do not change after parse, except `warnings`: `load_model`'s
     parsers and the pipeline's end-of-code scan append to it.  So share an
     image only between lifts that may see each other's warnings."""
@@ -137,6 +140,7 @@ class MachoImage:
     segments: list[Segment] = field(default_factory=list)
     sections: list[Section] = field(default_factory=list)
     symbols: list[SymbolEntry] = field(default_factory=list)
+    symbol_names: dict[int, str] = field(default_factory=dict)
     function_starts: list[int] = field(default_factory=list)
     entitlements: str | None = None
     image_base: int = 0
@@ -356,6 +360,8 @@ def _parse_symtab(image: MachoImage, symoff: int, nsyms: int, stroff: int, strsi
         is_undef = (n_type & N_TYPE) == N_UNDF and not is_debug
         is_ext = bool(n_type & N_EXT)
         address = None if is_undef else n_value
+        if address is not None and name and not is_debug:
+            image.symbol_names.setdefault(address, name.removeprefix("_"))
         image.symbols.append(
             SymbolEntry(
                 name=name,
@@ -601,11 +607,3 @@ def _parse_bind_stream(image: MachoImage, bind_off: int, bind_size: int) -> dict
         image.warnings.append(f"bind stream malformed: {exc}")
     return result
 
-
-def symbol_name_for_function(image: MachoImage, ea: int) -> str | None:
-    """Defined symbol name at an address, with the C leading underscore stripped."""
-    for sym in image.symbols:
-        if sym.is_debug or sym.address != ea or not sym.name:
-            continue
-        return sym.name[1:] if sym.name.startswith("_") else sym.name
-    return None

@@ -76,7 +76,6 @@ class ObjcModel:
     selmap: dict[int, str] | None = None  # selref slot -> selector
     image: MachoImage | None = None
     warnings: list[str] = field(default_factory=list)
-    root_cycle_ok: bool | None = None  # None when no in-image root exists
 
     def superclass_of(self, cls: ObjcClass) -> ObjcClass | None:
         if cls.superclass_ref is not None:
@@ -324,11 +323,11 @@ def parse_classlist(image: MachoImage) -> list[ObjcClass]:
             seen[meta.address] = meta
             out.append(meta)
 
-    # placeholders for external superclasses referenced by bind symbol
+    # one placeholder per external superclass that a bind symbol names
+    names = {c.name for c in out}
     for cls in list(out):
-        if cls.superclass_name and cls.superclass_name not in {
-            c.name for c in out
-        }:
+        if cls.superclass_name and cls.superclass_name not in names:
+            names.add(cls.superclass_name)
             slot_addr = cls.address + 8
             out.append(
                 ObjcClass(
@@ -474,12 +473,7 @@ def build_hierarchy(
             meta = by_address.get(cls.metaclass_ref) if cls.metaclass_ref else None
             if meta is None or meta.is_external:
                 continue
-            ok = meta.metaclass_ref == meta.address
-            ok = ok and meta.superclass_ref == cls.address
-            model.root_cycle_ok = bool(ok) and (
-                model.root_cycle_ok in (None, True)
-            )
-            if not ok:
+            if (meta.metaclass_ref, meta.superclass_ref) != (meta.address, cls.address):
                 warnings.append(
                     f"root {cls.name}: meta-class isa/superclass cycle malformed"
                 )

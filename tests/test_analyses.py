@@ -483,6 +483,41 @@ class TestRules:
         with pytest.raises(MalformedRuleFile):
             load_rules(doc)
 
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            lambda doc: doc.update(rules=[1]),
+            lambda doc: doc["rules"][0].update(sinks=[1]),
+            lambda doc: doc["rules"][0].update(sources=["argument"]),
+            lambda doc: doc["rules"][0].update(sinks={"callee": "x", "arg": 0}),
+            lambda doc: doc["rules"][0].update(sources={"kind": "return"}),
+            lambda doc: doc["rules"][0].update(selectors="abc"),
+            lambda doc: doc["rules"][0].update(selectors=[1]),
+            lambda doc: doc["rules"][0].update(sanitizers=5),
+            lambda doc: doc["rules"][0].update(sinks=[{"callee": "x", "arg": True}]),
+            lambda doc: doc["rules"][0].update(sinks=[{"callee": "x", "arg": -1}]),
+            lambda doc: doc["rules"][0].update(
+                sources=[{"kind": "argument", "arg": True}]
+            ),
+            lambda doc: doc["rules"][0].update(sources=[{"kind": "argument", "arg": -1}]),
+            lambda doc: doc["rules"][0].update(
+                sources=[{"kind": "argument", "arg": 3, "selector": 5}]
+            ),
+        ],
+        ids=[
+            "rule-not-object", "sink-not-object", "source-not-object",
+            "sinks-not-list", "sources-not-list", "selectors-string",
+            "selector-not-string", "sanitizers-not-list", "sink-arg-bool",
+            "sink-arg-negative", "source-arg-bool", "source-arg-negative",
+            "source-selector-not-string",
+        ],
+    )
+    def test_every_malformed_shape_is_a_malformed_rule_file(self, mutation):
+        doc = json.loads(json.dumps(BRIDGE_RULE))
+        mutation(doc)
+        with pytest.raises(MalformedRuleFile):
+            load_rules(doc)
+
     def test_not_json_and_wrong_shape(self):
         with pytest.raises(MalformedRuleFile):
             load_rules("{broken")

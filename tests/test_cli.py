@@ -77,6 +77,13 @@ class TestLift:
         err = capsys.readouterr().err
         assert "encrypt" in err.lower()
 
+    def test_non_object_rule_exits_two(self, workspace, tmp_path):
+        rules = tmp_path / "rules.json"
+        rules.write_text('{"rules": [1]}')
+        rc = main(["lift", str(workspace["ipa"]), "--out", str(tmp_path / "o"),
+                   "--rules", str(rules)])
+        assert rc == 2  # not 1, which reports a critical finding
+
     def test_bad_flag_value_exits_two(self, workspace, tmp_path, capsys):
         rc = main(
             ["lift", str(workspace["ipa"]), "--depth", "-1",

@@ -109,7 +109,7 @@ class TestListingPair:
         start, _ = manifest["function_ranges"][manifest["delegate_function"]]
         fn = functions[start]
         assert fn.name == f"-[BridgeDelegate {manifest['delegate_selector']}]"
-        assert fn.objc_selector == manifest["delegate_selector"]
+        assert model.class_of_impl(start)[1].selector == manifest["delegate_selector"]
 
     def test_vulnerable_sink_receives_url_derived_value(self, listing_pair):
         manifest, model, functions = listing_pair[False]

@@ -8,7 +8,10 @@ import dataclasses
 import hashlib
 import operator
 import random
+import re
+import shutil
 import struct
+import subprocess
 
 import pytest
 
@@ -90,6 +93,22 @@ class TestDecode:
         assert ins.asm == "ret"
         assert ins.kind == "return"
         assert ins.defs == set()
+
+    @pytest.mark.parametrize(
+        "word, text",
+        [
+            (0xD65F03E0, "ret xzr"),
+            (0xD61F03E0, "br xzr"),
+            (0xD63F03E0, "blr xzr"),
+            (0x1000001F, "adr xzr, 0x100004000"),
+            (0x9000001F, "adrp xzr, 0x100004000"),
+        ],
+    )
+    def test_register_31_is_the_zero_register(self, word, text):
+        ins = decode(struct.pack("<I", word), ORIGIN)
+        assert ins.asm == text
+        assert ins.uses == set()
+        assert ins.defs == ({reg("x30")} if ins.mnemonic == "blr" else set())
 
     def test_mov_immediate(self):
         ins = decode(struct.pack("<I", 0xD2800020), ORIGIN)
@@ -265,15 +284,21 @@ DECODED_FORMS = (
 )
 
 
-def test_decoder_output_is_pinned():
-    """Every slot of about 60k decoded words, random and forced into each
-    form's fixed bits, hashes to one digest.  Location sets enter as sorted
-    text, since frozenset order follows PYTHONHASHSEED, plus whether the set
-    is the shared `_locs` object."""
+def pinned_words() -> list[int]:
+    """62,000 words: random ones, and random ones forced into each form's
+    fixed bits."""
     rng = random.Random(18)
     words = [rng.getrandbits(32) for _ in range(16_000)]
     for mask, value in DECODED_FORMS:
         words += [rng.getrandbits(32) & ~mask | value for _ in range(2_000)]
+    return words
+
+
+def test_decoder_output_is_pinned():
+    """Every slot of the pinned words' decodes hashes to one digest.
+    Location sets enter as sorted text, since frozenset order follows
+    PYTHONHASHSEED, plus whether the set is the shared `_locs` object."""
+    words = pinned_words()
     names = [f.name for f in dataclasses.fields(Instruction)]
     others = operator.attrgetter(*(n for n in names if n not in ("defs", "uses")))
     seen = {}  # id -> (set, its text); holding the set keeps its id unique
@@ -290,8 +315,86 @@ def test_decoder_output_is_pinned():
         digest.update(repr(record).encode())
     assert len(words) == 62_000
     assert digest.hexdigest() == (
-        "c20d6d24d5b166e6ec3cd98800ef36927a0c36f06728c4f2ab0d4215def678cf"
+        "77da5988d0c03fe8b9c0fc0983e28f44a86e1774ad32c98dc065f160c85703ec"
     )
+
+
+LLVM_MC = shutil.which("llvm-mc")
+_PC_RELATIVE = ("b", "bl", "cbz", "cbnz", "tbz", "tbnz", "adr", "adrp")
+# The two spellings where LLVM prints an alias that lios does not: a CMP/CMN
+# immediate shifted by 12, which lios prints as the shifted value, and
+# NEG/NEGS, which lios prints as SUB/SUBS from the zero register.
+LLVM_ALIASES = (
+    (
+        re.compile(r"(cmp|cmn) (\w+), #(\d+), lsl #12"),
+        lambda m: f"{m[1]} {m[2]}, #{int(m[3]) << 12}",
+    ),
+    (
+        re.compile(r"neg(s?) ([xw])(\d+), (.*)"),
+        lambda m: f"sub{m[1]} {m[2]}{m[3]}, {m[2]}zr, {m[4]}",
+    ),
+)
+
+
+def llvm_as_lios(text: str, ea: int) -> tuple[str, bool]:
+    """LLVM's text of the word at `ea` in lios's spelling, and whether an
+    alias of `LLVM_ALIASES` was respelled.  Beyond the aliases: a PC-relative
+    operand becomes its address, `b.lo`/`b.hs` become `b.cc`/`b.cs`, a
+    `; =` comment and a shift by 0 are dropped, and a negative MOV
+    immediate becomes its unsigned value in the register's width."""
+    mnemonic, _, operands = text.split(";")[0].strip().partition("\t")
+    mnemonic = {"b.lo": "b.cc", "b.hs": "b.cs"}.get(mnemonic, mnemonic)
+    if mnemonic in _PC_RELATIVE or mnemonic.startswith("b."):
+        head, _, offset = operands.rpartition("#")
+        base = ea & ~0xFFF if mnemonic == "adrp" else ea
+        operands = f"{head}0x{base + int(offset):x}"
+    operands = re.sub(r", (lsl|lsr|asr) #0$", "", operands.strip())
+    if mnemonic == "mov" and ", #-" in operands:
+        rd, _, imm = operands.partition(", #")
+        operands = f"{rd}, #{int(imm) % (1 << (64 if rd[0] == 'x' else 32))}"
+    text = f"{mnemonic} {operands}".strip()
+    for pattern, spelling in LLVM_ALIASES:
+        m = pattern.fullmatch(text)
+        if m:
+            return spelling(m), True
+    return text, False
+
+
+@pytest.mark.skipif(LLVM_MC is None, reason="llvm-mc (LLVM's disassembler) is not installed")
+def test_decoder_agrees_with_llvm():
+    """LLVM's disassembler reads every pinned word that lios decodes, and
+    prints it as lios does up to `llvm_as_lios`.  A word lios leaves as a
+    `.word` is outside its subset, whatever LLVM reads."""
+    words = pinned_words()
+    listing = "".join(
+        " ".join(f"0x{b:02x}" for b in struct.pack("<I", w)) + "\n" for w in words
+    )
+    run = subprocess.run(
+        [LLVM_MC, "--disassemble", "-triple=arm64-apple-ios"],
+        input=listing, capture_output=True, text=True, check=True,
+    )
+    invalid = {
+        int(line) - 1
+        for line in re.findall(
+            r"<stdin>:(\d+):\d+: warning: invalid instruction encoding", run.stderr
+        )
+    }
+    texts = [t for t in run.stdout.splitlines() if t.startswith("\t") and t[1] != "."]
+    assert len(invalid) + len(texts) == len(words)  # one line per word
+    texts.reverse()
+    disagree, aliased = [], 0
+    for i, word in enumerate(words):
+        llvm = None if i in invalid else texts.pop()
+        ea = ORIGIN + 4 * i
+        ins = decode(struct.pack("<I", word), ea)
+        if ins.mnemonic == ".word":
+            continue
+        text, alias = llvm_as_lios(llvm, ea) if llvm is not None else (None, False)
+        aliased += alias
+        if text != ins.asm:
+            disagree.append(f"{word:#010x}: lios {ins.asm!r}, llvm {llvm!r}")
+    assert disagree == [], f"{len(disagree)} words: {disagree[:10]}"
+    assert aliased < 100  # the alias list respells a few words, not a form
 
 
 class TestCfg:
@@ -1163,8 +1266,9 @@ class TestDevirtualize:
 
     def test_self_ref_receiver_resolves_to_own_class(self, call_image):
         image, manifest, model = call_image
-        fn = self._fn(image, manifest, "method_body", 4, model=model)
-        assert fn.objc_class_name == "Worker"
+        # built without the model: devirtualize reads the owner from it
+        fn = self._fn(image, manifest, "method_body", 4)
+        assert model.class_of_impl(fn.entry_ea)[0].name == "Worker"
         sites = devirtualize(fn, model)
         call_ea = manifest["functions"]["method_body"] + 8
         hit = next(c for c in sites if c.caller_ea == call_ea)

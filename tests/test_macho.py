@@ -217,6 +217,20 @@ class TestParseMacho:
         assert main[0].address == b.section("__TEXT", "__text").va
         assert not main[0].is_external and main[0].is_exported
 
+    def test_symbol_names_keep_the_first_defined_named_symbol(self):
+        b = MachoBuilder()
+        text = b.section("__TEXT", "__text", align=4, flags=TEXT_FLAGS)
+        text.append(RET * 2)
+        b.add_symbol("_stab", text.ref(0), debug=True)  # debug: not a name
+        b.add_symbol("", text.ref(0))  # no name
+        b.add_symbol("__first", text.ref(0))  # one `_` stripped
+        b.add_symbol("_second", text.ref(0))  # not the first at its address
+        b.add_symbol("plain", text.ref(4))
+        b.add_undefined("_objc_msgSend")  # no address
+        image = parse_macho(b.build())
+        va = b.section("__TEXT", "__text").va
+        assert image.symbol_names == {va: "_first", va + 4: "plain"}
+
     def test_undefined_symbol_has_no_address(self):
         b = MachoBuilder()
         b.section("__TEXT", "__text", align=4, flags=TEXT_FLAGS).append(RET)

@@ -95,6 +95,19 @@ class TestClasslist:
         externals = [c for c in classes if c.is_external]
         assert any(c.name == "NSObject" for c in externals)
 
+    def test_one_placeholder_per_external_superclass(self):
+        s = Scaffold()
+        for name, superclass in (("A", "NSObject"), ("B", "NSObject"), ("V", "UIView")):
+            s.add_class(ClassSpec(name=name, superclass=superclass))
+        classes = parse_classlist(parse_macho(s.build()[0]))
+        by_name = {c.name: c for c in classes if not c.is_metaclass}
+        externals = [(c.name, c.address) for c in classes if c.is_external]
+        # each placeholder sits at the superclass slot of its first subclass
+        assert externals == [
+            ("NSObject", by_name["A"].address + 8),
+            ("UIView", by_name["V"].address + 8),
+        ]
+
     def test_method_impls_match_manifest(self, two_class):
         image, manifest = two_class
         classes = parse_classlist(image)
@@ -193,7 +206,7 @@ class TestHierarchy:
         s.add_class(ClassSpec(name="Kid", superclass="Root"))
         blob, _ = s.build()
         model = load_model(parse_macho(blob))
-        assert model.root_cycle_ok is True
+        assert not any("cycle malformed" in w for w in model.warnings)
         root = model.by_name["Root"]
         meta = model.by_address[root.metaclass_ref]
         assert meta.metaclass_ref == meta.address
@@ -204,7 +217,21 @@ class TestHierarchy:
     def test_external_root_has_no_cycle_verdict(self, two_class):
         image, _ = two_class
         model = load_model(image)
-        assert model.root_cycle_ok is None
+        assert not any("cycle malformed" in w for w in model.warnings)
+
+    @pytest.mark.parametrize("word", [0, 1], ids=["isa", "superclass"])
+    def test_broken_root_meta_class_cycle_is_reported(self, word):
+        s = Scaffold()
+        s.add_class(ClassSpec(name="Root", superclass=None))
+        blob, manifest = s.build()
+        meta_ea = manifest["classes"][0]["meta_address"]
+        blob = bytearray(blob)
+        offset = va_to_offset(parse_macho(bytes(blob)), meta_ea) + 8 * word
+        struct.pack_into("<Q", blob, offset, 0)
+        model = load_model(parse_macho(bytes(blob)))
+        assert model.warnings.count(
+            "root Root: meta-class isa/superclass cycle malformed"
+        ) == 1
 
     def test_superclass_cycle_broken(self):
         s = Scaffold()

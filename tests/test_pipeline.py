@@ -581,6 +581,13 @@ class CountingBodies(FunctionBodies):
         return super().__getitem__(entry)
 
 
+class UnIterable(list):
+    """A list that indexes but fails any walk over it."""
+
+    def __iter__(self):
+        raise AssertionError("iterated")
+
+
 class TestFunctionBodies:
     @pytest.mark.parametrize(
         "builder, kwargs",
@@ -599,6 +606,21 @@ class TestFunctionBodies:
         for start, (s, e) in ranges.items():
             fn = build_function(image, s, e, model=model)
             assert function_name(image, model, start) == fn.name, hex(start)
+
+    def test_naming_scans_no_symbols(self):
+        image, model, ranges = front_ends(corpus.perf_app, functions=20)
+        bodies = {start: build_function(image, s, e, model=model)
+                  for start, (s, e) in ranges.items()}
+
+        def names_and_sites():
+            return [(function_name(image, model, start),
+                     devirtualize(fn, model, functions=bodies))
+                    for start, fn in bodies.items()]
+
+        want = names_and_sites()
+        assert any(s.kind == "in_image" for _, sites in want for s in sites)
+        image.symbols = UnIterable(image.symbols)  # stubs still index it
+        assert names_and_sites() == want
 
     # a traced return value through an in-image callee is the only lookup
     # devirtualization makes; listing_one's traced calls are all sends
