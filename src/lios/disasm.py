@@ -17,10 +17,16 @@ Register 31 is sp as a load or store base and in ADD/SUB immediate (bar
 the rd of ADDS/SUBS: CMP/CMN), and the zero register everywhere else.  It
 prints as LLVM prints it (`sp`/`wsp`, `xzr`/`wzr`), and the zero register
 is no location: `ret xzr` and `br xzr` use nothing, `adr xzr` defines nothing.
+The register operand fields of an `Instruction` hold the same shared `Loc`s
+as its `defs` and `uses`, from the decoder to `backtrace`, and None there is
+the zero register (or no such operand).
 
 Register-to-register dataflow is tracked per function with a light constant
 and stack-offset propagation; stack slots addressed as sp/fp plus a constant
-become first-class locations so spills don't break use-def chains.
+become first-class locations so spills don't break use-def chains.  The
+constant a register move, ADD/SUB immediate or MOVK writes keeps its low 32
+bits in a w register and wraps modulo 2^64 in an x register (Arm ARM,
+"Registers in AArch64 state").
 """
 
 from __future__ import annotations
@@ -41,9 +47,6 @@ from .macho import (
 )
 from .objc import method_name, strip_class_prefix
 
-RETURN_REG = "x0"
-LINK_REG = "x30"
-
 
 # ---------------------------------------------------------------------------
 # locations and instructions
@@ -53,8 +56,8 @@ class Loc(NamedTuple):
     """A dataflow location: register, frame slot, or absolute memory.
 
     A value type: two Locs with the same kind and value are equal and hash
-    alike, and both run in C, as for any tuple.  `reg` hands out one shared
-    Loc per register name, so the decoder builds no Loc per operand.
+    alike, and both run in C, as for any tuple.  There is one shared Loc per
+    register (`_REGS`), so the decoder builds no Loc per operand.
     """
 
     kind: str  # "reg" | "stack" | "mem"
@@ -68,12 +71,12 @@ class Loc(NamedTuple):
         return f"mem:{self.value:#x}"
 
 
-# operand names by register number; "x31" is what an rd/rn/rm field of 31
-# reads as where the decoder does not spell it sp; `_REGS` has no x31
-_XNAMES = tuple(f"x{n}" for n in range(32))
-_REGS = {name: Loc("reg", name) for name in _XNAMES[:31] + ("sp",)}
-_X_LOCS = tuple(_REGS[name] for name in _XNAMES[:31])
-_SP_LOC = _REGS["sp"]
+# the 32 register locations: x0-x30 by register number, and sp; the zero
+# register is none
+_X_LOCS = tuple(Loc("reg", f"x{n}") for n in range(31))
+_SP_LOC = Loc("reg", "sp")
+_REGS = {loc.value: loc for loc in (*_X_LOCS, _SP_LOC)}
+X0, X1, LINK_REG = _X_LOCS[0], _X_LOCS[1], _X_LOCS[30]
 
 # One shared frozenset per distinct location set the decoder builds, so that
 # instructions with equal sets hold the same object.  A decoded set holds at
@@ -92,7 +95,8 @@ def _locs(*locs: Loc | None) -> frozenset[Loc]:
 
 
 def reg(name: str) -> Loc:
-    return _REGS.get(name) or Loc("reg", name)
+    """The shared Loc of register `name` (`x0`-`x30` or `sp`)."""
+    return _REGS[name]
 
 
 def stack_slot(offset: int) -> Loc:
@@ -121,13 +125,14 @@ class Instruction:
     branch_target: int | None = None
     immediate: int | None = None
     xref: int | None = None
-    # operand detail for the analyses
+    # operand detail for the analyses; a register operand is the shared Loc
+    # that `defs`/`uses` hold, None where it is the zero register or absent
     mnemonic: str = ""
-    rd: str | None = None
-    rn: str | None = None
-    rm: str | None = None
-    rt2: str | None = None
-    mem_base: str | None = None
+    rd: Loc | None = None
+    rn: Loc | None = None
+    rm: Loc | None = None
+    rt2: Loc | None = None
+    mem_base: Loc | None = None  # never None for a load or store: 31 is sp
     mem_offset: int = 0
     mem_mode: str = "off"  # off | pre | post
     is_load: bool = False
@@ -200,12 +205,12 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
     if hit is not None:  # RET, BR, BLR
         rn = (word >> 5) & 0x1F
         ins.kind, name = hit
-        ins.mnemonic, ins.rn = name, _XNAMES[rn]
+        ins.mnemonic, ins.rn = name, _loc_for(rn)
         plain_ret = name == "ret" and rn == 30
         ins.asm = name if plain_ret else f"{name} {_print_reg(rn, True)}"
-        ins.uses = _locs(_loc_for(rn))
+        ins.uses = _locs(ins.rn)
         if name == "blr":
-            ins.defs = _locs(reg(LINK_REG))
+            ins.defs = _locs(LINK_REG)
         return ins
 
     if word & 0x7C000000 == 0x14000000:  # B, BL
@@ -213,7 +218,7 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         ins.branch_target = target
         if word >> 31:
             ins.kind, ins.mnemonic = "call", "bl"
-            ins.defs = _locs(reg(LINK_REG))
+            ins.defs = _locs(LINK_REG)
         else:
             ins.kind, ins.mnemonic = "branch", "b"
         ins.asm = f"{ins.mnemonic} 0x{target:x}"
@@ -252,10 +257,10 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         else:
             name, value = "adr", ea + imm
         ins.kind, ins.mnemonic = "assignment", name
-        ins.rd = _XNAMES[rd]
+        ins.rd = _loc_for(rd)
         ins.immediate = ins.xref = value
         ins.asm = f"{name} {_print_reg(rd, True)}, 0x{value:x}"
-        ins.defs = _locs(_loc_for(rd))
+        ins.defs = _locs(ins.rd)
         return ins
 
     if word & 0x1F800000 == 0x12800000:  # MOVN/MOVZ/MOVK
@@ -268,8 +273,8 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         rd = word & 0x1F
         shift = 16 * hw
         ins.sixty_four = sixty_four
-        ins.rd = _XNAMES[rd]
-        ins.defs = _locs(_loc_for(rd))
+        ins.rd = _loc_for(rd)
+        ins.defs = _locs(ins.rd)
         rd_text = _print_reg(rd, sixty_four)
         if opc == 3:  # MOVK: keeps other bits, so value alone is not the result
             ins.kind, ins.mnemonic = "assignment", "movk"
@@ -294,11 +299,10 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         rd = word & 0x1F
         ins.kind, ins.mnemonic = "assignment", "mov"
         ins.sixty_four = sixty_four
-        ins.rd = _XNAMES[rd]
-        ins.rm = _XNAMES[rm]
+        ins.rd, ins.rm = _loc_for(rd), _loc_for(rm)
         ins.asm = f"mov {_print_reg(rd, sixty_four)}, {_print_reg(rm, sixty_four)}"
-        ins.defs = _locs(_loc_for(rd))
-        ins.uses = _locs(_loc_for(rm))
+        ins.defs = _locs(ins.rd)
+        ins.uses = _locs(ins.rm)
         return ins
 
     if word & 0x1F800000 == 0x11000000 or (
@@ -315,21 +319,21 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         rd = word & 0x1F
         sp_ok = bool(word & 0x10000000)
         ins.sixty_four = sixty_four
-        ins.rn = "sp" if rn == 31 and sp_ok else _XNAMES[rn]
+        ins.rn = _loc_for(rn, sp_ok)
         if sp_ok:
             raw12 = (word >> 10) & 0xFFF
             shifted = (word >> 22) & 1
             ins.immediate = raw12 << 12 if shifted else raw12
             operand = f"#{raw12}, lsl #12" if shifted else f"#{raw12}"
-            ins.uses = _locs(_loc_for(rn, sp_ok=True))
+            ins.uses = _locs(ins.rn)
         else:
             rm = (word >> 16) & 0x1F
             imm6 = (word >> 10) & 0x3F
             shift_kind = ("lsl", "lsr", "asr", "ror")[(word >> 22) & 0x3]
             operand = _print_reg(rm, sixty_four)
             operand += f", {shift_kind} #{imm6}" if imm6 else ""
-            ins.rm = _XNAMES[rm]
-            ins.uses = _locs(_loc_for(rn), _loc_for(rm))
+            ins.rm = _loc_for(rm)
+            ins.uses = _locs(ins.rn, ins.rm)
         rn_text = _print_reg(rn, sixty_four, sp_ok)
         if sets_flags and rd == 31:  # CMP/CMN; an immediate prints shifted
             name = "cmp" if is_sub else "cmn"
@@ -338,9 +342,9 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
             return ins
         name = ("sub" if is_sub else "add") + ("s" if sets_flags else "")
         ins.kind, ins.mnemonic = "assignment", name
-        ins.rd = "sp" if rd == 31 and sp_ok else _XNAMES[rd]
+        ins.rd = _loc_for(rd, sp_ok)
         ins.asm = f"{name} {_print_reg(rd, sixty_four, sp_ok)}, {rn_text}, {operand}"
-        ins.defs = _locs(_loc_for(rd, sp_ok))
+        ins.defs = _locs(ins.rd)
         return ins
 
     if _decode_loadstore(word, ins):
@@ -377,17 +381,17 @@ def _decode_loadstore(word: int, ins: Instruction) -> bool:
     ins.kind, ins.mnemonic = "assignment", name
     ins.sixty_four = sixty_four
     ins.is_load, ins.is_store = is_load, not is_load
-    ins.rd = _XNAMES[rt]
-    ins.mem_base = "sp" if rn == 31 else _XNAMES[rn]
+    ins.rd = _loc_for(rt)
+    ins.mem_base = _loc_for(rn, sp_ok=True)
     ins.mem_offset = imm
     ins.mem_mode = mode
     x_text = sixty_four or tail == "psw"  # LDPSW sign-extends into x registers
     regs = _print_reg(rt, x_text)
-    tlocs = (_loc_for(rt),)
+    tlocs = (ins.rd,)
     if rt2 is not None:
-        ins.rt2 = _XNAMES[rt2]
+        ins.rt2 = _loc_for(rt2)
         regs += ", " + _print_reg(rt2, x_text)
-        tlocs += (_loc_for(rt2),)
+        tlocs += (ins.rt2,)
     base = _print_reg(rn, True, sp_ok=True)
     if mode == "off":
         addr = f"[{base}, #{imm}]" if imm else f"[{base}]"
@@ -396,14 +400,13 @@ def _decode_loadstore(word: int, ins: Instruction) -> bool:
     else:
         addr = f"[{base}], #{imm}"
     ins.asm = f"{name} {regs}, {addr}"
-    bloc = _loc_for(rn, sp_ok=True)  # never None: a base of 31 is sp
-    written = (bloc,) if mode != "off" else ()
+    written = (ins.mem_base,) if mode != "off" else ()
     if is_load:
         ins.defs = _locs(*tlocs, *written)
-        ins.uses = _locs(bloc)
+        ins.uses = _locs(ins.mem_base)
     else:
         ins.defs = _locs(*written)
-        ins.uses = _locs(*tlocs, bloc)
+        ins.uses = _locs(*tlocs, ins.mem_base)
     return True
 
 
@@ -535,7 +538,7 @@ def _shape_blocks(entry_ea: int, instructions: list[Instruction], name: str) -> 
 def _fuse_xrefs(fn: FunctionBody) -> None:
     """Turn ADRP+ADD / ADRP+LDR pairs into an absolute xref on the second half."""
     for block in fn.blocks:
-        page: dict[str, int] = {}
+        page: dict[Loc, int] = {}
         for ins in block.instructions:
             if ins.mnemonic == "adrp":
                 page[ins.rd] = ins.immediate
@@ -543,27 +546,21 @@ def _fuse_xrefs(fn: FunctionBody) -> None:
             if ins.kind == "call":
                 page.clear()
                 continue
-            if (
-                ins.mnemonic == "add"
-                and ins.rm is None
-                and ins.rn in page
-                and ins.immediate is not None
-            ):
+            if ins.mnemonic == "add" and ins.immediate is not None and ins.rn in page:
                 ins.xref = page[ins.rn] + ins.immediate
                 page[ins.rd] = ins.xref
                 continue
             if ins.is_load and ins.mem_base in page and ins.mem_mode == "off":
                 ins.xref = page[ins.mem_base] + ins.mem_offset
             for d in ins.defs:
-                if d.kind == "reg":
-                    page.pop(d.value, None)
+                page.pop(d, None)
 
 
 # ---------------------------------------------------------------------------
 # effects: constant/stack tracking shared by use-def and backtrace
 
 _SP = ("sp", 0)
-_RETURN_LOCS = frozenset({reg(RETURN_REG)})
+_RETURN_LOCS = _locs(X0)
 
 
 @dataclass
@@ -579,12 +576,12 @@ class _Effects:
     eff_uses: dict[int, frozenset[Loc]]
     assign: dict[int, tuple]  # ea -> ("const", v) | ("copy", Loc) | ("load", Loc) | ("call",) | ("opaque",)
 
-    def add_call_uses(self, call_uses: dict[int, set[str]]) -> None:
+    def add_call_uses(self, call_uses: dict[int, set[Loc]]) -> None:
         """Add the argument registers of resolved call sites to the uses of
         their instructions, a tail-call `b` included (it still defines
         nothing)."""
         for ea, regs in call_uses.items():
-            self.eff_uses[ea] = self.eff_uses[ea] | {reg(r) for r in regs}
+            self.eff_uses[ea] = self.eff_uses[ea] | regs
 
 
 def _merge_states(states: list[dict]) -> dict:
@@ -605,7 +602,15 @@ def _value_after_add(value, imm: int, negate: bool):
     return (kind, v - imm if negate else v + imm)
 
 
-def _put(state: dict, key: str, value) -> None:
+def _fit(value, sixty_four: bool):
+    """`value` as a write of that width leaves it: a constant modulo 2^64, or
+    2^32 in a w register; an sp offset survives only in an x register."""
+    if value is None or value[0] != "const":
+        return value if sixty_four else None
+    return ("const", value[1] % (1 << (64 if sixty_four else 32)))
+
+
+def _put(state: dict, key: Loc, value) -> None:
     """Bind `key` to `value` in a block state; None forgets the key."""
     if value is None:
         state.pop(key, None)
@@ -624,7 +629,7 @@ def _step(state: dict, ins: Instruction) -> tuple:
     m = ins.mnemonic
     defs, uses = ins.defs, ins.uses
     if ins.kind == "call":
-        state.pop(RETURN_REG, None)
+        state.pop(X0, None)
         state.pop(LINK_REG, None)
         return defs | _RETURN_LOCS, uses | _RETURN_LOCS, ("call",)
     if ins.is_load or ins.is_store:
@@ -635,11 +640,10 @@ def _step(state: dict, ins: Instruction) -> tuple:
             at = stack_slot if kind == "sp" else mem
             v += ins.mem_offset if ins.mem_mode != "post" else 0
             slots = (at(v),)
-            if ins.rt2 is not None:
+            if m in ("ldp", "stp", "ldpsw"):  # rt2 may be xzr: None
                 slots += (at(v + (8 if ins.sixty_four else 4)),)
         for d in defs:
-            if d.kind == "reg":
-                state.pop(d.value, None)
+            state.pop(d, None)
         if ins.mem_mode != "off":  # writeback
             _put(state, ins.mem_base, _value_after_add(base, ins.mem_offset, False))
         if ins.is_store:
@@ -648,43 +652,40 @@ def _step(state: dict, ins: Instruction) -> tuple:
         return defs, (uses.union(slots) if slots else uses), info
     if not defs:  # writes nothing, or the zero register: binds nothing
         return defs, uses, None
-    if m == "mov" and ins.rm is not None:
-        _put(state, ins.rd, state.get(ins.rm))
-        return defs, uses, ("copy", reg(ins.rm))
+    if m == "mov" and ins.immediate is None:  # register move; xzr binds nothing
+        _put(state, ins.rd, _fit(state.get(ins.rm), ins.sixty_four))
+        return defs, uses, ("opaque",) if ins.rm is None else ("copy", ins.rm)
     if m == "mov" or m == "adrp" or m == "adr":
         state[ins.rd] = ("const", ins.immediate)
         return defs, uses, ("const", ins.immediate)
-    if (m == "add" or m == "sub") and ins.rd is not None and ins.rm is None:
+    if (m == "add" or m == "sub") and ins.immediate is not None:
         value = _value_after_add(state.get(ins.rn), ins.immediate, m == "sub")
+        value = _fit(value, ins.sixty_four)
         if value is not None and value[0] == "const":
-            info = ("const", value[1])
+            info = value
         elif ins.immediate == 0:
-            info = ("copy", reg(ins.rn))
+            info = ("copy", ins.rn)
         else:
             info = ("opaque",)
         _put(state, ins.rd, value)
         return defs, uses, info
     if m == "movk":
-        prev = state.get(ins.rd)
+        prev, value = state.get(ins.rd), None
         if prev is not None and prev[0] == "const":
             shift = ins.hw_shift
-            state[ins.rd] = (
-                "const",
-                (prev[1] & ~(0xFFFF << shift)) | (ins.immediate << shift),
-            )
-        else:
-            state.pop(ins.rd, None)
+            bits = (prev[1] & ~(0xFFFF << shift)) | (ins.immediate << shift)
+            value = _fit(("const", bits), ins.sixty_four)
+        _put(state, ins.rd, value)
     else:
         for d in defs:
-            if d.kind == "reg":
-                state.pop(d.value, None)
+            state.pop(d, None)
     return defs, uses, ("opaque",)
 
 
 def compute_effects(fn: FunctionBody, call_uses: dict | None = None) -> _Effects:
     """Forward constant/stack-offset propagation to a fixpoint over the CFG.
 
-    A block's state maps register names to ("const", value) or ("sp",
+    A block's state maps register `Loc`s to ("const", value) or ("sp",
     offset).  Each visit of a block builds its merged incoming state once
     and `_step` updates it in place, instruction by instruction, recording
     each instruction's effects as it goes.  The last round changes no
@@ -717,7 +718,7 @@ def compute_effects(fn: FunctionBody, call_uses: dict | None = None) -> _Effects
             ea = block.ea
             incoming = [block_out[p] for p in preds[ea] if p in block_out]
             waiting = ea != fn.entry_ea and preds[ea] and not incoming
-            state = {"sp": _SP} if ea == fn.entry_ea else _merge_states(incoming)
+            state = {_SP_LOC: _SP} if ea == fn.entry_ea else _merge_states(incoming)
             for ins in block.instructions:
                 eff_defs[ins.ea], eff_uses[ins.ea], info = _step(state, ins)
                 if info is not None:
@@ -798,7 +799,7 @@ SELF_REF = ResolvedValue("self_ref")
 OWN_SELECTOR = ResolvedValue("own_selector")
 UNKNOWN = ResolvedValue("unknown")
 # what the argument registers hold on entry to a method; anything else is UNKNOWN
-_AT_ENTRY = {reg("x0"): SELF_REF, reg("x1"): OWN_SELECTOR}
+_AT_ENTRY = {X0: SELF_REF, X1: OWN_SELECTOR}
 
 
 def composed(receiver: ResolvedValue, selector: ResolvedValue) -> ResolvedValue:
@@ -884,8 +885,11 @@ def backtrace(
         ins = block.instructions[(ea - block.ea) // 4]
         if loc in eff.eff_defs.get(ea, ()):
             if ins.is_store and loc.kind in ("stack", "mem"):
-                second = ins.rt2 is not None and _is_second_slot(eff, ins, loc)
-                push_before(reg(ins.rt2 if second else ins.rd), ea)
+                stored = ins.rt2 if _is_second_slot(eff, ins, loc) else ins.rd
+                if stored is None:  # the zero register
+                    results.add(UNKNOWN)
+                else:
+                    push_before(stored, ea)
                 continue
             info = eff.assign.get(ea, ("opaque",))
             text = None
@@ -896,7 +900,7 @@ def backtrace(
             elif info[0] in ("load", "copy"):
                 push_before(info[1], ea)
                 continue
-            elif info[0] == "call" and loc == reg(RETURN_REG):
+            elif info[0] == "call" and loc == X0:
                 results |= _trace_through_call(fn, ins, model, depth, functions, eff)
                 continue
             results.add(UNKNOWN if text is None else CONST_STRING(text))
@@ -926,16 +930,14 @@ def _trace_through_call(fn, ins, model, depth, functions, eff):
         callee_eff = compute_effects(callee) if returns else None
         out: set[ResolvedValue] = set()
         for ret_ea in returns:
-            out |= backtrace(
-                callee, reg(RETURN_REG), ret_ea, model, depth - 1, functions, callee_eff
-            )
+            out |= backtrace(callee, X0, ret_ea, model, depth - 1, functions, callee_eff)
         return out or {UNKNOWN}
     image = model.image if model is not None else None
     stub = _stub_name(image, target) if image is not None else None
     if stub is None or not stub.startswith("objc_msgSend"):
         return {UNKNOWN}
-    receivers = backtrace(fn, reg("x0"), ins.ea, model, depth - 1, functions, eff)
-    selectors = backtrace(fn, reg("x1"), ins.ea, model, depth - 1, functions, eff)
+    receivers = backtrace(fn, X0, ins.ea, model, depth - 1, functions, eff)
+    selectors = backtrace(fn, X1, ins.ea, model, depth - 1, functions, eff)
     return {composed(r, s) for r in receivers for s in selectors}
 
 
@@ -1038,8 +1040,8 @@ def _text(value: ResolvedValue, stand_in: ResolvedValue, own: str | None):
 
 
 def _resolve_msgsend(fn, ins, model, depth, functions, eff) -> list[CallSite]:
-    receivers = backtrace(fn, reg("x0"), ins.ea, model, depth, functions, eff)
-    selectors = backtrace(fn, reg("x1"), ins.ea, model, depth, functions, eff)
+    receivers = backtrace(fn, X0, ins.ea, model, depth, functions, eff)
+    selectors = backtrace(fn, X1, ins.ea, model, depth, functions, eff)
     hit = model.class_of_impl(fn.entry_ea)
     own_class, own_sel = (hit[0].name, hit[1].selector) if hit else (None, None)
     classes = {
@@ -1061,14 +1063,14 @@ def _resolve_msgsend(fn, ins, model, depth, functions, eff) -> list[CallSite]:
     return [CallSite(ins.ea, "external", None, "objc_msgSend", selector, receiver)]
 
 
-def call_effects_from_sites(sites: list[CallSite]) -> dict[int, set[str]]:
-    """Argument registers each call site reads, by caller address."""
-    uses_at: dict[int, set[str]] = {}
+def call_effects_from_sites(sites: list[CallSite]) -> dict[int, set[Loc]]:
+    """The register `Loc`s each call site reads as arguments, by caller
+    address: x0, and for a message send x1 and one more per colon of its
+    selector, up to x30."""
+    uses_at: dict[int, set[Loc]] = {}
     for s in sites:
-        uses = {"x0"}
+        n = 1
         if s.selector is not None or s.target_name.startswith("objc_msgSend"):
-            uses = {"x0", "x1"}
-            if s.selector:
-                uses |= {f"x{2 + i}" for i in range(s.selector.count(":"))}
-        uses_at.setdefault(s.caller_ea, set()).update(uses)
+            n = 2 + (s.selector.count(":") if s.selector else 0)
+        uses_at.setdefault(s.caller_ea, set()).update(_X_LOCS[:n])
     return uses_at

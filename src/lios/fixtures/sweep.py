@@ -8,7 +8,7 @@ section and ObjC name section, each set to one of four values.  Counts,
 offsets and sizes read from the file meet these values first.
 
 `boundary_sample` draws the fixed, seeded part of the sweep that the whole-lift
-fuzz test and the byte-identity harness both lift.
+fuzz test lifts; the byte-identity harness (`tools/identity.py`) lifts all of it.
 """
 
 from __future__ import annotations

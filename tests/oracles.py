@@ -156,3 +156,60 @@ def reaching_defs_oracle(
                     nxt.extend(succ.get(n, ()))
                 frontier = nxt
     return result
+
+
+def register_moves_oracle(program: list[tuple]) -> dict[int, int]:
+    """Concrete values of x0-x30 after a straight-line program, read from the
+    Arm ARM pseudocode of MOVZ/MOVN/MOVK, ADD/SUB (immediate) and MOV
+    (register), not from `disasm._step`.  A register absent from the result
+    holds an unknown value, as every register does on entry.
+
+    Each step is one of:
+      ("movz" | "movn" | "movk", d, sf, imm16, hw)
+      ("add" | "sub", d, sf, n, imm12, sh)
+      ("mov", d, sf, m)
+    where `sf` picks X (64-bit) over W (32-bit) registers.
+
+    As in the manual, an operation reads `datasize` bits of its sources and
+    builds a `datasize`-bit result, and writing a W register clears bits
+    63:32 of the X register, so every value written is below 2^datasize.
+    """
+    regs: dict[int, int] = {}
+
+    def read(n: int, datasize: int) -> int | None:
+        value = regs.get(n)
+        return None if value is None else value & ((1 << datasize) - 1)
+
+    def write(d: int, result: int | None) -> None:
+        if result is None:
+            regs.pop(d, None)
+        else:
+            regs[d] = result  # ZeroExtend(result, 64)
+
+    for op, d, sf, *rest in program:
+        datasize = 64 if sf else 32
+        ones = (1 << datasize) - 1
+        if op in ("movz", "movn", "movk"):
+            imm16, hw = rest
+            pos = hw * 16
+            result = read(d, datasize) if op == "movk" else 0
+            if result is not None:
+                # result<pos+15:pos> = imm16
+                result = result & ~(0xFFFF << pos) & ones | imm16 << pos
+                if op == "movn":
+                    result = ones ^ result  # NOT(result)
+            write(d, result)
+        elif op in ("add", "sub"):
+            n, imm12, sh = rest
+            imm = imm12 << 12 if sh else imm12
+            operand1 = read(n, datasize)
+            if operand1 is None:
+                write(d, None)
+                continue
+            # AddWithCarry(operand1, operand2, carry): SUB adds NOT(imm) + 1
+            operand2, carry = (ones ^ imm, 1) if op == "sub" else (imm, 0)
+            write(d, (operand1 + operand2 + carry) & ones)
+        else:  # mov: ORR d, ZR, m, LSL #0
+            (m,) = rest
+            write(d, read(m, datasize))  # ZR OR operand2
+    return regs

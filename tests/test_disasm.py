@@ -14,6 +14,8 @@ import struct
 import subprocess
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lios.disasm import (
     BasicBlock,
@@ -45,7 +47,7 @@ from lios.fixtures.asm import assemble
 from lios.fixtures.scaffold import ClassSpec, MethodSpec, Scaffold
 from lios.macho import parse_macho
 from lios.objc import load_model
-from oracles import reaching_defs_oracle
+from oracles import reaching_defs_oracle, register_moves_oracle
 
 ORIGIN = 0x100004000
 
@@ -315,7 +317,7 @@ def test_decoder_output_is_pinned():
         digest.update(repr(record).encode())
     assert len(words) == 62_000
     assert digest.hexdigest() == (
-        "77da5988d0c03fe8b9c0fc0983e28f44a86e1774ad32c98dc065f160c85703ec"
+        "34e3e441f7325f30bebe1545b63f84d64cd6bc3519ebe953f7ad17a3269272c5"
     )
 
 
@@ -882,8 +884,8 @@ class TestEffects:
         call = next(i for i in fn.instructions() if i.kind == "call")
         before = [(i.defs, i.uses) for i in fn.instructions()]
         copies = [(set(i.defs), set(i.uses)) for i in fn.instructions()]
-        first = compute_effects(fn, {call.ea: {"x0", "x1", "x2"}})
-        second = compute_effects(fn, {call.ea: {"x0", "x1", "x2"}})
+        first = compute_effects(fn, {call.ea: {reg("x0"), reg("x1"), reg("x2")}})
+        second = compute_effects(fn, {call.ea: {reg("x0"), reg("x1"), reg("x2")}})
         assert [(i.defs, i.uses) for i in fn.instructions()] == copies
         assert all(
             i.defs is defs and i.uses is uses
@@ -929,6 +931,110 @@ class TestEffects:
         got = tail_effects(setup + strays + tail)
         assert got == tail_effects(setup + nops + tail)
         assert got[1][1:] == ({reg("x0")}, ("opaque",))
+
+
+class TestRegisterWidth:
+    """A write to a w register keeps its low 32 bits, and x arithmetic wraps
+    modulo 2^64 (Arm ARM, "Registers in AArch64 state")."""
+
+    @pytest.mark.parametrize(
+        "source, address",
+        [
+            ("movz x0, #1, lsl #32\nmovk w0, #5", "mem:0x5"),
+            ("movn w0, #0\nadd w0, w0, #1", "mem:0x0"),  # 0xFFFFFFFF + 1
+            ("mov x0, #0\nsub x0, x0, #1", "mem:0xffffffffffffffff"),
+            ("movz x1, #1, lsl #32\nmov w0, w1", "mem:0x0"),
+        ],
+    )
+    def test_constant_fits_the_register_written(self, source, address):
+        fn = fn_from_asm(f"{source}\nldr x1, [x0]\nret")
+        uses = compute_effects(fn).eff_uses[ORIGIN + 8]
+        assert [str(l) for l in uses if l.kind == "mem"] == [address]
+
+    def test_w_register_holds_no_frame_address(self):
+        # add x0, sp, #16 and add w0, wsp, #16, then a load through x0
+        for word, slots in ((0x910043E0, {stack_slot(16)}), (0x110043E0, set())):
+            fn = fn_from_asm(f".word {word:#x}\nldr x1, [x0]\nret")
+            assert compute_effects(fn).eff_uses[ORIGIN + 4] == {reg("x0"), *slots}
+
+    _register = st.integers(0, 3)
+    _move = st.one_of(
+        st.builds(
+            lambda op, d, sf, imm16, hw: (op, d, sf, imm16, hw if sf else hw % 2),
+            st.sampled_from(["movz", "movn", "movk"]), _register, st.booleans(),
+            st.integers(0, 0xFFFF), st.integers(0, 3),
+        ),
+        st.tuples(
+            st.sampled_from(["add", "sub"]), _register, st.booleans(), _register,
+            st.integers(0, 0xFFF), st.booleans(),
+        ),
+        st.tuples(st.just("mov"), _register, st.booleans(), _register),
+    )
+
+    @staticmethod
+    def as_text(step: tuple) -> str:
+        op, d, sf, *rest = step
+        r = "x" if sf else "w"
+        if op == "mov":
+            return f"mov {r}{d}, {r}{rest[0]}"
+        if op in ("add", "sub"):
+            n, imm12, sh = rest
+            return f"{op} {r}{d}, {r}{n}, #{imm12}" + (", lsl #12" if sh else "")
+        imm16, hw = rest
+        return f"{op} {r}{d}, #{imm16}" + (f", lsl #{16 * hw}" if hw else "")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_move, min_size=1, max_size=12))
+    def test_constants_agree_with_the_concrete_interpreter(self, program):
+        # a trailing load through each register reads the address it holds
+        loads = [f"ldr x9, [x{n}]" for n in range(4)]
+        source = "\n".join([*map(self.as_text, program), *loads, "ret"])
+        fn = fn_from_asm(source)
+        eff = compute_effects(fn)
+        values = register_moves_oracle(program)
+        first = ORIGIN + 4 * len(program)
+        for n in range(4):
+            used = {l for l in eff.eff_uses[first + 4 * n] if l.kind == "mem"}
+            assert used == ({mem(values[n])} if n in values else set()), (source, n)
+
+
+class TestZeroRegister:
+    def test_move_from_zero_register_is_opaque(self):
+        fn = fn_from_asm("mov x0, xzr\nret")
+        assert compute_effects(fn).assign[ORIGIN] == ("opaque",)
+        assert backtrace(fn, reg("x0"), ORIGIN + 4) == {UNKNOWN}
+
+    @pytest.mark.parametrize(
+        "store, slot, value",
+        [
+            ("str xzr, [sp, #8]", 8, UNKNOWN),
+            ("stp xzr, x1, [sp, #16]", 16, UNKNOWN),
+            ("stp xzr, x1, [sp, #16]", 24, OWN_SELECTOR),
+            ("stp x1, xzr, [sp, #16]", 16, OWN_SELECTOR),
+            ("stp x1, xzr, [sp, #16]", 24, UNKNOWN),
+        ],
+    )
+    def test_stored_zero_register_traces_to_unknown(self, store, slot, value):
+        fn = fn_from_asm(f"{store}\nldr x0, [sp, #{slot}]\nret")
+        assert backtrace(fn, reg("x0"), ORIGIN + 8) == {value}
+
+    def test_no_pinned_word_names_register_31(self):
+        # in an operand field, a def or use set, or a provenance, effects
+        # included
+        x31 = Loc("reg", "x31")
+        named = []
+        for i, word in enumerate(pinned_words()):
+            ea = ORIGIN + 4 * i
+            ins = decode(struct.pack("<I", word), ea)
+            eff = compute_effects(build_function_from_instructions([ins]))
+            held = (
+                ins.rd, ins.rn, ins.rm, ins.rt2, ins.mem_base,
+                *ins.defs, *ins.uses, *eff.eff_defs[ea], *eff.eff_uses[ea],
+                *eff.assign.get(ea, ())[1:],
+            )
+            if x31 in held:
+                named.append(ins.asm)
+        assert named == []
 
 
 @pytest.fixture(scope="module")
@@ -1326,7 +1432,7 @@ class TestDevirtualize:
         sites = devirtualize(fn, model)
         call_uses = call_effects_from_sites(sites)
         call_ea = manifest["functions"]["msg_const"] + 16
-        assert call_uses[call_ea] == {"x0", "x1"}
+        assert call_uses[call_ea] == {reg("x0"), reg("x1")}
         eff = compute_effects(fn, call_uses)
         assert eff.eff_defs[call_ea] == {reg("x0"), reg("x30")}
         edges = compute_use_def(fn, eff)

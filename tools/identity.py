@@ -12,24 +12,26 @@ the same `findings.json`.
 `--against` lifts the same input files with REV's `src/`, which `git archive`
 extracts into the temporary directory, so nothing is written under `.git`.
 The inputs are written once, by this checkout's generators, so both sides
-lift the same bytes under the same file names.  The set:
+lift the same bytes under the same file names.  The set, 9,344 inputs and
+18,688 lifts:
 
 - perf_app N=400 seed 1 and N=100 seed 7;
 - listing_one vulnerable and sanitized, msgsend_suite and benign_app, and
   150 `mutate(blob, "anywhere", s)` mutants of each, s in 5000..5149;
 - the `write_scan_batch` apps of seeds 7 and 11;
-- the field-boundary sample that `tests/test_lift_fuzz.py` lifts;
+- the whole field-boundary sweep (`lios.fixtures.sweep.boundary_fields`) of
+  listing_one, msgsend_suite and benign_app: 8,376 mutants;
 - each of these with and without the reload-query rule file.
 
-The field-boundary sweep enters as that seeded sample, not whole: a lios
-from before the bind-stream count check stores one bind entry per count,
-and the whole sweep sets a bind stream's start to the Mach-O header, whose
-first bytes read as a count of 27 M (2.6 GB).  Each worker process also
-caps its own address space, so a lift that would exhaust memory fails with
-`MemoryError` instead.
+REV must contain `99448ae`, the bind-stream count check: an older lios
+stores one bind entry per count, and the sweep sets a bind stream's start
+to the Mach-O header, whose first bytes read as a count of 27 M (2.6 GB).
+Each worker process also caps its own address space, so a lift that would
+exhaust memory fails with `MemoryError` instead.
 
 Exit status: 0 when nothing differs and every lift either succeeds with a
-sound reload or raises a `LiosError`; 1 otherwise.  Not part of tier-1.
+sound reload or raises a `LiosError`; 1 otherwise; 2 when REV is refused.
+Not part of tier-1.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ ROOT = Path(__file__).resolve().parent.parent
 ADDRESS_SPACE_CAP = 2 << 30
 FIXTURE_MUTANT_SEEDS = range(5000, 5150)
 BATCH_SEEDS = (7, 11)
+SWEPT_FIXTURES = ("listing_one", "msgsend_suite", "benign_app")
+# the first revision whose lios bounds a bind run by its segment
+OLDEST_AGAINST = "99448ae"
 
 
 def write_inputs(dest: Path) -> None:
@@ -55,11 +60,7 @@ def write_inputs(dest: Path) -> None:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     from bench import inputs
     from lios.fixtures import corpus
-    from lios.fixtures.sweep import (
-        BOUNDARY_SAMPLE_SEEDS,
-        boundary_mutant,
-        boundary_sample,
-    )
+    from lios.fixtures.sweep import boundary_fields, boundary_mutant
 
     apps = dest / "apps"
     apps.mkdir(parents=True)
@@ -78,9 +79,9 @@ def write_inputs(dest: Path) -> None:
         for s in FIXTURE_MUTANT_SEEDS:
             mutant = inputs.mutate(blob, "anywhere", s)
             (apps / f"{name}_anywhere_{s}.bin").write_bytes(mutant)
-    for name, seed in BOUNDARY_SAMPLE_SEEDS.items():
+    for name in SWEPT_FIXTURES:
         blob = fixtures[name]
-        for offset, value in boundary_sample(blob, seed):
+        for offset, value in boundary_fields(blob):
             mutant = boundary_mutant(blob, offset, value)
             (apps / f"{name}_word{offset:#x}_{value:#x}.bin").write_bytes(mutant)
     for seed in BATCH_SEEDS:
@@ -179,6 +180,18 @@ def main(argv=None) -> int:
         return 0
 
     seeds = args.hash_seeds.split(",")
+    if args.against and subprocess.run(
+        ["git", "-C", str(ROOT), "merge-base", "--is-ancestor", OLDEST_AGAINST,
+         args.against],
+        capture_output=True,
+    ).returncode:
+        print(
+            f"--against {args.against}: not a revision that contains "
+            f"{OLDEST_AGAINST}; an older lios runs out of memory on the "
+            "field-boundary sweep",
+            file=sys.stderr,
+        )
+        return 2
     with tempfile.TemporaryDirectory(prefix="lios-identity-") as tmp:
         tmp = Path(tmp)
         write_inputs(tmp / "inputs")
