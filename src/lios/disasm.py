@@ -26,7 +26,9 @@ and stack-offset propagation; stack slots addressed as sp/fp plus a constant
 become first-class locations so spills don't break use-def chains.  The
 constant a register move, ADD/SUB immediate or MOVK writes keeps its low 32
 bits in a w register and wraps modulo 2^64 in an x register (Arm ARM,
-"Registers in AArch64 state").
+"Registers in AArch64 state").  Every address lios computes wraps modulo
+2^64 too, as the CPU's does: a branch target, an ADR or ADRP value, a fused
+xref and the absolute address a load or store reads or writes (`mem`).
 """
 
 from __future__ import annotations
@@ -99,12 +101,15 @@ def reg(name: str) -> Loc:
     return _REGS[name]
 
 
+_ADDRESS_MASK = (1 << 64) - 1
+
+
 def stack_slot(offset: int) -> Loc:
     return Loc("stack", offset)
 
 
 def mem(address: int) -> Loc:
-    return Loc("mem", address)
+    return Loc("mem", address & _ADDRESS_MASK)
 
 
 @dataclass(slots=True)
@@ -214,7 +219,7 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         return ins
 
     if word & 0x7C000000 == 0x14000000:  # B, BL
-        target = ea + 4 * _sext(word & 0x3FFFFFF, 26)
+        target = (ea + 4 * _sext(word & 0x3FFFFFF, 26)) & _ADDRESS_MASK
         ins.branch_target = target
         if word >> 31:
             ins.kind, ins.mnemonic = "call", "bl"
@@ -242,7 +247,7 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
                 ins.sixty_four = bool(word >> 31)
             operands = f" {_print_reg(rt, ins.sixty_four)}{operands},"
             ins.uses = _locs(_loc_for(rt))
-        target = ea + 4 * offset
+        target = (ea + 4 * offset) & _ADDRESS_MASK
         ins.kind, ins.mnemonic = "branch", name
         ins.conditional = True
         ins.branch_target = target
@@ -253,9 +258,9 @@ def decode(word_bytes: bytes, ea: int) -> Instruction:
         rd = word & 0x1F
         imm = _sext(((word >> 3) & 0x1FFFFC) | ((word >> 29) & 0x3), 21)
         if word >> 31:
-            name, value = "adrp", (ea & ~0xFFF) + (imm << 12)
+            name, value = "adrp", ((ea & ~0xFFF) + (imm << 12)) & _ADDRESS_MASK
         else:
-            name, value = "adr", ea + imm
+            name, value = "adr", (ea + imm) & _ADDRESS_MASK
         ins.kind, ins.mnemonic = "assignment", name
         ins.rd = _loc_for(rd)
         ins.immediate = ins.xref = value
@@ -547,11 +552,11 @@ def _fuse_xrefs(fn: FunctionBody) -> None:
                 page.clear()
                 continue
             if ins.mnemonic == "add" and ins.immediate is not None and ins.rn in page:
-                ins.xref = page[ins.rn] + ins.immediate
+                ins.xref = (page[ins.rn] + ins.immediate) & _ADDRESS_MASK
                 page[ins.rd] = ins.xref
                 continue
             if ins.is_load and ins.mem_base in page and ins.mem_mode == "off":
-                ins.xref = page[ins.mem_base] + ins.mem_offset
+                ins.xref = (page[ins.mem_base] + ins.mem_offset) & _ADDRESS_MASK
             for d in ins.defs:
                 page.pop(d, None)
 
@@ -645,7 +650,8 @@ def _step(state: dict, ins: Instruction) -> tuple:
         for d in defs:
             state.pop(d, None)
         if ins.mem_mode != "off":  # writeback
-            _put(state, ins.mem_base, _value_after_add(base, ins.mem_offset, False))
+            value = _value_after_add(base, ins.mem_offset, False)
+            _put(state, ins.mem_base, _fit(value, True))
         if ins.is_store:
             return (defs.union(slots) if slots else defs), uses, None
         info = ("load", slots[0]) if len(slots) == 1 else ("opaque",)

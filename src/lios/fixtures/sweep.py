@@ -37,7 +37,7 @@ def boundary_fields(blob: bytes) -> list[tuple[int, int]]:
         for offset in range(0, min(commands_end, size) - 3, 4)
         for value in header_values
     ]
-    for sect in parse_macho(blob).sections:
+    for sect in parse_macho(blob).sections.values():
         if sect.is_zerofill or not (
             sect.segment_name.startswith("__DATA")
             or sect.section_name in _OBJC_NAME_SECTIONS

@@ -107,7 +107,7 @@ _SCALARS = (str, bool, int, bytes)
 # admitted unchecked for extensibility
 _KNOWN_KEYS: dict[str, dict[str, type | tuple]] = {
     "Program": {"ea": int, "name": str, "entltl": str, "info": str},
-    "Function": {"ea": int, "name": str, "is_ext": bool, "llvm": str, "is_ep": bool},
+    "Function": {"ea": int, "name": str, "is_ext": bool, "is_ep": bool},
     "Method": {"name": str},
     "Class": {"name": str},
     "Protocol": {"name": str},
@@ -367,11 +367,14 @@ class PropertyGraph:
         Each edge is re-checked by the rule its writer applies, and its
         property types as well. Beyond that, every instruction-level `calls`
         edge must have a function-level twin: a `calls` edge to the same
-        target from each function that holds the instruction (through
-        `has_bb` and `instr`). `analyses.tainted` relies on it.
+        target from each function that holds the instruction, found through
+        the instruction's in-edges (`instr` from its blocks, then `has_bb`
+        from theirs). `analyses.tainted` relies on it. Problems come in
+        edge-id order.
         """
         problems = []
-        rule, checked = self._edge_label, set()
+        rule, checked, into = self._edge_label, set(), self._in
+        calls = {(e.src, e.dst) for e in self._edges if e.label == "calls"}
         for i, e in enumerate(self._edges):
             try:
                 rule(e.src, e.dst, e.label)
@@ -381,28 +384,19 @@ class PropertyGraph:
                     checked.add((e.label, id(e.properties)))
             except (GraphError, TypeError) as exc:
                 problems.append(f"edge {i}: {exc}")
-        out = self._out
-        calls = {(e.src, e.dst) for e in self._edges if e.label == "calls"}
-        orphans = []
-        for fn in self._by_label.get("Function", ()):
-            for has_bb in out[fn]:
-                if has_bb.label != "has_bb":
+                continue
+            if e.label != "calls":
+                continue
+            for instr in into[e.src]:
+                if instr.label != "instr":
                     continue
-                for instr in out[has_bb.dst]:
-                    if instr.label != "instr":
-                        continue
-                    for e in out[instr.dst]:
-                        if e.label == "calls" and (fn, e.dst) not in calls:
-                            orphans.append((e, fn))
-        if orphans:
-            # an edge's id is its index; look up only the edges reported
-            wanted = {id(e) for e, _fn in orphans}
-            index = {id(e): i for i, e in enumerate(self._edges) if id(e) in wanted}
-            problems.extend(
-                f"edge {index[id(e)]}: calls from instruction {e.src} "
-                f"has no twin from its function {fn}"
-                for e, fn in orphans
-            )
+                for has_bb in into[instr.src]:
+                    fn = has_bb.src
+                    if has_bb.label == "has_bb" and (fn, e.dst) not in calls:
+                        problems.append(
+                            f"edge {i}: calls from instruction {e.src} "
+                            f"has no twin from its function {fn}"
+                        )
         return problems
 
     def stats(self) -> dict:
@@ -602,41 +596,25 @@ def build_from_frontends(
         program_props["info"] = info_json
     program = g.add_node("Program", program_props)
 
-    exported: set[int] = set()
-    if image is not None:
-        for sym in image.symbols:
-            if sym.is_exported and sym.address is not None:
-                exported.add(sym.address)
+    symbols = image.symbols if image is not None else ()
+    exported = {sym.address for sym in symbols if sym.is_exported}
 
-    fn_nodes: dict[int, int] = {}
+    # in-image functions by entry address, imported ones by name
+    fn_nodes: dict[int | str, int] = {}
+
+    def function_node(key: int | str, props: dict) -> int:
+        nid = fn_nodes.get(key)
+        if nid is None:
+            nid = fn_nodes[key] = g.add_node("Function", props)
+            g.add_edge(program, nid, "has_func")
+        return nid
+
     for entry in sorted(functions):
         name = function_name(image, model, entry)
         props = {"ea": entry, "name": name, "is_ext": False}
         if entry in exported:
             props["exported"] = True
-        fid = g.add_node("Function", props)
-        fn_nodes[entry] = fid
-        g.add_edge(program, fid, "has_func")
-
-    externals: dict[str, int] = {}
-
-    def external_node(name: str) -> int:
-        nid = externals.get(name)
-        if nid is None:
-            nid = g.add_node(
-                "Function", {"ea": -1, "name": name, "is_ext": True}
-            )
-            g.add_edge(program, nid, "has_func")
-            externals[name] = nid
-        return nid
-
-    def in_image_node(ea: int, name: str) -> int:
-        nid = fn_nodes.get(ea)
-        if nid is None:
-            nid = g.add_node("Function", {"ea": ea, "name": name, "is_ext": False})
-            g.add_edge(program, nid, "has_func")
-            fn_nodes[ea] = nid
-        return nid
+        function_node(entry, props)
 
     # one `uses` text per distinct location set, shared by every record
     # that has it
@@ -681,20 +659,20 @@ def build_from_frontends(
             (use_ea, def_ea, str(loc)) for use_ea, def_ea, loc in use_def
         ):
             g.add_edge(instr_nodes[use_ea], instr_nodes[def_ea], "def", {"var": var})
+        # a name key never equals an address, and None is no key
         for ins in fn.instructions():
-            if ins.xref is not None and ins.xref in fn_nodes:
-                g.add_edge(instr_nodes[ins.ea], fn_nodes[ins.xref], "xref")
-            if ins.branch_target is not None and ins.branch_target in fn_nodes:
-                g.add_edge(
-                    instr_nodes[ins.ea], fn_nodes[ins.branch_target], "xref"
-                )
+            for target in (ins.xref, ins.branch_target):
+                if target in fn_nodes:
+                    g.add_edge(instr_nodes[ins.ea], fn_nodes[target], "xref")
 
         callees: set[int] = set()
         for site in sites:
             if site.kind == "in_image":
-                target = in_image_node(site.target_ea, site.target_name)
+                ea, name = site.target_ea, site.target_name
+                target = function_node(ea, {"ea": ea, "name": name, "is_ext": False})
             else:
-                target = external_node(external_call_name(site))
+                name = external_call_name(site)
+                target = function_node(name, {"ea": -1, "name": name, "is_ext": True})
             props = {}
             if site.selector:
                 props["selector"] = site.selector

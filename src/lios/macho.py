@@ -121,7 +121,6 @@ class SymbolEntry:
     name: str
     address: int | None
     is_external: bool
-    is_debug: bool
     is_exported: bool = False
 
 
@@ -129,6 +128,8 @@ class SymbolEntry:
 class MachoImage:
     """A parsed 64-bit Mach-O image.
 
+    `sections` maps (segment name, section name) to the section, in
+    load-command order; a later section of the same names is skipped.
     `symbol_names` is the address -> name view of `symbols`: the first defined,
     non-debug, named symbol at an address, with one leading `_` stripped.
 
@@ -138,7 +139,7 @@ class MachoImage:
 
     data: bytes
     segments: list[Segment] = field(default_factory=list)
-    sections: list[Section] = field(default_factory=list)
+    sections: dict[tuple[str, str], Section] = field(default_factory=dict)
     symbols: list[SymbolEntry] = field(default_factory=list)
     symbol_names: dict[int, str] = field(default_factory=dict)
     function_starts: list[int] = field(default_factory=list)
@@ -150,16 +151,7 @@ class MachoImage:
     warnings: list[str] = field(default_factory=list)
 
     def section(self, segment_name: str, section_name: str) -> Section | None:
-        key = (segment_name, section_name)
-        return self._section_index.get(key)
-
-    def __post_init__(self):
-        self._section_index = {
-            (s.segment_name, s.section_name): s for s in self.sections
-        }
-
-    def reindex(self):
-        self.__post_init__()
+        return self.sections.get((segment_name, section_name))
 
 
 def _need(data: bytes, offset: int, count: int, what: str) -> None:
@@ -269,7 +261,6 @@ def parse_macho(data: bytes) -> MachoImage:
             image.encryption_id = struct.unpack_from("<I", body, 16)[0]
         offset += cmdsize
 
-    image.reindex()
     text = next((s for s in image.segments if s.name == "__TEXT"), None)
     if text is not None:
         image.image_base = text.vm_addr
@@ -332,14 +323,11 @@ def _parse_segment64(image: MachoImage, body: bytes, index: int) -> None:
                 f"of segment {segname}; clamped to {clamped:#x}"
             )
             size = clamped
-        sect = Section(seg_of_sect, sectname, addr, size, offset32, flags, res1, res2)
-        if any(
-            x.segment_name == seg_of_sect and x.section_name == sectname
-            for x in image.sections
-        ):
+        key = (seg_of_sect, sectname)
+        if key in image.sections:
             image.warnings.append(f"duplicate section ({seg_of_sect},{sectname}) skipped")
             continue
-        image.sections.append(sect)
+        image.sections[key] = Section(*key, addr, size, offset32, flags, res1, res2)
 
 
 def _parse_symtab(image: MachoImage, symoff: int, nsyms: int, stroff: int, strsize: int) -> None:
@@ -367,7 +355,6 @@ def _parse_symtab(image: MachoImage, symoff: int, nsyms: int, stroff: int, strsi
                 name=name,
                 address=address,
                 is_external=is_undef and is_ext,
-                is_debug=is_debug,
                 is_exported=is_ext and not is_undef and not is_debug,
             )
         )

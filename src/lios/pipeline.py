@@ -156,7 +156,7 @@ def _end_of_code(image, text) -> int:
     fill as code. When such a bound applies, the image gets one warning.
     """
     end = text.vm_addr + text.size
-    bounds = [s.vm_addr for s in image.sections if text.vm_addr < s.vm_addr < end]
+    bounds = [s.vm_addr for s in image.sections.values() if text.vm_addr < s.vm_addr < end]
     segment = next((s for s in image.segments if s.name == text.segment_name), None)
     if segment is not None:
         bounds.append(segment.vm_addr + segment.file_size)

@@ -227,10 +227,18 @@ class TestTainted:
             "Function", {"ea": -1, "name": "other_sink", "is_ext": True}
         )
         edge = b.g.add_edge(lone, other, "calls")
-        assert b.g.validate() == [
+        problem = (
             f"edge {edge}: calls from instruction {lone} "
             f"has no twin from its function {b.fn}"
-        ]
+        )
+        assert b.g.validate() == [problem]
+        # a second function holds the same block and has both twins; that
+        # does not stand in for the first function's twin
+        second = b.g.add_node("Function", {"ea": 0x2000, "name": "g", "is_ext": False})
+        b.g.add_edge(second, b.bb, "has_bb")
+        for callee in (b.externals["sink_fn"], other):
+            b.g.add_edge(second, callee, "calls")
+        assert b.g.validate() == [problem]
         # the function calls `other_sink` only at the instruction level, so
         # `tainted` skips it without looking at its call sites
         spec = TaintSpec(sources=(ArgSource(0),), sinks=(Sink("other_sink", 0),))

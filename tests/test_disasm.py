@@ -933,6 +933,52 @@ class TestEffects:
         assert got[1][1:] == ({reg("x0")}, ("opaque",))
 
 
+class TestAddressWrap:
+    """Every address lios computes wraps modulo 2^64, as the CPU's does."""
+
+    @pytest.mark.parametrize(
+        "source, addresses",
+        [
+            ("ldur x1, [x0, #-8]", ["mem:0xfffffffffffffff8"]),
+            # the writeback wraps too, so the next load reads the same slot
+            ("ldr x1, [x0, #-16]!\nldr x2, [x0]", ["mem:0xfffffffffffffff0"] * 2),
+        ],
+    )
+    def test_load_address_wraps(self, source, addresses):
+        fn = fn_from_asm(f"mov x0, #0\n{source}\nret")
+        uses = compute_effects(fn).eff_uses
+        loads = [ea for ea in sorted(uses) if ORIGIN < ea < fn.end_ea - 4]
+        assert [str(l) for ea in loads for l in uses[ea] if l.kind == "mem"] == addresses
+
+    @staticmethod
+    def at_0x1000(*words):
+        return [decode(struct.pack("<I", w), 0x1000 + 4 * i) for i, w in enumerate(words)]
+
+    def test_adrp_below_zero_wraps(self):
+        # adrp x0, two pages back from 0x1000; ldr x1, [x0]; ret
+        instrs = self.at_0x1000(0xD0FFFFE0, 0xF9400001, 0xD65F03C0)
+        adrp = instrs[0]
+        assert adrp.asm == "adrp x0, 0xfffffffffffff000"
+        assert adrp.immediate == adrp.xref == 0xFFFFFFFFFFFFF000
+        uses = compute_effects(build_function_from_instructions(instrs)).eff_uses
+        assert mem(0xFFFFFFFFFFFFF000) in uses[0x1004]
+
+    @pytest.mark.parametrize(
+        "word, name", [(0x97FFF800, "bl"), (0x54FF0000, "b.eq")], ids=["bl", "b.eq"]
+    )
+    def test_branch_target_below_zero_wraps(self, word, name):
+        [ins] = self.at_0x1000(word)
+        assert ins.asm == f"{name} 0xfffffffffffff000"
+        assert ins.branch_target == 0xFFFFFFFFFFFFF000
+
+    def test_call_below_zero_names_a_wrapped_address(self):
+        # bl two pages back from 0x1000; ret
+        fn = build_function_from_instructions(self.at_0x1000(0x97FFF800, 0xD65F03C0))
+        [site] = devirtualize(fn)
+        assert site.target_ea == 0xFFFFFFFFFFFFF000
+        assert site.target_name == "sub_fffffffffffff000"
+
+
 class TestRegisterWidth:
     """A write to a w register keeps its low 32 bits, and x arithmetic wraps
     modulo 2^64 (Arm ARM, "Registers in AArch64 state")."""

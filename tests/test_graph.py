@@ -84,7 +84,7 @@ def test_effects_computed_at_most_twice_per_function(builder, monkeypatch):
     assert max(runs.values()) <= 2, runs.most_common(3)
 
 
-@pytest.mark.parametrize(
+built_apps = pytest.mark.parametrize(
     "builder, kwargs",
     [
         (corpus.msgsend_suite, {}),
@@ -93,6 +93,9 @@ def test_effects_computed_at_most_twice_per_function(builder, monkeypatch):
     ],
     ids=["msgsend_suite", "listing_one", "perf_app"],
 )
+
+
+@built_apps
 def test_builder_emits_each_edge_once(builder, kwargs):
     """The store keeps every edge it is given, so the builder and the passes
     must not repeat one: no two edges share endpoints, label and properties."""
@@ -102,6 +105,20 @@ def test_builder_emits_each_edge_once(builder, kwargs):
         for e in g.edges()
     )
     assert [key for key, n in keys.items() if n > 1] == []
+
+
+@built_apps
+def test_builder_emits_each_function_once(builder, kwargs):
+    """One Function node per in-image address and per imported name, each
+    held by the program through exactly one `has_func` edge."""
+    *_, g = graph_bundle(builder, linked=True, **kwargs)
+    functions = g.nodes("Function")
+    in_image = Counter(f.get("ea") for f in functions if not f.get("is_ext"))
+    imported = Counter(f.get("name") for f in functions if f.get("is_ext"))
+    assert in_image and imported
+    assert [ea for ea, n in in_image.items() if n > 1] == []
+    assert [name for name, n in imported.items() if n > 1] == []
+    assert [f.id for f in functions if len(g.in_edges(f.id, "has_func")) != 1] == []
 
 
 @pytest.fixture(scope="module")

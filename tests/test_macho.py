@@ -2,6 +2,7 @@
 
 import random
 import struct
+import time
 
 import pytest
 
@@ -288,6 +289,39 @@ class TestSegmentPastEndOfFile:
         assert graph.nodes("Program")[0].get("ea") == 1 << 32
 
 
+def one_segment(section_names):
+    """A header and one __DATA segment that holds an empty section per name."""
+    sections = b"".join(
+        struct.pack("<16s16sQQIIIIIIII", name.encode(), b"__DATA", 0x4000, 0,
+                    0, 0, 0, 0, 0, 0, 0, 0)
+        for name in section_names
+    )
+    cmdsize = 72 + len(sections)
+    command = struct.pack("<II16sQQQQiiII", 0x19, cmdsize, b"__DATA", 0x4000, 0x1000,
+                          0, 0, 0, 0, len(section_names), 0)
+    header = struct.pack("<IiiIIIII", 0xFEEDFACF, 0x0100000C, 0, 2, 1, cmdsize, 0, 0)
+    return header + command + sections
+
+
+class TestManySections:
+    def test_sections_are_indexed_as_parsed(self):
+        # parsing is linear in the section count; a scan of the earlier
+        # sections per new one made this count take many seconds
+        names = [f"s{i}" for i in range(20_000)]
+        start = time.perf_counter()
+        image = parse_macho(one_segment(names))
+        assert time.perf_counter() - start < 2
+        assert [s.section_name for s in image.sections.values()] == names
+        assert list(image.sections) == [("__DATA", name) for name in names]
+        assert image.section("__DATA", "s19999").section_name == "s19999"
+        assert image.warnings == []
+
+    def test_a_repeated_section_is_skipped(self):
+        image = parse_macho(one_segment(["a", "b", "a"]))
+        assert list(image.sections) == [("__DATA", "a"), ("__DATA", "b")]
+        assert image.warnings == ["duplicate section (__DATA,a) skipped"]
+
+
 class TestAddressing:
     def test_section_bytes_present(self):
         _, blob = simple_image()
@@ -321,7 +355,7 @@ class TestAddressing:
     def test_offset_va_identity_on_section_starts(self):
         _, blob = simple_image()
         image = parse_macho(blob)
-        for sect in image.sections:
+        for sect in image.sections.values():
             if sect.is_zerofill:
                 continue
             assert va_to_offset(image, sect.vm_addr) == sect.file_offset
