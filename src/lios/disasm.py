@@ -42,6 +42,7 @@ from typing import NamedTuple
 from .errors import EmptyRange
 from .macho import (
     MachoImage,
+    c_name,
     read_cstring,
     read_u64,
     strip_pac,
@@ -976,7 +977,7 @@ def _stub_name(image: MachoImage, target: int) -> str | None:
         if 0 <= sym_index < len(image.symbols):
             name = image.symbols[sym_index].name
             if name:
-                return name.lstrip("_") or name
+                return c_name(name) or name
     return f"stub_{target:x}"
 
 

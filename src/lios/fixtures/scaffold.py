@@ -122,10 +122,6 @@ class Scaffold:
         self._functions.append((name, offset))
         self._fn_exported[name] = exported or name == "main"
 
-    def pad_text(self, words: int) -> None:
-        """Trailing zero padding after the last function, as linkers emit."""
-        self.text.append(b"\x00" * (4 * words))
-
     def stub(self, c_name: str) -> None:
         """An import stub callable as `bl stub_<c_name>`."""
         if c_name in self._stub_names:

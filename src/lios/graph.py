@@ -16,22 +16,28 @@ are lists indexed by id, and the two writers are the only code that writes
 them. Edges with equal label and equal text properties share one read-only
 mapping, whether they were added or reloaded; every edge without properties
 shares one empty mapping, and edges with other property values get one
-each. Edge properties are never mutated; node properties stay one dict per
-node, since `set_node_prop` writes into them. `build_from_frontends` gives
-all instructions with equal uses one `uses` text, and a reload maps each
-label to the canonical label object and sends property keys and `uses`
-texts through one memo per load, so that each repeated string is held
-once. The disassembly's location sets are shared frozensets too
-(`disasm._locs`).
+each. Edge properties are never mutated. A node holds only a tuple of
+values and a layout, one per key set, that the store shares among all
+nodes with those keys (the maps of SELF, or CPython's key-sharing dicts):
+it gives each key's position and its quoted dump text, in sorted order.
+`Node.properties` is a read-only copy; `set_node_prop` writes a new tuple
+and moves the node to the layout of its new key set. `build_from_frontends`
+gives all instructions with equal uses one `uses` text, and equal `asm`
+texts and instruction words one object each, through one memo per lift; a
+reload maps each label to the canonical label object and sends `asm` and
+`uses` texts and bytes through one memo per load, so that each repeated
+value is held once. The disassembly's location sets are shared frozensets
+too (`disasm._locs`).
 
 A dump (format v1) is one header line, then one JSON object per line: the
 nodes in id order, then the edges in id order. The nodes' ids are 0..n-1
 in order; `loads` rejects any other node id. Each record is written
 straight from a format string per record kind, with the keys in sorted
-order, and streamed to the file line by line; `dumps` joins the same lines.
-`load` and `loads` share one reader that takes the lines one at a time, so
-a file is never held in memory whole. Only a line feed ends a record: text
-properties may hold U+0085 and U+2028/9 raw.
+order (a node's from its layout), and streamed to the file line by line;
+`dumps` joins the same lines. `load` and `loads` share one reader that
+takes the lines one at a time, so a file is never held in memory whole.
+Only a line feed ends a record: text properties may hold U+0085 and
+U+2028/9 raw.
 """
 
 from __future__ import annotations
@@ -39,11 +45,13 @@ from __future__ import annotations
 import binascii
 import gc
 import json
+import sys
 from collections import Counter
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from types import MappingProxyType
 
 from .disasm import (
@@ -162,14 +170,36 @@ def paused_gc():
             gc.enable()
 
 
+class _Layout(dict):
+    """One key set of nodes: key -> the position of its value. `fields` holds
+    the keys in sorted order, the dump's, and `dump_keys` each one quoted as
+    JSON with its colon."""
+
+    __slots__ = ("fields", "dump_keys")
+
+    def __init__(self, fields: tuple):
+        super().__init__(zip(fields, range(len(fields))))
+        self.fields = fields
+        self.dump_keys = tuple(_quote(key) + ":" for key in fields)
+
+
 @dataclass(slots=True)
 class Node:
+    """A node: its properties are `values`, keyed by its shared `layout`."""
+
     id: int
     label: str
-    properties: dict
+    layout: _Layout
+    values: tuple
+
+    @property
+    def properties(self) -> Mapping:
+        """A read-only copy of the node's properties, in sorted key order."""
+        return MappingProxyType(dict(zip(self.layout.fields, self.values)))
 
     def get(self, key, default=None):
-        return self.properties.get(key, default)
+        i = self.layout.get(key)
+        return default if i is None else self.values[i]
 
 
 @dataclass(slots=True)
@@ -185,9 +215,10 @@ class Edge:
         return self.properties.get(key, default)
 
 
-def _check_properties(label: str, properties: Mapping) -> None:
+def _check_properties(label: str, items) -> None:
+    """Raise `TypeError` unless each (key, value) of `items` is admitted."""
     known = _KNOWN_KEYS.get(label, {})
-    for key, value in properties.items():
+    for key, value in items:
         want = known.get(key)
         if type(value) is want:
             continue
@@ -207,11 +238,11 @@ def _check_properties(label: str, properties: Mapping) -> None:
             )
 
 
-def _copy_checked(label: str, properties: Mapping) -> dict:
-    """A type-checked copy of the properties a caller hands the store."""
-    props = dict(properties)
-    _check_properties(label, props)
-    return props
+def _fields(_label: str, properties: Mapping) -> tuple[tuple, tuple]:
+    """The keys and the values of the properties a caller hands the store."""
+    if type(properties) is not dict:
+        properties = dict(properties)
+    return tuple(properties), tuple(properties.values())
 
 
 class PropertyGraph:
@@ -226,19 +257,46 @@ class PropertyGraph:
         # (label, *properties.items()) -> the read-only mapping of every edge
         # with that label and those text properties
         self._shared: dict[tuple, Mapping] = {}
+        # a record's keys in its order -> (their layout, the getter of its
+        # values in the layout's order or None, the checked (label, *types))
+        self._layouts: dict[tuple, tuple[_Layout, itemgetter | None, set]] = {}
         self.warnings: list[str] = []
 
     # ---- mutation ----
 
-    def _append_node(self, name, props, check) -> int:
+    def _layout(self, fields: tuple) -> tuple[_Layout, itemgetter | None, set]:
+        """The `_layouts` entry of the keys `fields`, made when missing."""
+        found = self._layouts.get(fields)
+        if found is None:
+            if not all(type(key) is str for key in fields):
+                raise TypeError(f"property keys are text, not {fields!r}")
+            canonical = tuple(sorted(map(sys.intern, fields)))
+            layout = self._layouts.setdefault(canonical, (_Layout(canonical), None, set()))[0]
+            # two keys at least when the orders differ, so the getter
+            # returns a tuple
+            order = None if canonical == fields else itemgetter(*map(fields.index, canonical))
+            found = self._layouts.setdefault(fields, (layout, order, set()))
+        return found
+
+    def _append_node(self, name, props, fields_of) -> int:
         """Store a node under the next id; the one node writer.
-        `check(label, props)` returns its checked properties dict."""
+        `fields_of(label, props)` returns the record's keys and values. The
+        type check depends on the label and the value types only, so it runs
+        once per label, key order and value types."""
         try:
             label = _NODE_LABEL[name]
         except (KeyError, TypeError):
             raise UnknownLabel(f"unknown node label {name!r}") from None
+        fields, values = fields_of(label, props)
+        layout, order, admitted = self._layouts.get(fields) or self._layout(fields)
+        kinds = (label, *map(type, values))
+        if kinds not in admitted:
+            _check_properties(label, zip(fields, values))
+            admitted.add(kinds)
+        if order is not None:
+            values = order(values)
         node_id = len(self._nodes)
-        self._nodes.append(Node(node_id, label, check(label, props)))
+        self._nodes.append(Node(node_id, label, layout, values))
         self._by_label.setdefault(label, []).append(node_id)
         self._out.append(())
         self._in.append([])
@@ -261,12 +319,13 @@ class PropertyGraph:
             raise LabelDomainViolation(f"{label}: {src_label} -> {dst_label} not allowed")
         return label
 
-    def _append_edge(self, src, dst, name, props, check) -> int:
+    def _append_edge(self, src, dst, name, props, fields_of) -> int:
         """Store an edge under the next id; the one edge writer.
 
         Edges without properties share one empty mapping, and edges with
-        equal label and equal text properties one read-only mapping;
-        `check(label, props)` returns the checked properties of any other.
+        equal label and equal text properties one read-only mapping; any
+        other gets the checked keys and values `fields_of(label, props)`
+        returns.
         """
         label = self._edge_label(src, dst, name)
         if not props and (props is _NO_PROPERTIES or type(props) is dict):
@@ -278,12 +337,13 @@ class PropertyGraph:
             except (AttributeError, TypeError):  # not a mapping, or unhashable
                 key = shared = None
             if shared is None:
-                checked = check(label, props)
-                shared = MappingProxyType(checked)
+                fields, values = fields_of(label, props)
+                _check_properties(label, zip(fields, values))
+                shared = MappingProxyType(dict(zip(fields, values)))
                 # only text: True == 1 == 1.0 hash alike, but no text equals
                 # any of them, so a hit is never mistyped
-                if key is not None and all(type(v) is str for v in checked.values()):
-                    self._shared[(label, *checked.items())] = shared
+                if key is not None and all(type(v) is str for v in values):
+                    self._shared[(label, *shared.items())] = shared
         # the nodes' own id ints: a reload then holds no copy of them
         nodes = self._nodes
         edge = Edge(nodes[src].id, nodes[dst].id, label, shared)
@@ -296,18 +356,27 @@ class PropertyGraph:
         return len(self._edges) - 1
 
     def add_node(self, label: str, properties: dict | None = None) -> int:
-        return self._append_node(label, properties or {}, _copy_checked)
+        return self._append_node(label, properties or {}, _fields)
 
     def set_node_prop(self, node_id: int, key: str, value) -> None:
+        """Set one property; a new key moves the node to the layout of its
+        new key set."""
         node = self.node(node_id)
-        _check_properties(node.label, {key: value})
-        node.properties[key] = value
+        _check_properties(node.label, ((key, value),))
+        layout, values = node.layout, node.values
+        i = layout.get(key)
+        if i is None:
+            layout = node.layout = self._layout((*layout.fields, key))[0]
+            i = layout[key]
+            node.values = (*values[:i], value, *values[i:])
+        else:
+            node.values = (*values[:i], value, *values[i + 1 :])
 
     def add_edge(
         self, src: int, dst: int, label: str, properties: dict | None = None
     ) -> int:
         return self._append_edge(
-            src, dst, label, properties or _NO_PROPERTIES, _copy_checked
+            src, dst, label, properties or _NO_PROPERTIES, _fields
         )
 
     # ---- access ----
@@ -380,7 +449,7 @@ class PropertyGraph:
                 rule(e.src, e.dst, e.label)
                 # a shared mapping needs its check once
                 if (e.label, id(e.properties)) not in checked:
-                    _check_properties(e.label, e.properties)
+                    _check_properties(e.label, e.properties.items())
                     checked.add((e.label, id(e.properties)))
             except (GraphError, TypeError) as exc:
                 problems.append(f"edge {i}: {exc}")
@@ -407,7 +476,7 @@ class PropertyGraph:
             "edges": dict(sorted(edges.items())),
             "node_total": len(self._nodes),
             "edge_total": len(self._edges),
-            "property_total": sum(len(n.properties) for n in self._nodes)
+            "property_total": sum(len(n.values) for n in self._nodes)
             + sum(len(e.properties) for e in self._edges),
         }
 
@@ -417,11 +486,17 @@ class PropertyGraph:
         """The dump's lines in order, each ending in a line feed."""
         yield DUMP_HEADER + "\n"
         for node in self._nodes:
-            yield _NODE_RECORD[node.label] % (node.id, _format_props(node.properties))
-        for edge in self._edges:
-            yield _EDGE_RECORD[edge.label] % (
-                edge.dst, _format_props(edge.properties), edge.src
+            yield _NODE_RECORD[node.label] % (
+                node.id, _format_fields(node.layout.dump_keys, node.values)
             )
+        # the text of each property mapping, which edges share
+        texts: dict[int, str] = {}
+        for edge in self._edges:
+            props = edge.properties
+            text = texts.get(id(props))
+            if text is None:
+                text = texts[id(props)] = _format_props(props)
+            yield _EDGE_RECORD[edge.label] % (edge.dst, text, edge.src)
 
     def dumps(self) -> str:
         return "".join(self._dump_lines())
@@ -443,7 +518,8 @@ class PropertyGraph:
         g = cls()
         nodes = g._nodes
         append_node, append_edge = g._append_node, g._append_edge
-        # for this load only: one object per distinct key and `uses` text
+        # for this load only: one object per distinct `asm` and `uses` text
+        # and per distinct bytes
         decode = partial(_decode_props, {}.setdefault)
         lines = iter(lines)
         if next(lines, "").strip() != DUMP_HEADER:
@@ -475,23 +551,30 @@ class PropertyGraph:
                     raise GraphError(f"unknown record type {kind!r}")
             except KeyError as exc:
                 raise MalformedDump(f"missing field {exc}", number) from exc
-            except GraphError as exc:
+            except (GraphError, TypeError) as exc:
                 raise MalformedDump(str(exc), number) from exc
         return g
 
 
 def _format_props(props: Mapping) -> str:
-    """A property mapping as the compact JSON object the dump holds.
-
-    Keys go in sorted order. Text is quoted as `json` quotes it with
-    `ensure_ascii=False`; bool is checked before int, since bool is an int;
-    bytes become `{"b64": ...}`. Any other value raises `TypeError`.
-    """
+    """A property mapping as the compact JSON object the dump holds, with
+    its keys in sorted order."""
     if not props:
         return "{}"
+    keys = sorted(props)
+    return _format_fields([_quote(key) + ":" for key in keys], map(props.__getitem__, keys))
+
+
+def _format_fields(keys, values) -> str:
+    """Each quoted key with its colon, followed by its value, as a compact
+    JSON object.
+
+    Text is quoted as `json` quotes it with `ensure_ascii=False`; bool is
+    checked before int, since bool is an int; bytes become `{"b64": ...}`.
+    Any other value raises `TypeError`.
+    """
     parts = []
-    for key in sorted(props):
-        value = props[key]
+    for key, value in zip(keys, values):
         if isinstance(value, str):
             text = _quote(value)
         elif value is True:
@@ -504,32 +587,30 @@ def _format_props(props: Mapping) -> str:
             text = '{"b64":"%s"}' % binascii.b2a_base64(value, newline=False).decode("ascii")
         else:
             raise TypeError(
-                f"property {key!r}: {type(value).__name__} is not text/int/bool/bytes"
+                f"property {key[:-1]}: {type(value).__name__} is not text/int/bool/bytes"
             )
-        parts.append(f"{_quote(key)}:{text}")
+        parts.append(key + text)
     return "{" + ",".join(parts) + "}"
 
 
-def _decode_props(intern, label: str, props) -> dict:
-    """A dump record's properties, decoded, type-checked and with interned
-    keys and `uses` texts; raises `GraphError` when they are malformed."""
+def _decode_props(intern, label: str, props) -> tuple[tuple, tuple]:
+    """A dump record's keys and decoded values, with interned `asm` and
+    `uses` texts and bytes; raises `GraphError` when they are not an object
+    or hold bad base64."""
     if type(props) is not dict:
         raise GraphError("properties are not an object")
-    decoded = {}
+    values = []
     for key, value in props.items():
         if type(value) is dict and len(value) == 1 and "b64" in value:
             try:
                 value = binascii.a2b_base64(value["b64"])
             except (TypeError, ValueError) as exc:
                 raise GraphError(f"{label}.{key}: bad base64: {exc}") from exc
-        elif key == "uses" and type(value) is str:
             value = intern(value, value)
-        decoded[intern(key, key)] = value
-    try:
-        _check_properties(label, decoded)
-    except TypeError as exc:
-        raise GraphError(str(exc)) from exc
-    return decoded
+        elif key in ("asm", "uses") and type(value) is str:
+            value = intern(value, value)
+        values.append(value)
+    return tuple(props), tuple(values)
 
 
 def dump(graph: PropertyGraph, destination) -> None:
@@ -616,9 +697,11 @@ def build_from_frontends(
             props["exported"] = True
         function_node(entry, props)
 
-    # one `uses` text per distinct location set, shared by every record
-    # that has it
+    # one `uses` text per distinct location set, and one object per
+    # distinct `asm` text and instruction word, shared by every record that
+    # has it
     uses_text: dict[frozenset, str] = {}
+    intern = {}.setdefault
     for entry in sorted(functions):
         fn = functions[entry]
         fid = fn_nodes[entry]
@@ -636,7 +719,8 @@ def build_from_frontends(
             bb_nodes[block.ea] = bid
             g.add_edge(fid, bid, "has_bb")
             for ins in block.instructions:
-                props = {"ea": ins.ea, "bytes": ins.bytes, "asm": ins.asm}
+                word, text = intern(ins.bytes, ins.bytes), intern(ins.asm, ins.asm)
+                props = {"ea": ins.ea, "bytes": word, "asm": text}
                 uses = effects.eff_uses.get(ins.ea)
                 if uses:
                     # free uses (no def edge) mark values entering as arguments

@@ -80,6 +80,12 @@ def cpu_tag(cputype: int) -> str:
     return _CPU_NAMES.get(cputype, f"cpu_{cputype:#x}")
 
 
+def c_name(symbol: str) -> str:
+    """The C name of a Mach-O symbol: without the one leading `_` that the
+    compiler prefixes, so `___strcpy_chk` names `__strcpy_chk`."""
+    return symbol.removeprefix("_")
+
+
 def strip_pac(value: int) -> int:
     """Mask pointer-authentication bits off a data-section address word."""
     return value & PAC_MASK
@@ -349,7 +355,7 @@ def _parse_symtab(image: MachoImage, symoff: int, nsyms: int, stroff: int, strsi
         is_ext = bool(n_type & N_EXT)
         address = None if is_undef else n_value
         if address is not None and name and not is_debug:
-            image.symbol_names.setdefault(address, name.removeprefix("_"))
+            image.symbol_names.setdefault(address, c_name(name))
         image.symbols.append(
             SymbolEntry(
                 name=name,

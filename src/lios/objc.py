@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from .errors import CyclicSuperclassChain, DanglingReference
 from .macho import (
     MachoImage,
+    c_name,
     read_cstring,
     read_struct,
     section_bytes,
@@ -266,7 +267,7 @@ def strip_class_prefix(symbol: str) -> str:
     for prefix in ("_OBJC_CLASS_$_", "_OBJC_METACLASS_$_"):
         if symbol.startswith(prefix):
             return symbol[len(prefix) :]
-    return symbol.lstrip("_")
+    return c_name(symbol)
 
 
 def method_name(is_class_method: bool, owner: str, selector: str) -> str:

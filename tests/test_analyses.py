@@ -267,6 +267,20 @@ class TestTainted:
             branch,
         ]
 
+    def test_sink_named_by_its_c_name_matches_its_stub(self, tmp_path):
+        # the C function `__strcpy_chk` is the symbol `___strcpy_chk`; only
+        # the one Mach-O prefix underscore comes off
+        s = Scaffold()
+        s.stub("__strcpy_chk")
+        s.func("f", "mov x0, x2\nbl stub___strcpy_chk")
+        path = tmp_path / "app.bin"
+        path.write_bytes(s.build()[0])
+        g, _ingested, _timings = lift(AnalysisConfig(input=str(path)))
+        fn = g.find_nodes("Function", "name", "f")[0]
+        assert [n.get("name") for n in g.out_nodes(fn.id, "calls")] == ["__strcpy_chk"]
+        spec = TaintSpec(sources=(ArgSource(2),), sinks=(Sink("__strcpy_chk", 0),))
+        assert len(tainted(g, fn.id, spec)) == 1
+
     def test_rejects_non_function(self):
         b = FlowBuilder()
         with pytest.raises(NotAFunction):

@@ -6,6 +6,8 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lios.disasm
 import lios.graph
@@ -220,6 +222,9 @@ class TestStore:
         g = PropertyGraph()
         with pytest.raises(TypeError):
             g.add_node("Class", {"name": "C", "tags": ["a"]})
+        with pytest.raises(TypeError):
+            g.add_node("Class", {"name": "C", 1: "a"})
+        assert g.node_count() == 0
 
     def test_find_nodes_tracks_updates(self):
         g = PropertyGraph()
@@ -238,6 +243,110 @@ class TestStore:
         assert s["nodes"] == {"BasicBlock": 1, "Function": 1}
         assert s["edges"] == {"has_bb": 1}
         assert s["node_total"] == 2 and s["edge_total"] == 1
+
+
+# a dump record, by an encoder independent of the store's
+_encode_record = json.JSONEncoder(
+    sort_keys=True, ensure_ascii=False, separators=(",", ":")
+).encode
+_VALUES = {
+    str: st.text(max_size=4),
+    int: st.integers(-(1 << 70), 1 << 70),
+    bool: st.booleans(),
+    bytes: st.binary(max_size=4),
+}
+# a few free keys, so that writes often overwrite
+_FREE_KEYS = ["k", "note", "zé"]
+
+
+@st.composite
+def _property(draw, label):
+    """A (key, value) that `label` admits: a known key gets its type."""
+    known = lios.graph._KNOWN_KEYS[label]
+    key = draw(st.sampled_from(sorted(known) + _FREE_KEYS))
+    want = known.get(key)
+    return key, draw(_VALUES[want] if want else st.one_of(*_VALUES.values()))
+
+
+@st.composite
+def _node_writes(draw):
+    """`add_node` and `set_node_prop` calls over every node label."""
+    labels, writes = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        if labels and draw(st.booleans()):
+            node = draw(st.integers(0, len(labels) - 1))
+            writes.append(("set", node, *draw(_property(labels[node]))))
+        else:
+            label = draw(st.sampled_from(sorted(NODE_LABELS)))
+            labels.append(label)
+            writes.append(("add", label, dict(draw(st.lists(_property(label), max_size=5)))))
+    return writes
+
+
+def _typed(props):
+    # True == 1, so values are compared with their types
+    return {key: (type(value), value) for key, value in props.items()}
+
+
+class TestLayouts:
+    @settings(max_examples=300, deadline=None)
+    @given(_node_writes())
+    def test_layouts_agree_with_a_dict_per_node(self, writes):
+        g, model = PropertyGraph(), []
+        for write in writes:
+            if write[0] == "add":
+                _, label, props = write
+                assert g.add_node(label, props) == len(model)
+                model.append((label, dict(props)))
+            else:
+                _, node, key, value = write
+                g.set_node_prop(node, key, value)
+                model[node][1][key] = value
+
+        keys = {key for label in NODE_LABELS for key in lios.graph._KNOWN_KEYS[label]}
+        keys.update(_FREE_KEYS)
+        for store in (g, PropertyGraph.loads(g.dumps())):
+            layouts = {}
+            for node, (label, props) in zip(store.nodes(), model, strict=True):
+                assert node.label == label
+                assert _typed(node.properties) == _typed(props)
+                for key in keys:
+                    got = node.get(key, KeyError)
+                    assert (type(got), got) == _typed(props).get(key, (type, KeyError))
+                with pytest.raises(TypeError):
+                    node.properties["k"] = "x"
+                # nodes with equal key sets share one layout
+                assert layouts.setdefault(frozenset(props), node.layout) is node.layout
+            for label, props in model:
+                for key, value in props.items():
+                    assert [n.id for n in store.find_nodes(label, key, value)] == [
+                        i for i, (other, p) in enumerate(model)
+                        if other == label and key in p and p[key] == value
+                    ]
+            assert store.stats()["property_total"] == sum(len(p) for _, p in model)
+            expected = [DUMP_HEADER] + [
+                _encode_record({"id": i, "l": label, "p": {
+                    key: {"b64": base64.b64encode(value).decode("ascii")}
+                    if isinstance(value, bytes) else value
+                    for key, value in props.items()
+                }, "t": "n"})
+                for i, (label, props) in enumerate(model)
+            ]
+            assert store.dumps().split("\n") == expected + [""]
+
+    @pytest.mark.parametrize("reloaded", [False, True], ids=["lifted", "reloaded"])
+    def test_equal_instruction_texts_and_words_are_one_object(self, suite_graph, reloaded):
+        g = suite_graph[4]
+        if reloaded:
+            g = PropertyGraph.loads(g.dumps())
+        instructions = g.nodes("Instruction")
+        for key in ("asm", "bytes"):
+            values = [n.get(key) for n in instructions]
+            assert len({id(v) for v in values}) == len(set(values)) < len(values)
+        layouts = {}
+        for node in g.nodes():
+            assert layouts.setdefault(frozenset(node.properties), node.layout) is node.layout
+        assert len(layouts) < 20
 
 
 # one malformed edge per case, (src, dst, label, properties), in a store of
@@ -869,9 +978,7 @@ class TestDump:
         assert exc.value.line_no == 3 + record.count("\n")
 
     def test_records_match_an_independent_encoder(self):
-        oracle = json.JSONEncoder(
-            sort_keys=True, ensure_ascii=False, separators=(",", ":")
-        ).encode
+        oracle = _encode_record
         texts = ["", "caf\u00e9 \u65e5\u672c", "\x85", "\u2028\u2029", '"', "\\",
                  "\x00\x01\x1f\t\n\r\x7f"]
         ints = [0, -1, -(1 << 40), (1 << 63) + 1, 1 << 100]
@@ -908,12 +1015,17 @@ class TestDump:
 
     @pytest.mark.parametrize("value", [1.5, None, [1]], ids=["float", "none", "list"])
     def test_unwritable_property_raises(self, value):
-        # set_node_prop would refuse these; a direct write bypasses it
+        # set_node_prop refuses these, and a direct write is refused at the
+        # write: node properties are read-only, as edge properties are
         g = PropertyGraph()
         g.add_node("Class", {"name": "A"})
-        g.node(0).properties["extra"] = value
+        text = g.dumps()
         with pytest.raises(TypeError):
-            g.dumps()
+            g.node(0).properties["extra"] = value
+        with pytest.raises(TypeError):
+            g.set_node_prop(0, "extra", value)
+        assert g.dumps() == text
+        assert g.node(0).properties == {"name": "A"}
 
     def test_dump_writes_the_dumps_bytes(self, tmp_path, suite_graph):
         g = suite_graph[4]
