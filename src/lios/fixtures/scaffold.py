@@ -76,6 +76,7 @@ class CategorySpec:
     name: str
     target: str  # in-image spec name or external class name
     methods: list[MethodSpec] = field(default_factory=list)
+    class_methods: list[MethodSpec] = field(default_factory=list)
 
 
 class Scaffold:
@@ -450,7 +451,9 @@ class Scaffold:
 
         for cat in self._category_specs:
             catlist = b.section("__DATA_CONST", "__objc_catlist")
-            mlist = self._method_list(const, cat.methods, None)  # before the record
+            # the method lists before the record
+            mlist = self._method_list(const, cat.methods, None)
+            cmlist = self._method_list(const, cat.class_methods, None)
             self._align8(const)
             rec = const.append_u64(self._classname_ref(cat.name))
             if cat.target in placement:
@@ -459,7 +462,7 @@ class Scaffold:
                 slot = const.append_u64(0)
                 b.add_bind(const.ref(slot), f"_OBJC_CLASS_$_{cat.target}")
             const.append_u64(mlist if mlist else 0)
-            const.append_u64(0)  # class methods
+            const.append_u64(cmlist if cmlist else 0)
             const.append_u64(0)  # protocols
             const.append_u64(0)  # properties
             catlist.append_u64(const.ref(rec))
@@ -468,6 +471,7 @@ class Scaffold:
                     "name": cat.name,
                     "target": cat.target,
                     "methods": [(m.selector, m.impl) for m in cat.methods],
+                    "class_methods": [(m.selector, m.impl) for m in cat.class_methods],
                 }
             )
         self._placement = placement

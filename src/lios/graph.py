@@ -11,23 +11,26 @@ the store in one pass and reports the dump line of a malformed record.
 The store keeps each fact once. Ids are dense: node ids run from 0 in
 insertion order, and an edge's id is its index in the edge list, which is
 what `add_edge` returns and what the dump's order implies; an edge does not
-hold it. The nodes, the edges and each node's outgoing and incoming edges
-are lists indexed by id, and the two writers are the only code that writes
-them. Edges with equal label and equal text properties share one read-only
-mapping, whether they were added or reloaded; every edge without properties
-shares one empty mapping, and edges with other property values get one
-each. Edge properties are never mutated. A node holds only a tuple of
-values and a layout, one per key set, that the store shares among all
-nodes with those keys (the maps of SELF, or CPython's key-sharing dicts):
-it gives each key's position and its quoted dump text, in sorted order.
-`Node.properties` is a read-only copy; `set_node_prop` writes a new tuple
-and moves the node to the layout of its new key set. `build_from_frontends`
-gives all instructions with equal uses one `uses` text, and equal `asm`
-texts and instruction words one object each, through one memo per lift; a
-reload maps each label to the canonical label object and sends `asm` and
-`uses` texts and bytes through one memo per load, so that each repeated
-value is held once. The disassembly's location sets are shared frozensets
-too (`disasm._locs`).
+hold it. The nodes and the edges are lists indexed by id, and the two
+writers are the only code that writes them. Adjacency is not kept per node:
+the first read of a direction after a write sorts the edges by source or by
+destination, stably so that each node's stay in id order, and keeps that
+list with an array of where each node's edges start in it (compressed
+sparse row); every write drops both. Edges with equal label and equal text
+properties share one read-only mapping, whether they were added or
+reloaded; every edge without properties shares one empty mapping, and edges
+with other property values get one each. Edge properties are never mutated.
+A node holds only a tuple of values and a layout, one per key set, that the
+store shares among all nodes with those keys (the maps of SELF, or
+CPython's key-sharing dicts): it gives each key's position and its quoted
+dump text, in sorted order. `Node.properties` is a read-only copy;
+`set_node_prop` writes a new tuple and moves the node to the layout of its
+new key set. `build_from_frontends` gives all instructions with equal uses
+one `uses` text, and equal `asm` texts and instruction words one object
+each, through one memo per lift; a reload maps each label to the canonical
+label object and sends `asm` and `uses` texts and bytes through one memo
+per load, so that each repeated value is held once. The disassembly's
+location sets are shared frozensets too (`disasm._locs`).
 
 A dump (format v1) is one header line, then one JSON object per line: the
 nodes in id order, then the edges in id order. The nodes' ids are 0..n-1
@@ -46,12 +49,14 @@ import binascii
 import gc
 import json
 import sys
+from array import array
 from collections import Counter
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
+from itertools import accumulate
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 
 from .disasm import (
@@ -250,10 +255,9 @@ class PropertyGraph:
         self._nodes: list[Node] = []
         self._edges: list[Edge] = []
         self._by_label: dict[str, list[int]] = {}
-        # adjacency in edge-id order, so that it needs no sort; a node
-        # without outgoing edges holds the one empty tuple
-        self._out: list[list[Edge] | tuple] = []
-        self._in: list[list[Edge]] = []
+        # adjacency by source and by destination, made at the first read
+        # after a write (`_adjacency`); each writer drops both
+        self._by_src = self._by_dst = None
         # (label, *properties.items()) -> the read-only mapping of every edge
         # with that label and those text properties
         self._shared: dict[tuple, Mapping] = {}
@@ -298,8 +302,7 @@ class PropertyGraph:
         node_id = len(self._nodes)
         self._nodes.append(Node(node_id, label, layout, values))
         self._by_label.setdefault(label, []).append(node_id)
-        self._out.append(())
-        self._in.append([])
+        self._by_src = self._by_dst = None
         return node_id
 
     def _edge_label(self, src, dst, name) -> str:
@@ -348,11 +351,7 @@ class PropertyGraph:
         nodes = self._nodes
         edge = Edge(nodes[src].id, nodes[dst].id, label, shared)
         self._edges.append(edge)
-        if self._out[src]:
-            self._out[src].append(edge)
-        else:
-            self._out[src] = [edge]
-        self._in[dst].append(edge)
+        self._by_src = self._by_dst = None
         return len(self._edges) - 1
 
     def add_node(self, label: str, properties: dict | None = None) -> int:
@@ -401,19 +400,39 @@ class PropertyGraph:
             return list(self._edges)
         return [e for e in self._edges if e.label == label]
 
+    def _adjacency(self, end: str) -> tuple[array, list[Edge]]:
+        """(starts, grouped), stored as `_by_<end>`: the edges grouped by
+        their `end` node, "src" or "dst", each group in edge-id order, so that
+        node v's are grouped[starts[v]:starts[v + 1]]. An edge whose
+        endpoints are not both node ids, which only a write past
+        `_append_edge` can leave, is left out."""
+        edges, n = self._edges, len(self._nodes)
+        for ends in (list(map(attrgetter(e), edges)) for e in ("src", "dst")):
+            if ends and not (set(map(type, ends)) == {int} and 0 <= min(ends) <= max(ends) < n):
+                edges = [e for e in edges if type(e.src) is type(e.dst) is int
+                         and 0 <= e.src < n and 0 <= e.dst < n]
+                break
+        key, counts = attrgetter(end), [0] * (n + 1)
+        for k in map(key, edges):
+            counts[k + 1] += 1
+        # a stable sort keeps each group in edge-id order
+        index = array("q", accumulate(counts)), sorted(edges, key=key)
+        setattr(self, "_by_" + end, index)
+        return index
+
+    def _adjacent(self, index: tuple[array, list[Edge]], node_id: int, label: str | None):
+        """Node `node_id`'s edges in one direction's `index`."""
+        starts, grouped = index
+        if not 0 <= node_id < len(starts) - 1:
+            return []
+        found = grouped[starts[node_id] : starts[node_id + 1]]
+        return found if label is None else [e for e in found if e.label == label]
+
     def out_edges(self, node_id: int, label: str | None = None):
-        out = self._out
-        out = out[node_id] if 0 <= node_id < len(out) else ()
-        if label is None:
-            return list(out)
-        return [e for e in out if e.label == label]
+        return self._adjacent(self._by_src or self._adjacency("src"), node_id, label)
 
     def in_edges(self, node_id: int, label: str | None = None):
-        into = self._in
-        into = into[node_id] if 0 <= node_id < len(into) else ()
-        if label is None:
-            return list(into)
-        return [e for e in into if e.label == label]
+        return self._adjacent(self._by_dst or self._adjacency("dst"), node_id, label)
 
     def out_nodes(self, node_id: int, label: str):
         return [self._nodes[e.dst] for e in self.out_edges(node_id, label)]
@@ -442,7 +461,7 @@ class PropertyGraph:
         edge-id order.
         """
         problems = []
-        rule, checked, into = self._edge_label, set(), self._in
+        rule, checked, into = self._edge_label, set(), self.in_edges
         calls = {(e.src, e.dst) for e in self._edges if e.label == "calls"}
         for i, e in enumerate(self._edges):
             try:
@@ -456,12 +475,10 @@ class PropertyGraph:
                 continue
             if e.label != "calls":
                 continue
-            for instr in into[e.src]:
-                if instr.label != "instr":
-                    continue
-                for has_bb in into[instr.src]:
+            for instr in into(e.src, "instr"):
+                for has_bb in into(instr.src, "has_bb"):
                     fn = has_bb.src
-                    if has_bb.label == "has_bb" and (fn, e.dst) not in calls:
+                    if (fn, e.dst) not in calls:
                         problems.append(
                             f"edge {i}: calls from instruction {e.src} "
                             f"has no twin from its function {fn}"

@@ -86,7 +86,14 @@ class ObjcModel:
         return None
 
     def lookup(self, class_name: str, selector: str) -> tuple[ObjcClass, ObjcMethod] | None:
-        """Walk the hierarchy upward from class_name for a selector match."""
+        """Walk the hierarchy upward from class_name for a selector match.
+
+        The walk starts at the class `by_name` holds, the concrete class
+        when there is one, so it reads instance methods whatever the
+        receiver: a send to a class object (a classref) looks up an instance
+        method too, not a class method. `msgsend_suite`'s `site_const`
+        relies on this: it sends `doWork` to `classref_Worker`, and its
+        manifest expects `-[Worker doWork]`."""
         cls = self.by_name.get(class_name)
         seen = set()
         while cls is not None and cls.address not in seen:
@@ -378,6 +385,7 @@ class ObjcCategory:
     class_ref: int | None
     class_name: str | None
     methods: list[ObjcMethod]
+    class_methods: list[ObjcMethod]
 
 
 def parse_categories(image: MachoImage) -> list[ObjcCategory]:
@@ -395,13 +403,13 @@ def parse_categories(image: MachoImage) -> list[ObjcCategory]:
         if not cls_ref:
             bound = image.bind_map.get(target + 8)
             class_name = strip_class_prefix(bound) if bound else None
-        methods = []
+        methods, class_methods = [], []
         try:
-            for va in (inst, class_meth):
-                methods += _read_method_list(image, va, True)
+            methods = _read_method_list(image, inst, True)
+            class_methods = _read_method_list(image, class_meth, True)
         except DanglingReference as exc:
             image.warnings.append(f"category {name}: {exc}")
-        out.append(ObjcCategory(name, cls_ref or None, class_name, methods))
+        out.append(ObjcCategory(name, cls_ref or None, class_name, methods, class_methods))
     return out
 
 
@@ -443,8 +451,12 @@ def build_hierarchy(
         if target is None:
             warnings.append(f"category {cat.name} targets an unknown class")
             continue
-        known = {m.selector for m in target.methods}
-        target.methods.extend(m for m in cat.methods if m.selector not in known)
+        # class methods go to the meta-class; a class's own method wins
+        meta = by_address.get(target.metaclass_ref)
+        for owner, methods in ((target, cat.methods), (meta, cat.class_methods)):
+            if owner is not None:
+                known = {m.selector for m in owner.methods}
+                owner.methods.extend(m for m in methods if m.selector not in known)
 
     # break concrete superclass cycles
     for cls in model.classes:

@@ -771,6 +771,84 @@ def effects_by_line(source: str, blocks: dict[str, list[str]]) -> dict:
     return rows
 
 
+# Scaffold functions with back edges: a loop whose constants die one
+# register per round, a loop body laid out before its test, and a body laid
+# out before its only predecessor
+SCAFFOLD_LOOPS = {
+    "shift": shift_chain(6).replace("loop", "shift_loop"),
+    "countdown": """
+        mov x2, #5
+        b countdown_test
+        countdown_body:
+        str x2, [sp, #8]
+        sub x2, x2, #1
+        countdown_test:
+        cbnz x2, countdown_body
+        ldr x0, [sp, #8]
+        ret
+    """,
+    "swing": """
+        nop
+        swing_head:
+        b swing_tail
+        swing_body:
+        str x1, [sp, #8]
+        bl 0x100009000
+        b swing_head
+        swing_tail:
+        cbz x0, swing_body
+        ret
+    """,
+}
+
+
+def scaffold_loop_bodies() -> list:
+    s = Scaffold()
+    for name, source in SCAFFOLD_LOOPS.items():
+        s.func(name, source)
+    blob, manifest = s.build()
+    image = parse_macho(blob)
+    bodies = []
+    for name, source in SCAFFOLD_LOOPS.items():
+        lines = [line for line in source.split("\n") if line.strip()]
+        entry = manifest["functions"][name]
+        count = sum(not line.strip().endswith(":") for line in lines)
+        bodies.append(build_function(image, entry, entry + 4 * count))
+    return bodies
+
+
+BLOCK_ORDER_BODIES = {
+    "msgsend_suite": lambda: lift_fixture(*corpus.msgsend_suite())[2].values(),
+    "listing_one_app": lambda: lift_fixture(*corpus.listing_one_app())[2].values(),
+    "benign_app": lambda: lift_fixture(*corpus.benign_app())[2].values(),
+    "perf_app": lambda: lift_fixture(*corpus.perf_app(functions=12))[2].values(),
+    "scaffold_loops": scaffold_loop_bodies,
+}
+
+
+def fixpoint_results(fn) -> tuple:
+    eff = compute_effects(fn)
+    return eff.eff_defs, eff.eff_uses, eff.assign, compute_use_def(fn, eff)
+
+
+@pytest.mark.parametrize("source", BLOCK_ORDER_BODIES)
+def test_fixpoints_do_not_depend_on_the_order_of_fn_blocks(source):
+    """`compute_effects` and `compute_use_def` give equal results for every
+    order of a body's blocks, as `compute_effects`' docstring states."""
+    rng = random.Random(source)
+    bodies = list(BLOCK_ORDER_BODIES[source]())
+    if source == "scaffold_loops":
+        assert all(
+            any(succ <= block.ea for block in fn.blocks for succ in block.successors)
+            for fn in bodies
+        )
+    for fn in bodies:
+        want = fixpoint_results(fn)
+        for _ in range(6 if len(fn.blocks) > 1 else 0):
+            blocks = rng.sample(fn.blocks, len(fn.blocks))
+            assert fixpoint_results(dataclasses.replace(fn, blocks=blocks)) == want, fn.name
+
+
 class TestEffects:
     @pytest.mark.parametrize(
         "setup, assign",

@@ -349,6 +349,70 @@ class TestLayouts:
         assert len(layouts) < 20
 
 
+# node labels whose edges cover every direction of the rules between them
+_ADJACENCY_LABELS = ("Function", "BasicBlock", "Instruction")
+
+
+@st.composite
+def _adjacency_ops(draw):
+    """`add_node`, `add_edge` and reads in any order: ("node", label),
+    ("edge", src, dst, label) with a label the rule admits, or ("read",)."""
+    labels, ops = [], []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(["node", "edge", "edge", "read"]))
+        if kind == "node" or not labels:
+            labels.append(draw(st.sampled_from(_ADJACENCY_LABELS)))
+            ops.append(("node", labels[-1]))
+        elif kind == "edge":
+            src, dst = (draw(st.integers(0, len(labels) - 1)) for _ in range(2))
+            admitted = [
+                label for label, (domain, codomain) in lios.graph.EDGE_RULES.items()
+                if labels[src] in domain and labels[dst] in codomain
+            ]
+            if admitted:
+                ops.append(("edge", src, dst, draw(st.sampled_from(admitted))))
+        else:
+            ops.append(("read",))
+    return ops
+
+
+def _check_adjacency(g, edges):
+    """Every adjacency read of `g` against `edges`, the (src, dst, label) of
+    each edge in id order, one list per node and direction."""
+    stored = g.edges()
+    assert [(e.src, e.dst, e.label) for e in stored] == edges
+    n = g.node_count()
+    for node in range(-2, n + 2):
+        for end, read, neighbours in ((0, g.out_edges, g.out_nodes), (1, g.in_edges, g.in_nodes)):
+            for label in (None, *sorted(lios.graph.EDGE_RULES)):
+                want = [
+                    i for i, edge in enumerate(edges)
+                    if edge[end] == node and label in (None, edge[2])
+                ]
+                assert [id(e) for e in read(node, label)] == [id(stored[i]) for i in want]
+                if label is not None:
+                    assert [m.id for m in neighbours(node, label)] == [
+                        edges[i][1 - end] for i in want
+                    ]
+
+
+class TestAdjacency:
+    @settings(max_examples=300, deadline=None)
+    @given(_adjacency_ops())
+    def test_reads_between_writes_agree_with_a_list_per_node(self, ops):
+        g, edges = PropertyGraph(), []
+        for op in ops:
+            if op[0] == "node":
+                g.add_node(op[1])
+            elif op[0] == "edge":
+                assert g.add_edge(*op[1:]) == len(edges)
+                edges.append(op[1:])
+            else:
+                _check_adjacency(g, edges)
+        _check_adjacency(g, edges)
+        _check_adjacency(PropertyGraph.loads(g.dumps()), edges)
+
+
 # one malformed edge per case, (src, dst, label, properties), in a store of
 # a Class node 0 and a Protocol node 1, and the error `add_edge` raises
 MALFORMED_EDGES = {
@@ -394,6 +458,23 @@ class TestEdgeRule:
         g._edges.append(Edge(src, dst, label, props))
         problems = g.validate()
         assert len(problems) == 1 and problems[0].startswith("edge 1: "), problems
+
+    def test_validate_beside_a_call_reports_edge_id(self, case):
+        (src, dst, label, props), _error = MALFORMED_EDGES[case]
+        # a recursive call, so that the store holds 5 nodes and node 5 dangles
+        g = class_and_protocol()
+        fn = g.add_node("Function", {"name": "f"})
+        block = g.add_node("BasicBlock", {"ea": 0})
+        call = g.add_node("Instruction", {"ea": 0})
+        g.add_edge(fn, block, "has_bb")
+        g.add_edge(block, call, "instr")
+        g.add_edge(call, fn, "calls")
+        g.add_edge(fn, fn, "calls")
+        # written past the store's writer before any read, so that the twin
+        # walk's in-edge reads index the store with this edge in it
+        g._edges.append(Edge(src, dst, label, props))
+        problems = g.validate()
+        assert len(problems) == 1 and problems[0].startswith("edge 4: "), problems
 
 
 def test_assembly_writes_ivars_protocol_inheritance_and_fused_xrefs(tmp_path):

@@ -9,6 +9,7 @@ import struct
 import pytest
 
 from conftest import segment_fileoff_field
+from lios.disasm import function_name
 from lios.fixtures.builder import MachoBuilder
 from lios.fixtures.scaffold import (
     CategorySpec,
@@ -309,6 +310,53 @@ class TestCategories:
         # the class's own f wins; the category contributes only g
         assert impls["f"] == manifest["functions"]["base_f"]
         assert impls["g"] == manifest["functions"]["cat_g"]
+
+    def test_category_class_methods_join_the_meta_class(self):
+        s = Scaffold()
+        for label in ("own_m", "cat_m", "cat_cm", "own_both", "cat_both", "cat_plus_m"):
+            s.raw_func(label, RET)
+        s.add_class(
+            ClassSpec(
+                name="Sub",
+                methods=[MethodSpec("m", "own_m")],
+                class_methods=[MethodSpec("both", "own_both")],
+            )
+        )
+        s.add_category(
+            CategorySpec(
+                name="Extra",
+                target="Sub",
+                methods=[MethodSpec("m", "cat_m")],
+                class_methods=[
+                    MethodSpec("cm", "cat_cm"),
+                    MethodSpec("both", "cat_both"),
+                    MethodSpec("m", "cat_plus_m"),
+                ],
+            )
+        )
+        blob, manifest = s.build()
+        image = parse_macho(blob)
+        (cat,) = parse_categories(image)
+        assert [m.selector for m in cat.methods] == ["m"]
+        assert [m.selector for m in cat.class_methods] == ["cm", "both", "m"]
+        model = load_model(image)
+        names = {
+            label: function_name(image, model, ea)
+            for label, ea in manifest["functions"].items()
+        }
+        # a class's own method wins over a category's of its kind, and a
+        # class method may share its selector with an instance method
+        assert names == {
+            "own_m": "-[Sub m]",
+            "cat_m": "cat_m",
+            "cat_cm": "+[Sub cm]",
+            "own_both": "+[Sub both]",
+            "cat_both": "cat_both",
+            "cat_plus_m": "+[Sub m]",
+        }
+        meta = model.by_address[model.by_name["Sub"].metaclass_ref]
+        assert [m.selector for m in meta.methods] == ["both", "cm", "m"]
+        assert [m.selector for m in model.by_name["Sub"].methods] == ["m"]
 
     def test_category_on_external_class_warns(self):
         s = Scaffold()
