@@ -460,8 +460,8 @@ def word_span(image: MachoImage, entry_ea: int, end_ea: int) -> tuple[int, int]:
 
 
 def function_name(image: MachoImage, model, entry_ea: int) -> str:
-    """The one naming rule, read without decoding: `±[Class sel]` for a method
-    at `entry_ea`, else its symbol (`image.symbol_names`), else `sub_…`."""
+    """The one name of an in-image function, for its node, body and call
+    sites: `±[Class sel]` for a method at `entry_ea`, else its symbol, else `sub_…`."""
     hit = model.class_of_impl(entry_ea) if model is not None else None
     if hit is not None:
         return method_name(hit[0].is_metaclass, hit[0].name, hit[1].selector)
@@ -1024,11 +1024,7 @@ def devirtualize(
             continue  # neither a call nor a tail call out of the function
         stub = _stub_name(image, target) if image is not None else None
         if stub is None:
-            name = f"sub_{target:x}"
-            if image is not None:  # the symbol first, then the naming rule
-                name = image.symbol_names.get(target) or function_name(
-                    image, model, target
-                )
+            name = function_name(image, model, target) if image else f"sub_{target:x}"
             sites.append(CallSite(ins.ea, "in_image", target, name))
             continue
         if stub.startswith("objc_msgSend"):
@@ -1059,10 +1055,10 @@ def _resolve_msgsend(fn, ins, model, depth, functions, eff) -> list[CallSite]:
     for cls_name in classes:
         for sel in sels:
             hit = model.lookup(cls_name, sel)
-            if hit is not None and hit[1].impl_address is not None:
-                cls, method = hit
-                name = method_name(cls.is_metaclass, cls.name, sel)
-                sites.add(CallSite(ins.ea, "in_image", method.impl_address, name, sel))
+            impl = hit[1].impl_address if hit is not None else None
+            if impl is not None:
+                name = function_name(model.image, model, impl)
+                sites.add(CallSite(ins.ea, "in_image", impl, name, sel))
     if sites:
         # the value sets iterate in hash order, which varies between processes
         return sorted(sites, key=lambda s: (s.target_ea, s.target_name))

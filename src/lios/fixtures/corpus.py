@@ -354,6 +354,23 @@ def msgsend_suite() -> tuple[bytes, dict]:
         ],
     )
 
+    classes = [
+        ClassSpec(name="Base", methods=[MethodSpec("baseOnly", "impl_base")]),
+        ClassSpec(name="Sub", superclass="Base"),
+        ClassSpec(
+            name="Worker",
+            methods=[
+                MethodSpec("doWork", "impl_work"),
+                MethodSpec("reset", "impl_reset"),
+                MethodSpec("otherThing", "site_self"),
+                MethodSpec("redispatch", "site_own_sel"),
+            ],
+        ),
+    ]
+    # a function that implements a method is named after it, wherever called
+    method_of = {
+        m.impl: f"-[{c.name} {m.selector}]" for c in classes for m in c.methods
+    }
     caller_names = [
         "site_const", "site_super", "site_self", "site_diamond",
         "site_movchain", "site_spill", "site_interproc", "site_chain",
@@ -364,7 +381,9 @@ def msgsend_suite() -> tuple[bytes, dict]:
     b.func(
         "main",
         "\n".join(main_lines),
-        calls=[_site(_in_image(name, name)) for name in caller_names]
+        calls=[
+            _site(_in_image(name, method_of.get(name, name))) for name in caller_names
+        ]
         + [_site(_external("NSLog"))],
         exported=True,
     )
@@ -381,24 +400,8 @@ def msgsend_suite() -> tuple[bytes, dict]:
     s.classref("Worker")
     s.classref("Sub")
     s.classref("NSString")
-    s.add_class(
-        ClassSpec(
-            name="Base",
-            methods=[MethodSpec("baseOnly", "impl_base")],
-        )
-    )
-    s.add_class(ClassSpec(name="Sub", superclass="Base"))
-    s.add_class(
-        ClassSpec(
-            name="Worker",
-            methods=[
-                MethodSpec("doWork", "impl_work"),
-                MethodSpec("reset", "impl_reset"),
-                MethodSpec("otherThing", "site_self"),
-                MethodSpec("redispatch", "site_own_sel"),
-            ],
-        )
-    )
+    for spec in classes:
+        s.add_class(spec)
 
     blob, manifest = b.finish()
     manifest["entry_functions"] = ["main"]

@@ -75,7 +75,6 @@ from .errors import (
     MissingEndpoint,
     UnknownLabel,
 )
-from .objc import method_name
 
 DUMP_HEADER = "lios-graph v1"
 
@@ -852,15 +851,10 @@ def _build_objc(g: PropertyGraph, model) -> None:
 
 
 def link_pass(graph: PropertyGraph) -> dict:
-    """Insert implements edges between methods and same-address functions."""
-    by_ea: dict[int, Node] = {}
-    for fn in graph.nodes("Function"):
-        ea = fn.get("ea")
-        if ea is not None and ea >= 0:
-            by_ea[ea] = fn
-    added = 0
-    upgraded = 0
-    unmatched = 0
+    """Add `implements` edges from Functions to the Methods they implement,
+    and count unmatched methods; Function names stay `function_name`'s."""
+    by_ea = {fn.get("ea"): fn for fn in graph.nodes("Function") if fn.get("ea", -1) >= 0}
+    added = unmatched = 0
     for method in graph.nodes("Method"):
         impl = method.get("impl_ea")
         if impl is None:
@@ -875,33 +869,28 @@ def link_pass(graph: PropertyGraph) -> dict:
             continue
         graph.add_edge(fn.id, method.id, "implements")
         added += 1
-        if fn.get("name", "").startswith("sub_"):
-            is_class = method.get("is_class_method")
-            name = method_name(is_class, method.get("owner"), method.get("name"))
-            graph.set_node_prop(fn.id, "name", name)
-            upgraded += 1
-    return {"implements_added": added, "names_upgraded": upgraded,
-            "unmatched_methods": unmatched}
+    return {"implements_added": added, "unmatched_methods": unmatched}
 
 
 def mark_entrypoints(
     graph: PropertyGraph, delegate_protocols: frozenset = DEFAULT_DELEGATE_PROTOCOLS
 ) -> dict:
-    """Set is_ep on main, exported functions, and delegate-method impls."""
-    marked: set[int] = set()
-    for fn in graph.nodes("Function"):
-        if fn.get("name") == "main" or fn.get("exported"):
-            marked.add(fn.id)
-    for proto in graph.nodes("Protocol"):
-        if proto.get("name") not in delegate_protocols:
-            continue
-        for edge in graph.in_edges(proto.id, "has_protocol"):
-            adopter = graph.node(edge.src)
-            if adopter.label != "Class":
-                continue
-            for method in graph.out_nodes(adopter.id, "has_meth"):
-                for impl_edge in graph.in_edges(method.id, "implements"):
-                    marked.add(impl_edge.src)
+    """Set is_ep on main, exported functions, and delegate-method impls,
+    walking out-edges only, so that a lift builds no by-destination index."""
+    delegates = {
+        p.id for p in graph.nodes("Protocol") if p.get("name") in delegate_protocols
+    }
+    methods: set[int] = set()
+    for cls in graph.nodes("Class") if delegates else ():
+        if any(e.dst in delegates for e in graph.out_edges(cls.id, "has_protocol")):
+            methods.update(e.dst for e in graph.out_edges(cls.id, "has_meth"))
+    marked = [
+        fn.id
+        for fn in graph.nodes("Function")
+        if fn.get("name") == "main"
+        or fn.get("exported")
+        or (methods and any(e.dst in methods for e in graph.out_edges(fn.id, "implements")))
+    ]
     for fid in marked:
         graph.set_node_prop(fid, "is_ep", True)
     return {"marked": len(marked)}

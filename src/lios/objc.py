@@ -382,6 +382,7 @@ def parse_protocols(image: MachoImage) -> list[ObjcProtocol]:
 @dataclass
 class ObjcCategory:
     name: str
+    address: int
     class_ref: int | None
     class_name: str | None
     methods: list[ObjcMethod]
@@ -409,7 +410,9 @@ def parse_categories(image: MachoImage) -> list[ObjcCategory]:
             class_methods = _read_method_list(image, class_meth, True)
         except DanglingReference as exc:
             image.warnings.append(f"category {name}: {exc}")
-        out.append(ObjcCategory(name, cls_ref or None, class_name, methods, class_methods))
+        out.append(
+            ObjcCategory(name, target, cls_ref or None, class_name, methods, class_methods)
+        )
     return out
 
 
@@ -421,6 +424,14 @@ def build_hierarchy(
     image: MachoImage | None = None,
 ) -> ObjcModel:
     warnings: list[str] = []
+    # a category's imported class gets a placeholder at the slot naming it
+    classes, names = list(classes), {c.name for c in classes} | {None}
+    for cat in categories:
+        if cat.class_ref is None and cat.class_name not in names:
+            names.add(cat.class_name)
+            classes.append(
+                ObjcClass(cat.class_name, cat.address + 8, None, None, is_external=True)
+            )
     by_address = {c.address: c for c in classes}
     by_name: dict[str, ObjcClass] = {}
     for c in sorted(classes, key=lambda c: c.address):
@@ -453,6 +464,8 @@ def build_hierarchy(
             continue
         # class methods go to the meta-class; a class's own method wins
         meta = by_address.get(target.metaclass_ref)
+        if meta is None and cat.class_methods:
+            warnings.append(f"category {cat.name}: no meta-class for its class methods")
         for owner, methods in ((target, cat.methods), (meta, cat.class_methods)):
             if owner is not None:
                 known = {m.selector for m in owner.methods}

@@ -213,3 +213,69 @@ def register_moves_oracle(program: list[tuple]) -> dict[int, int]:
             (m,) = rest
             write(d, read(m, datasize))  # ZR OR operand2
     return regs
+
+
+def constant_paths_oracle(
+    program: list[tuple], max_steps: int = 40, max_paths: int = 4000
+) -> list[dict[int, tuple]]:
+    """The values x0-x3 hold where `program` ends, one dict per path that
+    gets there, found by walking the paths one at a time from its first
+    step, not by merging states at joins.
+
+    Each step is one of:
+      ("movz", d, imm16)             xd = imm16
+      ("add" | "sub", d, n, imm12)   xd = xn + or - imm12, modulo 2^64
+      ("mov", d, n)                  xd = xn
+      ("addsp", d, k)                xd = sp + k
+      ("str" | "ldr", d, k)          store xd at, or load xd from, [sp + k]
+      ("cbz", k) | ("b", k)          to step k if x3 is zero, or always;
+                                     k == len(program) is the end
+
+    A value is ("const", v) or ("frame", k), the address sp + k; a register
+    missing from a dict holds an unknown value, as every register does at
+    the start, and a load gives an unknown value. sp never changes. A `cbz`
+    on a register whose value is unknown or a frame address takes both
+    ways, one on a constant only its own. A path is cut after `max_steps`
+    steps, and the walk stops after `max_paths` paths, cut ones included.
+    """
+    ends: list[dict[int, tuple]] = []
+    walked = 0
+    pending = [(0, 0, {})]  # (step index, steps taken, registers)
+    while pending and walked < max_paths:
+        i, taken, regs = pending.pop()
+        if i == len(program) or taken == max_steps:
+            walked += 1
+            if i == len(program):
+                ends.append(regs)
+            continue
+        op, *args = program[i]
+        nexts = [i + 1]
+        if op in ("cbz", "b"):
+            (k,) = args
+            x3 = regs.get(3)
+            if op == "b" or x3 == ("const", 0):
+                nexts = [k]
+            elif x3 is None or x3[0] == "frame":
+                nexts = [i + 1, k]
+        elif op != "str":
+            regs, d = dict(regs), args[0]
+            if op == "movz":
+                value = ("const", args[1])
+            elif op in ("add", "sub"):
+                value = regs.get(args[1])
+                if value is not None:
+                    kind, v = value
+                    v = v + args[2] if op == "add" else v - args[2]
+                    value = (kind, v % (1 << 64) if kind == "const" else v)
+            elif op == "mov":
+                value = regs.get(args[1])
+            elif op == "addsp":
+                value = ("frame", args[1])
+            else:  # ldr
+                value = None
+            if value is None:
+                regs.pop(d, None)
+            else:
+                regs[d] = value
+        pending.extend((j, taken + 1, regs) for j in nexts)
+    return ends

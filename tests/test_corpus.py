@@ -5,15 +5,18 @@ import io
 
 import pytest
 
+from conftest import graph_bundle
 from lios.disasm import (
     CONST_STRING,
     CallSite,
     backtrace,
     build_function,
     devirtualize,
+    function_name,
     reg,
 )
 from lios.fixtures import corpus
+from lios.graph import link_pass
 from lios.macho import parse_macho
 from lios.objc import load_model
 from lios.plist import parse_plist
@@ -84,6 +87,36 @@ class TestMsgsendSuite:
         wanted = {c["name"] for c in manifest["classes"]}
         got = {c.name for c in model.classes if not c.is_metaclass and not c.is_external}
         assert got == wanted
+
+
+@pytest.mark.parametrize(
+    "builder, kwargs",
+    [
+        (corpus.msgsend_suite, {}),
+        (corpus.listing_one_app, {}),
+        (corpus.benign_app, {}),
+        (corpus.perf_app, {"functions": 12}),
+    ],
+    ids=["msgsend_suite", "listing_one_app", "benign_app", "perf_app"],
+)
+def test_one_name_per_in_image_function(builder, kwargs):
+    """`function_name` names every in-image function: its Function node, each
+    call site that targets it, direct or resolved, and the link pass keeps it."""
+    _, image, model, functions, g = graph_bundle(builder, **kwargs)
+    in_image = [n for n in g.nodes("Function") if not n.get("is_ext")]
+    named = {n.id: n.get("name") for n in in_image}
+    assert named == {n.id: function_name(image, model, n.get("ea")) for n in in_image}
+    sites = [
+        s
+        for fn in functions.values()
+        for s in devirtualize(fn, model, functions=functions)
+        if s.kind == "in_image"
+    ]
+    assert [s.target_name for s in sites] == [
+        function_name(image, model, s.target_ea) for s in sites
+    ]
+    link_pass(g)
+    assert {n.id: n.get("name") for n in in_image} == named
 
 
 @pytest.fixture(scope="module")

@@ -47,7 +47,7 @@ from lios.fixtures.asm import assemble
 from lios.fixtures.scaffold import ClassSpec, MethodSpec, Scaffold
 from lios.macho import parse_macho
 from lios.objc import load_model
-from oracles import reaching_defs_oracle, register_moves_oracle
+from oracles import constant_paths_oracle, reaching_defs_oracle, register_moves_oracle
 
 ORIGIN = 0x100004000
 
@@ -1120,6 +1120,59 @@ class TestRegisterWidth:
         for n in range(4):
             used = {l for l in eff.eff_uses[first + 4 * n] if l.kind == "mem"}
             assert used == ({mem(values[n])} if n in values else set()), (source, n)
+
+
+
+class TestConstantsOnEveryPath:
+    """`compute_effects` against `constant_paths_oracle` on random programs
+    with forward and backward branches."""
+
+    _register = st.integers(0, 3)
+    _slot = st.integers(0, 7).map(lambda k: 8 * k)
+    _step = st.one_of(
+        st.tuples(st.just("movz"), _register, st.integers(0, 0xFFFF)),
+        st.tuples(
+            st.sampled_from(["add", "sub"]), _register, _register, st.integers(0, 0xFFF)
+        ),
+        st.tuples(st.just("mov"), _register, _register),
+        st.tuples(st.just("addsp"), _register, _slot),
+        st.tuples(st.sampled_from(["str", "ldr"]), _register, _slot),
+        st.tuples(st.sampled_from(["cbz", "b"]), st.integers(0, 10)),
+    )
+    # label Lk is step k, and L10 the trailing loads
+    _text = {
+        "movz": "movz x{0}, #{1}",
+        "add": "add x{0}, x{1}, #{2}",
+        "sub": "sub x{0}, x{1}, #{2}",
+        "mov": "mov x{0}, x{1}",
+        "addsp": "add x{0}, sp, #{1}",
+        "str": "str x{0}, [sp, #{1}]",
+        "ldr": "ldr x{0}, [sp, #{1}]",
+        "cbz": "cbz x3, L{0}",
+        "b": "b L{0}",
+    }
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_step, min_size=10, max_size=10))
+    def test_constants_hold_on_every_path(self, program):
+        """Where `compute_effects` gives a trailing load a constant address or
+        a frame slot, every path to it, around loops too, holds that value."""
+        lines = [
+            f"L{i}:\n" + self._text[op].format(*args)
+            for i, (op, *args) in enumerate(program)
+        ]
+        loads = [f"ldr x9, [x{n}]" for n in range(4)]
+        fn = fn_from_asm("\n".join([*lines, "L10:", *loads, "ret"]))
+        eff = compute_effects(fn)
+        ends = constant_paths_oracle(program)
+        first = ORIGIN + 4 * len(program)
+        for n in range(4):
+            used = eff.eff_uses[first + 4 * n]
+            reported = {l for l in used if l.kind in ("mem", "stack")}
+            for regs in ends if reported else ():
+                kind, v = regs.get(n, (None, None))
+                held = {"const": mem, "frame": stack_slot}.get(kind)
+                assert held is not None and reported == {held(v)}, (lines, n)
 
 
 class TestZeroRegister:

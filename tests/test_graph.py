@@ -719,21 +719,10 @@ class TestLinkPass:
     def test_implements_edge_and_name_upgrade(self):
         g, f, m = self.hand_graph()
         report = link_pass(g)
-        assert report == {
-            "implements_added": 1,
-            "names_upgraded": 1,
-            "unmatched_methods": 0,
-        }
+        assert report == {"implements_added": 1, "unmatched_methods": 0}
         assert [e.dst for e in g.out_edges(f, "implements")] == [m]
-        assert g.node(f).get("name") == "-[C work]"
-
-    def test_named_functions_not_renamed(self):
-        g, f, _m = self.hand_graph()
-        g.set_node_prop(f, "name", "main")
-        report = link_pass(g)
-        assert report["implements_added"] == 1
-        assert report["names_upgraded"] == 0
-        assert g.node(f).get("name") == "main"
+        # names come from `function_name` at assembly; the pass renames nothing
+        assert g.node(f).get("name") == "sub_1000"
 
     def test_unmatched_method_warns(self):
         g, _f, _m = self.hand_graph(impl_ea=0x9999)

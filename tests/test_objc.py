@@ -9,7 +9,7 @@ import struct
 import pytest
 
 from conftest import segment_fileoff_field
-from lios.disasm import function_name
+from lios.disasm import build_function, devirtualize, function_name
 from lios.fixtures.builder import MachoBuilder
 from lios.fixtures.scaffold import (
     CategorySpec,
@@ -361,15 +361,68 @@ class TestCategories:
     def test_category_on_external_class_warns(self):
         s = Scaffold()
         s.raw_func("h", RET)
+        s.raw_func("k", RET)
         s.add_category(
-            CategorySpec(name="Ext", target="NSString", methods=[MethodSpec("z", "h")])
+            CategorySpec(
+                name="Ext",
+                target="NSString",
+                methods=[MethodSpec("z", "h")],
+                class_methods=[MethodSpec("y", "k")],
+            )
         )
-        blob, _ = s.build()
+        blob, manifest = s.build()
         image = parse_macho(blob)
         cats = parse_categories(image)
         assert cats[0].class_name == "NSString"
+        ((_slot, record),) = _pointer_slots(image, "__objc_catlist")
+        assert cats[0].address == record
         model = build_hierarchy([], [], cats)
-        assert any("unknown class" in w for w in model.warnings)
+        # the imported class gets a placeholder at the slot that names it,
+        # and the category's instance methods join it
+        (cls,) = model.classes
+        assert (cls.name, cls.address, cls.is_external, cls.is_metaclass) == (
+            "NSString", cats[0].address + 8, True, False,
+        )
+        assert model.by_name["NSString"] is cls
+        assert [(m.selector, m.impl_address) for m in cls.methods] == [
+            ("z", manifest["functions"]["h"])
+        ]
+        # a placeholder has no meta-class: its class methods are dropped, loudly
+        assert model.warnings == ["category Ext: no meta-class for its class methods"]
+
+    def test_category_on_imported_class_names_and_resolves(self):
+        s = Scaffold()
+        s.stub("objc_msgSend")
+        s.selref("extcat")
+        s.classref("NSString")
+        s.raw_func("impl_extcat", RET)
+        s.func(
+            "send",
+            """
+            adrp x0, classref_NSString@page
+            ldr x0, [x0, classref_NSString@pageoff]
+            adrp x1, sel_extcat@page
+            ldr x1, [x1, sel_extcat@pageoff]
+            bl stub_objc_msgSend
+            ret
+            """,
+        )
+        s.add_category(
+            CategorySpec(
+                name="Ext", target="NSString", methods=[MethodSpec("extcat", "impl_extcat")]
+            )
+        )
+        blob, manifest = s.build()
+        image = parse_macho(blob)
+        model = load_model(image)
+        impl = manifest["functions"]["impl_extcat"]
+        assert function_name(image, model, impl) == "-[NSString extcat]"
+        send = manifest["functions"]["send"]
+        fn = build_function(image, send, send + 24, model=model)
+        (site,) = devirtualize(fn, model)
+        assert (site.kind, site.target_ea, site.target_name, site.selector) == (
+            "in_image", impl, "-[NSString extcat]", "extcat",
+        )
 
 
 class TestRelativeMethodLists:

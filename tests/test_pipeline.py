@@ -237,6 +237,29 @@ class TestLift:
         }
         assert entries == expected
 
+    def test_lift_reads_out_edges_only(self, tmp_path, monkeypatch):
+        # the entrypoint pass walks forward, so a lift whose app adopts a
+        # delegate protocol never builds the by-destination index
+        blob, manifest = corpus.listing_one_app()
+        path = tmp_path / "listing_one"
+        path.write_bytes(blob)
+        built = []
+        adjacency = PropertyGraph._adjacency
+
+        def spy(graph, end):
+            built.append(end)
+            return adjacency(graph, end)
+
+        monkeypatch.setattr(PropertyGraph, "_adjacency", spy)
+        graph, _, _ = lift(AnalysisConfig(input=str(path)))
+        assert graph._by_dst is None and "dst" not in built
+        entries = {n.get("ea") for n in graph.nodes("Function") if n.get("is_ep")}
+        # main and the delegate method
+        assert entries == {
+            manifest["function_ranges"][name][0]
+            for name in manifest["entry_functions"]
+        }
+
     def test_entitlements_override(self, tmp_path):
         path, _ = write_ipa(tmp_path)
         ent = tmp_path / "ent.xml"
