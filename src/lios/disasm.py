@@ -553,7 +553,7 @@ def _fuse_xrefs(fn: FunctionBody) -> None:
                 page.clear()
                 continue
             if ins.mnemonic == "add" and ins.immediate is not None and ins.rn in page:
-                ins.xref = (page[ins.rn] + ins.immediate) & _ADDRESS_MASK
+                ins.xref = _fit(("const", page[ins.rn] + ins.immediate), ins.sixty_four)[1]
                 page[ins.rd] = ins.xref
                 continue
             if ins.is_load and ins.mem_base in page and ins.mem_mode == "off":
@@ -567,20 +567,24 @@ def _fuse_xrefs(fn: FunctionBody) -> None:
 
 _SP = ("sp", 0)
 _RETURN_LOCS = _locs(X0)
+_COPIED = {None: ("const", 0), **{r: ("copy", r) for r in _REGS.values()}}
 
 
 @dataclass
 class _Effects:
-    """Per-instruction effective defs/uses and assignment provenance.
+    """Per-instruction effective defs/uses, and where each value written came from.
 
     The sets are frozensets and may be the very objects an `Instruction`
     holds, shared with other instructions, so they are never mutated: a
-    change rebinds the entry to a new set.
+    change rebinds the entry to a new set.  `assign[ea]` is a flat tuple
+    (loc, provenance, loc, provenance, ...) of written locations; a
+    provenance, ("const", v) | ("copy", Loc) | ("load", Loc) | ("call",),
+    never equals a Loc.  A written location with no entry is unknown.
     """
 
     eff_defs: dict[int, frozenset[Loc]]
     eff_uses: dict[int, frozenset[Loc]]
-    assign: dict[int, tuple]  # ea -> ("const", v) | ("copy", Loc) | ("load", Loc) | ("call",) | ("opaque",)
+    assign: dict[int, tuple]
 
     def add_call_uses(self, call_uses: dict[int, set[Loc]]) -> None:
         """Add the argument registers of resolved call sites to the uses of
@@ -627,17 +631,17 @@ def _put(state: dict, key: Loc, value) -> None:
 def _step(state: dict, ins: Instruction) -> tuple:
     """Apply one instruction to a block's register state, in place.
 
-    Returns the instruction's effective defs and uses and its provenance,
-    all read from the state before it: ("const", v) | ("copy", Loc) |
-    ("load", Loc) | ("call",) | ("opaque",), or None where it assigns
-    nothing.  A load or store through a register of known value also
-    reads or writes its frame slot or absolute address."""
+    Returns its effective defs and uses and `assign` row, read from the state
+    before it: a loaded register's slot, a stored slot's register (xzr:
+    ("const", 0)), a call's x0 ("call",), what a move, constant or ADD/SUB
+    immediate copies; a written-back base, x30 at a call and all else get
+    no entry.  A load or store through a known register reads or writes its slot."""
     m = ins.mnemonic
     defs, uses = ins.defs, ins.uses
     if ins.kind == "call":
         state.pop(X0, None)
         state.pop(LINK_REG, None)
-        return defs | _RETURN_LOCS, uses | _RETURN_LOCS, ("call",)
+        return defs | _RETURN_LOCS, uses | _RETURN_LOCS, (X0, ("call",))
     if ins.is_load or ins.is_store:
         base = state.get(ins.mem_base)
         slots = ()
@@ -654,28 +658,29 @@ def _step(state: dict, ins: Instruction) -> tuple:
             value = _value_after_add(base, ins.mem_offset, False)
             _put(state, ins.mem_base, _fit(value, True))
         if ins.is_store:
-            return (defs.union(slots) if slots else defs), uses, None
-        info = ("load", slots[0]) if len(slots) == 1 else ("opaque",)
-        return defs, (uses.union(slots) if slots else uses), info
+            row = (slots[0], _COPIED[ins.rd]) if slots else ()
+            if len(slots) == 2:
+                row += (slots[1], _COPIED[ins.rt2])
+            return (defs.union(slots) if slots else defs), uses, row
+        row = (ins.rd, ("load", slots[0])) if slots and ins.rd is not None else ()
+        if len(slots) == 2 and ins.rt2 is not None:
+            row += (ins.rt2, ("load", slots[1]))
+        return defs, (uses.union(slots) if slots else uses), row
     if not defs:  # writes nothing, or the zero register: binds nothing
-        return defs, uses, None
+        return defs, uses, ()
     if m == "mov" and ins.immediate is None:  # register move; xzr binds nothing
         _put(state, ins.rd, _fit(state.get(ins.rm), ins.sixty_four))
-        return defs, uses, ("opaque",) if ins.rm is None else ("copy", ins.rm)
+        return defs, uses, () if ins.rm is None else (ins.rd, _COPIED[ins.rm])
     if m == "mov" or m == "adrp" or m == "adr":
-        state[ins.rd] = ("const", ins.immediate)
-        return defs, uses, ("const", ins.immediate)
+        state[ins.rd] = value = ("const", ins.immediate)
+        return defs, uses, (ins.rd, value)
     if (m == "add" or m == "sub") and ins.immediate is not None:
         value = _value_after_add(state.get(ins.rn), ins.immediate, m == "sub")
         value = _fit(value, ins.sixty_four)
-        if value is not None and value[0] == "const":
-            info = value
-        elif ins.immediate == 0:
-            info = ("copy", ins.rn)
-        else:
-            info = ("opaque",)
         _put(state, ins.rd, value)
-        return defs, uses, info
+        if value is not None and value[0] == "const":
+            return defs, uses, (ins.rd, value)
+        return defs, uses, (ins.rd, _COPIED[ins.rn]) if ins.immediate == 0 else ()
     if m == "movk":
         prev, value = state.get(ins.rd), None
         if prev is not None and prev[0] == "const":
@@ -686,7 +691,7 @@ def _step(state: dict, ins: Instruction) -> tuple:
     else:
         for d in defs:
             state.pop(d, None)
-    return defs, uses, ("opaque",)
+    return defs, uses, ()
 
 
 def compute_effects(fn: FunctionBody, call_uses: dict | None = None) -> _Effects:
@@ -727,9 +732,7 @@ def compute_effects(fn: FunctionBody, call_uses: dict | None = None) -> _Effects
             waiting = ea != fn.entry_ea and preds[ea] and not incoming
             state = {_SP_LOC: _SP} if ea == fn.entry_ea else _merge_states(incoming)
             for ins in block.instructions:
-                eff_defs[ins.ea], eff_uses[ins.ea], info = _step(state, ins)
-                if info is not None:
-                    assign[ins.ea] = info
+                eff_defs[ins.ea], eff_uses[ins.ea], assign[ins.ea] = _step(state, ins)
             if not waiting and block_out.get(ea) != state:
                 block_out[ea] = state
                 changed = True
@@ -854,10 +857,11 @@ def backtrace(
     model=None,
     depth: int = 2,
     functions: Mapping[int, FunctionBody] | None = None,
-    _effects: _Effects | None = None,
+    effects: _Effects | None = None,
 ) -> set[ResolvedValue]:
-    """Possible values of `location` immediately before `addr` executes."""
-    eff = _effects if _effects is not None else compute_effects(fn)
+    """Possible values of `location` immediately before `addr` executes: one
+    lookup per write in `effects.assign`, where no entry is UNKNOWN."""
+    eff = effects if effects is not None else compute_effects(fn)
     blocks, preds = fn.blocks, fn.predecessors
     starts = [b.ea for b in blocks]
 
@@ -872,9 +876,9 @@ def backtrace(
 
     def push_before(loc: Loc, ea: int) -> None:
         """Keep tracing `loc` from just before the instruction at `ea`."""
-        if ea == fn.entry_ea:
+        if ea == fn.entry_ea:  # the value on entry; a loop back to it goes on
             results.add(_AT_ENTRY.get(loc, UNKNOWN))
-        elif ea in preds:  # a block's first instruction
+        if ea in preds:  # a block's first instruction
             work.extend((loc, block_at(p).end - 4) for p in preds[ea])
         else:
             work.append((loc, ea - 4))
@@ -889,40 +893,26 @@ def backtrace(
         if block is None:
             results.add(UNKNOWN)
             continue
-        ins = block.instructions[(ea - block.ea) // 4]
-        if loc in eff.eff_defs.get(ea, ()):
-            if ins.is_store and loc.kind in ("stack", "mem"):
-                stored = ins.rt2 if _is_second_slot(eff, ins, loc) else ins.rd
-                if stored is None:  # the zero register
-                    results.add(UNKNOWN)
-                else:
-                    push_before(stored, ea)
-                continue
-            info = eff.assign.get(ea, ("opaque",))
-            text = None
-            if info[0] == "const":
-                text = _resolve_memory(model, info[1]) if info[1] else None
-            elif info[0] == "load" and info[1].kind == "mem":
-                text = resolve_constant(model, info[1].value)
-            elif info[0] in ("load", "copy"):
-                push_before(info[1], ea)
-                continue
-            elif info[0] == "call" and loc == X0:
-                results |= _trace_through_call(fn, ins, model, depth, functions, eff)
-                continue
-            results.add(UNKNOWN if text is None else CONST_STRING(text))
+        if loc not in eff.eff_defs[ea]:
+            push_before(loc, ea)
             continue
-        push_before(loc, ea)
+        row = eff.assign[ea]
+        if loc not in row:  # written, with no provenance: unknown
+            results.add(UNKNOWN)
+            continue
+        info = row[row.index(loc) + 1]
+        if info[0] == "call":
+            ins = block.instructions[(ea - block.ea) // 4]
+            results |= _trace_through_call(fn, ins, model, depth, functions, eff)
+        elif info[0] == "const":
+            text = _resolve_memory(model, info[1]) if info[1] else None
+            results.add(UNKNOWN if text is None else CONST_STRING(text))
+        elif info[0] == "load" and info[1].kind == "mem":
+            text = resolve_constant(model, info[1].value)
+            results.add(UNKNOWN if text is None else CONST_STRING(text))
+        else:  # a copy, or a load from a frame slot
+            push_before(info[1], ea)
     return results or {UNKNOWN}
-
-
-def _is_second_slot(eff: _Effects, ins: Instruction, loc: Loc) -> bool:
-    """For a store-pair, whether `loc` is the slot holding the second register."""
-    slots = sorted(
-        (d for d in eff.eff_defs[ins.ea] if d.kind == loc.kind and d.kind != "reg"),
-        key=lambda d: d.value,
-    )
-    return len(slots) == 2 and loc == slots[1]
 
 
 def _trace_through_call(fn, ins, model, depth, functions, eff):

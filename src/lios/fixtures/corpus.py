@@ -415,6 +415,68 @@ def msgsend_suite() -> tuple[bytes, dict]:
     return blob, manifest
 
 
+def spill_suite() -> tuple[bytes, dict]:
+    """Two message sends, in two methods of `Worker`, whose registers pass
+    through memory.
+
+    `reload_pair` spills self and its selector with `stp`, clobbers both and
+    reloads them with `ldp`, so its send is [self helper] and resolves to
+    itself.  `writeback_send` loads through x8 with post-index writeback and
+    sends the written-back base, the address 8 bytes past the selref, as
+    x1: it has no selector, and the send stays `objc_msgSend` on `Worker`.
+    """
+    worker = ClassSpec(
+        name="Worker",
+        methods=[
+            MethodSpec("helper", "reload_pair"),
+            MethodSpec("stepPast", "writeback_send"),
+        ],
+    )
+    # a function that implements a method is named after it, wherever called
+    method_of = {m.impl: f"-[{worker.name} {m.selector}]" for m in worker.methods}
+    helper, step_past = worker.methods
+    b = _SuiteBuilder()
+    s = b.scaffold
+    s.stub("objc_msgSend")
+    s.selref(helper.selector)
+    b.func(
+        helper.impl,
+        """
+        stp x0, x1, [sp, #-16]!
+        mov x0, #0
+        mov x1, #0
+        ldp x0, x1, [sp], #16
+        bl stub_objc_msgSend
+        ret
+        """,
+        calls=[
+            _site(_in_image(helper.impl, method_of[helper.impl], helper.selector))
+        ],
+    )
+    b.func(
+        step_past.impl,
+        f"""
+        adrp x8, sel_{helper.selector}@page
+        add x8, x8, sel_{helper.selector}@pageoff
+        ldr x2, [x8], #8
+        mov x1, x8
+        bl stub_objc_msgSend
+        ret
+        """,
+        calls=[_site(_external("objc_msgSend", receiver=worker.name))],
+    )
+    b.func(
+        "main",
+        "\n".join([*(f"bl {impl}" for impl in method_of), "ret"]),
+        calls=[_site(_in_image(impl, name)) for impl, name in method_of.items()],
+        exported=True,
+    )
+    s.add_class(worker)
+    blob, manifest = b.finish()
+    manifest["entry_functions"] = ["main"]
+    return blob, manifest
+
+
 # ---------------------------------------------------------------------------
 # WebView bridge pair
 

@@ -279,3 +279,94 @@ def constant_paths_oracle(
                 regs[d] = value
         pending.extend((j, taken + 1, regs) for j in nexts)
     return ends
+
+
+def value_paths_oracle(
+    program: list[tuple], max_steps: int = 40, max_paths: int = 4000
+) -> list[dict[int, object]]:
+    """The values x0-x3 hold where `program` ends, one dict per path that
+    gets there, walked one path at a time as `constant_paths_oracle` walks
+    them, with the frame's slots tracked as well as the registers.
+
+    On entry x0 holds the token "self" and x1 the token "sel"; every other
+    register, and each slot [sp + k] until the path stores to it, holds an
+    unknown value.  Each step is one of:
+      ("movz", d, imm16)             xd = imm16
+      ("mov", d, n)                  xd = xn
+      ("add", d, n, imm12)           xd = xn + imm12
+      ("addsp", d, k)                xd = sp + k
+      ("str" | "ldr", d, k)          store xd at, or load xd from, [sp + k]
+      ("stp" | "ldp", d, e, k)       the same for xd at [sp + k] and xe at
+                                     [sp + k + 8]
+      ("ldrpost", d, n, k)           ldr xd, [xn], #k: load from xn, then
+                                     add k to xn
+      ("ldrpre", d, n, k)            ldr xd, [xn, #k]!: add k to xn, then
+                                     load from it
+      ("cbz", k) | ("b", k)          as in `constant_paths_oracle`
+
+    A value is "self", "sel", ("const", v) or ("frame", k); a register
+    missing from a dict holds an unknown value.  Adding to a token or to an
+    unknown value gives an unknown value, bar adding 0, and so does a load
+    through a register that holds no frame address.  sp never changes.
+    """
+
+    def plus(value, k):
+        if k == 0:
+            return value
+        if isinstance(value, tuple):
+            kind, v = value
+            return (kind, (v + k) % (1 << 64) if kind == "const" else v + k)
+        return None
+
+    def put(table: dict, key, value) -> None:
+        if value is None:
+            table.pop(key, None)
+        else:
+            table[key] = value
+
+    ends: list[dict[int, object]] = []
+    walked = 0
+    # (step index, steps taken, registers, frame slots by offset)
+    pending = [(0, 0, {0: "self", 1: "sel"}, {})]
+    while pending and walked < max_paths:
+        i, taken, regs, slots = pending.pop()
+        if i == len(program) or taken == max_steps:
+            walked += 1
+            if i == len(program):
+                ends.append(regs)
+            continue
+        op, *args = program[i]
+        nexts = [i + 1]
+        regs, slots = dict(regs), dict(slots)
+        if op in ("cbz", "b"):
+            (k,) = args
+            x3 = regs.get(3)
+            if op == "b" or x3 == ("const", 0):
+                nexts = [k]
+            elif not (isinstance(x3, tuple) and x3[0] == "const"):
+                nexts = [i + 1, k]
+        elif op == "movz":
+            regs[args[0]] = ("const", args[1])
+        elif op == "mov":
+            put(regs, args[0], regs.get(args[1]))
+        elif op == "add":
+            put(regs, args[0], plus(regs.get(args[1]), args[2]))
+        elif op == "addsp":
+            regs[args[0]] = ("frame", args[1])
+        elif op in ("str", "stp"):
+            *stored, k = args
+            for offset, d in enumerate(stored):
+                put(slots, k + 8 * offset, regs.get(d))
+        elif op in ("ldr", "ldp"):
+            *loaded, k = args
+            for offset, d in enumerate(loaded):
+                put(regs, d, slots.get(k + 8 * offset))
+        else:  # ldrpost, ldrpre
+            d, n, k = args
+            before, after = regs.get(n), plus(regs.get(n), k)
+            at = after if op == "ldrpre" else before
+            put(regs, n, after)
+            framed = isinstance(at, tuple) and at[0] == "frame"
+            put(regs, d, slots.get(at[1]) if framed else None)
+        pending.extend((j, taken + 1, regs, slots) for j in nexts)
+    return ends

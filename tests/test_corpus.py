@@ -45,6 +45,16 @@ def expected_sites(manifest, name):
     }
 
 
+def assert_call_sets_match(manifest, model, functions):
+    """Each function's devirtualized call set is the one its manifest lists."""
+    got, want = {}, {}
+    for name in manifest["expected_calls"]:
+        start, _ = manifest["function_ranges"][name]
+        got[name] = set(devirtualize(functions[start], model, functions=functions))
+        want[name] = expected_sites(manifest, name)
+    assert got == want
+
+
 @pytest.fixture(scope="module")
 def suite():
     blob, manifest = corpus.msgsend_suite()
@@ -54,11 +64,7 @@ def suite():
 
 class TestMsgsendSuite:
     def test_call_sets_match_manifest_exactly(self, suite):
-        manifest, model, functions = suite
-        for name in manifest["expected_calls"]:
-            start, _ = manifest["function_ranges"][name]
-            got = set(devirtualize(functions[start], model, functions=functions))
-            assert got == expected_sites(manifest, name), name
+        assert_call_sets_match(*suite)
 
     def test_site_count_meets_coverage_floor(self, suite):
         manifest, model, functions = suite
@@ -87,6 +93,13 @@ class TestMsgsendSuite:
         wanted = {c["name"] for c in manifest["classes"]}
         got = {c.name for c in model.classes if not c.is_metaclass and not c.is_external}
         assert got == wanted
+
+
+def test_spill_suite_call_sets_match_manifest():
+    """A pair reload resolves the send it feeds; a written-back base holds
+    no selector."""
+    blob, manifest = corpus.spill_suite()
+    assert_call_sets_match(manifest, *lift(blob, manifest)[1:])
 
 
 @pytest.mark.parametrize(
@@ -131,11 +144,7 @@ def listing_pair():
 class TestListingPair:
     @pytest.mark.parametrize("sanitized", [False, True])
     def test_call_sets_match_manifest(self, listing_pair, sanitized):
-        manifest, model, functions = listing_pair[sanitized]
-        for name in manifest["expected_calls"]:
-            start, _ = manifest["function_ranges"][name]
-            got = set(devirtualize(functions[start], model, functions=functions))
-            assert got == expected_sites(manifest, name), name
+        assert_call_sets_match(*listing_pair[sanitized])
 
     def test_delegate_method_is_named_from_model(self, listing_pair):
         manifest, model, functions = listing_pair[False]

@@ -14,7 +14,7 @@ import struct
 import subprocess
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lios.disasm import (
@@ -47,7 +47,12 @@ from lios.fixtures.asm import assemble
 from lios.fixtures.scaffold import ClassSpec, MethodSpec, Scaffold
 from lios.macho import parse_macho
 from lios.objc import load_model
-from oracles import constant_paths_oracle, reaching_defs_oracle, register_moves_oracle
+from oracles import (
+    constant_paths_oracle,
+    reaching_defs_oracle,
+    register_moves_oracle,
+    value_paths_oracle,
+)
 
 ORIGIN = 0x100004000
 
@@ -763,10 +768,11 @@ def effects_by_line(source: str, blocks: dict[str, list[str]]) -> dict:
     for label, lines in blocks.items():
         for i in range(len(lines)):
             ea = ORIGIN + res.labels[label] + 4 * i
+            row = eff.assign[ea]
             rows[label, i] = (
                 sorted(map(str, eff.eff_defs[ea])),
                 sorted(map(str, eff.eff_uses[ea])),
-                tuple(map(str, eff.assign.get(ea, ()))),
+                [(str(loc), *map(str, prov)) for loc, prov in zip(row[::2], row[1::2])],
             )
     return rows
 
@@ -853,8 +859,8 @@ class TestEffects:
     @pytest.mark.parametrize(
         "setup, assign",
         [
-            ("mov x8, #0x1234", ("load", mem(0x100001234))),
-            ("nop", ("opaque",)),  # x8 holds no known value
+            ("mov x8, #0x1234", (reg("x0"), ("load", mem(0x100001234)))),
+            ("nop", ()),  # x8 holds no known value
         ],
     )
     def test_movk_keeps_the_other_bits_of_a_known_constant(self, setup, assign):
@@ -862,14 +868,14 @@ class TestEffects:
         ldr = ORIGIN + 8
         eff = compute_effects(fn)
         assert eff.assign[ldr] == assign
-        assert eff.eff_uses[ldr] == {reg("x8"), *assign[1:]}
+        assert eff.eff_uses[ldr] == {reg("x8"), *(prov[1] for prov in assign[1::2])}
 
     @pytest.mark.parametrize("registers", [10, 12, 28])
     def test_register_shift_loop_reaches_the_fixpoint(self, registers):
         fn = fn_from_asm(shift_chain(registers))
         assert len(fn.blocks) == 3
         head_add = fn.blocks[1].instructions[0]
-        assert compute_effects(fn).assign[head_add.ea] == ("opaque",)
+        assert compute_effects(fn).assign[head_add.ea] == ()
 
     def test_loop_body_laid_out_before_its_test(self):
         # the body's only predecessor comes after it: it must wait for that
@@ -890,7 +896,7 @@ class TestEffects:
         store, load = ORIGIN + 8, ORIGIN + 20
         eff = compute_effects(fn)
         assert stack_slot(8) in eff.eff_defs[store]
-        assert eff.assign[load] == ("load", stack_slot(8))
+        assert eff.assign[load] == (reg("x0"), ("load", stack_slot(8)))
         assert (load, store, stack_slot(8)) in compute_use_def(fn, eff)
 
     def test_block_order_cannot_make_the_rounds_swing(self):
@@ -930,7 +936,7 @@ class TestEffects:
         eas = [ins.ea for ins in fn.instructions()]
         assert sorted(eff.eff_defs) == sorted(eff.eff_uses) == eas
         assert eff.eff_defs[store] == frozenset()
-        assert eff.assign[load] == ("opaque",)
+        assert eff.assign[load] == ()
         edges = compute_use_def(fn, eff)
         assert not any(loc == stack_slot(8) for _, _, loc in edges)
 
@@ -1003,12 +1009,12 @@ class TestEffects:
             )
             eff = compute_effects(fn)
             eas = [ORIGIN + 4 * i for i in range(len(words) - len(tail), len(words))]
-            return [(eff.eff_defs[ea], eff.eff_uses[ea], eff.assign.get(ea)) for ea in eas]
+            return [(eff.eff_defs[ea], eff.eff_uses[ea], eff.assign[ea]) for ea in eas]
 
         nops = (0xD503201F,) * len(strays)
         got = tail_effects(setup + strays + tail)
         assert got == tail_effects(setup + nops + tail)
-        assert got[1][1:] == ({reg("x0")}, ("opaque",))
+        assert got[1][1:] == ({reg("x0")}, ())
 
 
 class TestAddressWrap:
@@ -1055,6 +1061,16 @@ class TestAddressWrap:
         [site] = devirtualize(fn)
         assert site.target_ea == 0xFFFFFFFFFFFFF000
         assert site.target_name == "sub_fffffffffffff000"
+
+    def test_xref_of_a_w_register_add_fits_32_bits(self):
+        # adrp x0, 0x100008000; add w0, w0, #16; ldr x1, [x0]
+        words = (0x90000020, 0x11004000, 0xF9400001)
+        instrs = [decode(struct.pack("<I", w), ORIGIN + 4 * i) for i, w in enumerate(words)]
+        fn = build_function_from_instructions(instrs)
+        add, ldr = instrs[1:]
+        assert add.asm == "add w0, w0, #16"
+        assert add.xref == ldr.xref == 0x8010
+        assert mem(0x8010) in compute_effects(fn).eff_uses[ldr.ea]
 
 
 class TestRegisterWidth:
@@ -1175,10 +1191,70 @@ class TestConstantsOnEveryPath:
                 assert held is not None and reported == {held(v)}, (lines, n)
 
 
+class TestBacktraceOnEveryPath:
+    """`backtrace` against `value_paths_oracle` on random programs that
+    spill, pair and write back, with forward and backward branches."""
+
+    _register = st.integers(0, 3)
+    _slot = st.integers(0, 7).map(lambda k: 8 * k)
+    _two = st.tuples(_register, _register).filter(lambda t: t[0] != t[1])
+    _step = st.one_of(
+        st.tuples(st.just("movz"), _register, st.integers(0, 0xFFFF)),
+        st.tuples(st.just("mov"), _register, _register),
+        st.tuples(st.just("add"), _register, _register, st.sampled_from([0, 8, 16])),
+        st.tuples(st.just("addsp"), _register, _slot),
+        st.tuples(st.sampled_from(["str", "ldr"]), _register, _slot),
+        st.builds(
+            lambda op, regs, k: (op, *regs, k),
+            st.sampled_from(["stp", "ldp"]), _two, st.integers(0, 6).map(lambda k: 8 * k),
+        ),
+        st.builds(
+            lambda op, regs, k: (op, *regs, k),
+            st.sampled_from(["ldrpost", "ldrpre"]), _two,
+            st.integers(-2, 2).map(lambda k: 8 * k),
+        ),
+        st.tuples(st.sampled_from(["cbz", "b"]), st.integers(0, 10)),
+    )
+    _text = {
+        "movz": "movz x{0}, #{1}",
+        "mov": "mov x{0}, x{1}",
+        "add": "add x{0}, x{1}, #{2}",
+        "addsp": "add x{0}, sp, #{1}",
+        "str": "str x{0}, [sp, #{1}]",
+        "ldr": "ldr x{0}, [sp, #{1}]",
+        "stp": "stp x{0}, x{1}, [sp, #{2}]",
+        "ldp": "ldp x{0}, x{1}, [sp, #{2}]",
+        "ldrpost": "ldr x{0}, [x{1}], #{2}",
+        "ldrpre": "ldr x{0}, [x{1}, #{2}]!",
+        "cbz": "cbz x3, L{0}",
+        "b": "b L{0}",
+    }
+    _tokens = {"self": SELF_REF, "sel": OWN_SELECTOR}
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_step, min_size=10, max_size=10))
+    # the written-back base holds sp + 24, not the slot's x1
+    @example([("str", 1, 16), ("addsp", 3, 16), ("ldrpost", 2, 3, 8)])
+    def test_traced_values_hold_on_every_path(self, program):
+        """Where `backtrace` gives a register at the trailing `ret` only
+        known values, every path to it, around loops too, holds one."""
+        lines = [
+            f"L{i}:\n" + self._text[op].format(*args)
+            for i, (op, *args) in enumerate(program)
+        ]
+        fn = fn_from_asm("\n".join([*lines, f"L{len(program)}:", "ret"]))
+        ends = value_paths_oracle(program)
+        ret = ORIGIN + 4 * len(program)
+        for n in range(4):
+            values = backtrace(fn, reg(f"x{n}"), ret)
+            for regs in ends if UNKNOWN not in values else ():
+                assert self._tokens.get(regs.get(n)) in values, (lines, n, values)
+
+
 class TestZeroRegister:
     def test_move_from_zero_register_is_opaque(self):
         fn = fn_from_asm("mov x0, xzr\nret")
-        assert compute_effects(fn).assign[ORIGIN] == ("opaque",)
+        assert compute_effects(fn).assign[ORIGIN] == ()
         assert backtrace(fn, reg("x0"), ORIGIN + 4) == {UNKNOWN}
 
     @pytest.mark.parametrize(
@@ -1196,8 +1272,8 @@ class TestZeroRegister:
         assert backtrace(fn, reg("x0"), ORIGIN + 8) == {value}
 
     def test_no_pinned_word_names_register_31(self):
-        # in an operand field, a def or use set, or a provenance, effects
-        # included
+        # in an operand field, a def or use set, or an assign row (each
+        # location and what its provenance names), effects included
         x31 = Loc("reg", "x31")
         named = []
         for i, word in enumerate(pinned_words()):
@@ -1207,7 +1283,8 @@ class TestZeroRegister:
             held = (
                 ins.rd, ins.rn, ins.rm, ins.rt2, ins.mem_base,
                 *ins.defs, *ins.uses, *eff.eff_defs[ea], *eff.eff_uses[ea],
-                *eff.assign.get(ea, ())[1:],
+                *eff.assign[ea][::2],
+                *(x for prov in eff.assign[ea][1::2] for x in prov[1:]),
             )
             if x31 in held:
                 named.append(ins.asm)
@@ -1324,6 +1401,29 @@ class TestBacktrace:
         ret = ORIGIN + 12
         assert backtrace(fn, reg("x2"), ret) == {OWN_SELECTOR}
         assert backtrace(fn, reg("x3"), ret) == {SELF_REF}
+
+    def test_loop_back_to_the_entry_brings_its_values(self):
+        fn = fn_from_asm("head:\ncbz x3, done\nmov x0, x1\nb head\ndone:\nret")
+        assert backtrace(fn, reg("x0"), ORIGIN + 12) == {SELF_REF, OWN_SELECTOR}
+
+    def test_load_pair_gives_each_register_its_slot(self):
+        fn = fn_from_asm("stp x0, x1, [sp, #16]\nldp x2, x3, [sp, #16]\nret")
+        ret = ORIGIN + 8
+        assert backtrace(fn, reg("x2"), ret) == {SELF_REF}
+        assert backtrace(fn, reg("x3"), ret) == {OWN_SELECTOR}
+
+    @pytest.mark.parametrize(
+        "stored, load",
+        [(16, "ldr x2, [x5], #8"), (24, "ldr x2, [x5, #8]!")],
+        ids=["post", "pre"],
+    )
+    def test_written_back_base_is_unknown(self, stored, load):
+        # x5 holds sp + 24 after the load, an address; the slot the load
+        # reads holds x1, and only x2 gets it
+        fn = fn_from_asm(f"str x1, [sp, #{stored}]\nadd x5, sp, #16\n{load}\nret")
+        ret = ORIGIN + 12
+        assert backtrace(fn, reg("x5"), ret) == {UNKNOWN}
+        assert backtrace(fn, reg("x2"), ret) == {OWN_SELECTOR}
 
     def _fn(self, image, manifest, name, n_instr, model=None):
         entry = manifest["functions"][name]

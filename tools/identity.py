@@ -12,12 +12,13 @@ the same `findings.json`.
 `--against` lifts the same input files with REV's `src/`, which `git archive`
 extracts into the temporary directory, so nothing is written under `.git`.
 The inputs are written once, by this checkout's generators, so both sides
-lift the same bytes under the same file names.  The set, 9,344 inputs and
-18,688 lifts:
+lift the same bytes under the same file names.  The set, 9,495 inputs and
+18,990 lifts:
 
 - perf_app N=400 seed 1 and N=100 seed 7;
-- listing_one vulnerable and sanitized, msgsend_suite and benign_app, and
-  150 `mutate(blob, "anywhere", s)` mutants of each, s in 5000..5149;
+- listing_one vulnerable and sanitized, msgsend_suite, benign_app and
+  spill_suite, and 150 `mutate(blob, "anywhere", s)` mutants of each, s in
+  5000..5149;
 - the `write_scan_batch` apps of seeds 7 and 11;
 - the whole field-boundary sweep (`lios.fixtures.sweep.boundary_fields`) of
   listing_one, msgsend_suite and benign_app: 8,376 mutants;
@@ -73,6 +74,7 @@ def write_inputs(dest: Path) -> None:
         "listing_one_sanitized": corpus.listing_one_app(sanitized=True)[0],
         "msgsend_suite": corpus.msgsend_suite()[0],
         "benign_app": corpus.benign_app()[0],
+        "spill_suite": corpus.spill_suite()[0],
     }
     for name, blob in fixtures.items():
         (apps / f"{name}.bin").write_bytes(blob)
