@@ -10,6 +10,7 @@ and the rule-file loader are thin layers over this one primitive.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field
 
 from .errors import MalformedRuleFile, NotAFunction
@@ -22,6 +23,7 @@ _SEVERITY_RANK = {s: i for i, s in enumerate(SEVERITIES)}
 _ARG_REGISTERS = tuple(f"x{i}" for i in range(8))
 
 _TAINT_STEP_BUDGET = 100_000
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,8 @@ def tainted(graph, fn, spec: TaintSpec) -> list[TaintHit]:
 
     Walks def edges backward from each sink argument; the first hop is
     pinned to the argument's register, later hops follow any variable.
-    A branch is abandoned when it runs through a sanitizer call.
+    A branch is abandoned when it runs through a sanitizer call. A walk cut
+    at `_TAINT_STEP_BUDGET` steps logs a warning that names its call site.
     """
     fn_id = _require(graph, fn, "Function", NotAFunction)
     # every instruction-level call has a function-level twin (`validate`
@@ -234,6 +237,10 @@ def tainted(graph, fn, spec: TaintSpec) -> list[TaintHit]:
                 ):
                     if e.dst not in visited:
                         stack.append((cur, e.dst))
+            if any(cur not in visited for _parent, cur in stack):
+                log.warning("taint walk from %s argument %s at instruction %d (ea %#x) "
+                            "stopped after %d steps with work left", sink.callee, reg,
+                            node.id, node.get("ea", -1), _TAINT_STEP_BUDGET)
             for desc in sorted(found):
                 hits.append(TaintHit(node.id, sink, desc, found[desc]))
     hits.sort(key=lambda h: (h.sink_instr, h.sink.callee, h.sink.arg, h.source))

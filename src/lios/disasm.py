@@ -704,11 +704,12 @@ def compute_effects(fn: FunctionBody, call_uses: dict | None = None) -> _Effects
     block state, so what it records are the effects at the fixpoint.
 
     Rounds sweep the blocks in address order.  A block waits until one of
-    its predecessors has a state; only the entry and blocks without any
-    predecessor start from a fixed state.  From its first visit on, a
-    block's state can therefore only lose keys, and every round but the
-    last visits a block for the first time or drops a key.  So the
-    fixpoint ends, in at most blocks * (keys + 1) + 1 rounds, at the
+    its predecessors has a state; blocks without any predecessor start from
+    the empty state, and the entry from sp = ("sp", 0) merged with what its
+    back edges bring.  From its first visit on, a block's state can only
+    lose keys, and every round but the last visits a block for the first
+    time or drops a key.  So the fixpoint ends, in at most
+    blocks * (keys + 1) + 1 rounds, at the
     greatest fixpoint whatever the block order.  Starting a waiting block
     from the empty state would make the result depend on block order, and
     the rounds could swing between two states for ever.  A block that
@@ -729,8 +730,9 @@ def compute_effects(fn: FunctionBody, call_uses: dict | None = None) -> _Effects
         for block in fn.blocks:
             ea = block.ea
             incoming = [block_out[p] for p in preds[ea] if p in block_out]
-            waiting = ea != fn.entry_ea and preds[ea] and not incoming
-            state = {_SP_LOC: _SP} if ea == fn.entry_ea else _merge_states(incoming)
+            entry = ea == fn.entry_ea
+            waiting = not entry and preds[ea] and not incoming
+            state = _merge_states([{_SP_LOC: _SP}, *incoming] if entry else incoming)
             for ins in block.instructions:
                 eff_defs[ins.ea], eff_uses[ins.ea], assign[ins.ea] = _step(state, ins)
             if not waiting and block_out.get(ea) != state:

@@ -9,17 +9,19 @@ the store in one pass and reports the dump line of a malformed record.
 `validate` re-checks each edge through the same rule.
 
 The store keeps each fact once. Ids are dense: node ids run from 0 in
-insertion order, and an edge's id is its index in the edge list, which is
-what `add_edge` returns and what the dump's order implies; an edge does not
-hold it. The nodes and the edges are lists indexed by id, and the two
-writers are the only code that writes them. Adjacency is not kept per node:
-the first read of a direction after a write sorts the edges by source or by
-destination, stably so that each node's stay in id order, and keeps that
-list with an array of where each node's edges start in it (compressed
-sparse row); every write drops both. Edges with equal label and equal text
-properties share one read-only mapping, whether they were added or
-reloaded; every edge without properties shares one empty mapping, and edges
-with other property values get one each. Edge properties are never mutated.
+insertion order, and an edge's id is what `add_edge` returns and what the
+dump's order implies. The nodes are a list indexed by id; the edges are
+four columns indexed by id, as a column store keeps them: int64 source and
+destination, a one-byte label code and the property mapping. A read makes
+an `Edge` view of each edge it returns. The two writers are the only code
+that writes them. Adjacency is not kept per node: the first read of a
+direction after a write groups the edge ids by source or by destination
+with a stable counting sort, so that each node's stay in id order, with an
+array of where each node's group starts (compressed sparse row); every
+write drops both. Edges with equal label and equal text properties share
+one read-only mapping, whether they were added or reloaded; every edge
+without properties shares one empty mapping, and edges with other property
+values get one each. Edge properties are never mutated.
 A node holds only a tuple of values and a layout, one per key set, that the
 store shares among all nodes with those keys (the maps of SELF, or
 CPython's key-sharing dicts): it gives each key's position and its quoted
@@ -56,7 +58,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from types import MappingProxyType
 
 from .disasm import (
@@ -139,15 +141,17 @@ _NODE_RECORD = {
     label: '{"id":%%d,"l":%s,"p":%%s,"t":"n"}\n' % _quote(label)
     for label in NODE_LABELS
 }
-_EDGE_RECORD = {
-    label: '{"d":%%d,"l":%s,"p":%%s,"s":%%d,"t":"e"}\n' % _quote(label)
-    for label in EDGE_RULES
-}
+# an edge's label code is the index of its label here
+_EDGE_LABELS = tuple(sorted(EDGE_RULES))
+_EDGE_CODE = {label: code for code, label in enumerate(_EDGE_LABELS)}
+_EDGE_RECORD = tuple(
+    '{"d":%%d,"l":%s,"p":%%s,"s":%%d,"t":"e"}\n' % _quote(label)
+    for label in _EDGE_LABELS
+)
 _SCAN = json.JSONDecoder().scan_once
 
 # the canonical label objects, looked up by a label read from a dump
 _NODE_LABEL = {label: label for label in NODE_LABELS}
-_EDGE_LABEL = {label: label for label in EDGE_RULES}
 
 # the properties of every edge that has none; read-only, as it is shared
 _NO_PROPERTIES: Mapping = MappingProxyType({})
@@ -208,7 +212,8 @@ class Node:
 
 @dataclass(slots=True)
 class Edge:
-    """A labeled edge; its id is its index in the store's edge list."""
+    """A view of one stored edge, made at each read; the store keeps its
+    fields in columns indexed by edge id."""
 
     src: int
     dst: int
@@ -252,7 +257,8 @@ def _fields(_label: str, properties: Mapping) -> tuple[tuple, tuple]:
 class PropertyGraph:
     def __init__(self):
         self._nodes: list[Node] = []
-        self._edges: list[Edge] = []
+        # the edges' columns, indexed by edge id; `_append_edge` appends to them
+        self._src, self._dst, self._codes, self._props = array("q"), array("q"), array("B"), []
         self._by_label: dict[str, list[int]] = {}
         # adjacency by source and by destination, made at the first read
         # after a write (`_adjacency`); each writer drops both
@@ -304,22 +310,21 @@ class PropertyGraph:
         self._by_src = self._by_dst = None
         return node_id
 
-    def _edge_label(self, src, dst, name) -> str:
-        """The canonical label of an edge `name` from `src` to `dst`; the
-        edge rule. Raises the `GraphError` of the first check it fails."""
+    def _edge_code(self, src, dst, name) -> int:
+        """The label code of an edge `name` from `src` to `dst`; the edge
+        rule. Raises the `GraphError` of the first check it fails."""
         try:
-            label = _EDGE_LABEL[name]
+            code = _EDGE_CODE[name]
         except (KeyError, TypeError):
             raise UnknownLabel(f"unknown edge label {name!r}") from None
-        nodes = self._nodes
-        n = len(nodes)
+        nodes, n = self._nodes, len(self._nodes)
         if not (type(src) is type(dst) is int and 0 <= src < n and 0 <= dst < n):
-            raise MissingEndpoint(f"edge {label} endpoints {src!r}->{dst!r} are not node ids")
-        domain, codomain = EDGE_RULES[label]
+            raise MissingEndpoint(f"edge {name} endpoints {src!r}->{dst!r} are not node ids")
+        domain, codomain = EDGE_RULES[name]
         src_label, dst_label = nodes[src].label, nodes[dst].label
         if src_label not in domain or dst_label not in codomain:
-            raise LabelDomainViolation(f"{label}: {src_label} -> {dst_label} not allowed")
-        return label
+            raise LabelDomainViolation(f"{name}: {src_label} -> {dst_label} not allowed")
+        return code
 
     def _append_edge(self, src, dst, name, props, fields_of) -> int:
         """Store an edge under the next id; the one edge writer.
@@ -329,7 +334,8 @@ class PropertyGraph:
         other gets the checked keys and values `fields_of(label, props)`
         returns.
         """
-        label = self._edge_label(src, dst, name)
+        code = self._edge_code(src, dst, name)
+        label = _EDGE_LABELS[code]
         if not props and (props is _NO_PROPERTIES or type(props) is dict):
             shared = _NO_PROPERTIES
         else:
@@ -346,12 +352,12 @@ class PropertyGraph:
                 # any of them, so a hit is never mistyped
                 if key is not None and all(type(v) is str for v in values):
                     self._shared[(label, *shared.items())] = shared
-        # the nodes' own id ints: a reload then holds no copy of them
-        nodes = self._nodes
-        edge = Edge(nodes[src].id, nodes[dst].id, label, shared)
-        self._edges.append(edge)
+        self._src.append(src)
+        self._dst.append(dst)
+        self._codes.append(code)
+        self._props.append(shared)
         self._by_src = self._by_dst = None
-        return len(self._edges) - 1
+        return len(self._props) - 1
 
     def add_node(self, label: str, properties: dict | None = None) -> int:
         return self._append_node(label, properties or {}, _fields)
@@ -394,50 +400,59 @@ class PropertyGraph:
         nodes = self._nodes
         return [nodes[i] for i in self._by_label.get(label, [])]
 
+    def _edge(self, i: int) -> Edge:
+        return Edge(self._src[i], self._dst[i], _EDGE_LABELS[self._codes[i]], self._props[i])
+
+    def _labelled(self, ids, label: str | None):
+        """The edge ids among `ids` whose label is `label`; all if it is None."""
+        code, codes = _EDGE_CODE.get(label), self._codes
+        return ids if label is None else [i for i in ids if codes[i] == code]
+
     def edges(self, label: str | None = None):
-        if label is None:
-            return list(self._edges)
-        return [e for e in self._edges if e.label == label]
+        return list(map(self._edge, self._labelled(range(len(self._props)), label)))
 
-    def _adjacency(self, end: str) -> tuple[array, list[Edge]]:
-        """(starts, grouped), stored as `_by_<end>`: the edges grouped by
-        their `end` node, "src" or "dst", each group in edge-id order, so that
-        node v's are grouped[starts[v]:starts[v + 1]]. An edge whose
-        endpoints are not both node ids, which only a write past
-        `_append_edge` can leave, is left out."""
-        edges, n = self._edges, len(self._nodes)
-        for ends in (list(map(attrgetter(e), edges)) for e in ("src", "dst")):
-            if ends and not (set(map(type, ends)) == {int} and 0 <= min(ends) <= max(ends) < n):
-                edges = [e for e in edges if type(e.src) is type(e.dst) is int
-                         and 0 <= e.src < n and 0 <= e.dst < n]
-                break
-        key, counts = attrgetter(end), [0] * (n + 1)
-        for k in map(key, edges):
-            counts[k + 1] += 1
-        # a stable sort keeps each group in edge-id order
-        index = array("q", accumulate(counts)), sorted(edges, key=key)
-        setattr(self, "_by_" + end, index)
-        return index
+    def _adjacency(self, end: str) -> tuple[array, array]:
+        """(starts, grouped), stored as `_by_<end>`: the edge ids grouped by
+        their `end` node, "src" or "dst", each group in id order, so that
+        node v's are grouped[starts[v]:starts[v + 1]]; a stable counting
+        sort over the end column. An edge whose endpoints are not both node
+        ids, which only a write past `_append_edge` can leave, is left out."""
+        src, dst, keys, n = self._src, self._dst, getattr(self, "_" + end), len(self._nodes)
+        if src and not (0 <= min(src) <= max(src) < n and 0 <= min(dst) <= max(dst) < n):
+            # group n, which no node reads, takes the edges left out
+            keys = [k if 0 <= s < n and 0 <= d < n else n for s, d, k in zip(src, dst, keys)]
+        # each group's size, then where it starts in `grouped`
+        starts = [0] * (n + 1)
+        for k in keys:
+            starts[k] += 1
+        starts = array("q", accumulate(starts, initial=0))
+        # arrays, not lists, hold the positions: no int object per node
+        free, grouped = array("q", starts), array("q", bytes(8 * len(keys)))
+        for i, k in enumerate(keys):
+            grouped[free[k]] = i
+            free[k] += 1
+        setattr(self, "_by_" + end, (starts, grouped))
+        return starts, grouped
 
-    def _adjacent(self, index: tuple[array, list[Edge]], node_id: int, label: str | None):
-        """Node `node_id`'s edges in one direction's `index`."""
-        starts, grouped = index
-        if not 0 <= node_id < len(starts) - 1:
-            return []
-        found = grouped[starts[node_id] : starts[node_id + 1]]
-        return found if label is None else [e for e in found if e.label == label]
+    def _adjacent(self, end: str, node_id: int, label: str | None):
+        """The ids of node `node_id`'s edges by their `end` node, "src" or
+        "dst", in id order; only those labelled `label` unless it is None."""
+        starts, grouped = getattr(self, "_by_" + end) or self._adjacency(end)
+        if not 0 <= node_id < len(self._nodes):
+            return ()
+        return self._labelled(grouped[starts[node_id] : starts[node_id + 1]], label)
 
     def out_edges(self, node_id: int, label: str | None = None):
-        return self._adjacent(self._by_src or self._adjacency("src"), node_id, label)
+        return list(map(self._edge, self._adjacent("src", node_id, label)))
 
     def in_edges(self, node_id: int, label: str | None = None):
-        return self._adjacent(self._by_dst or self._adjacency("dst"), node_id, label)
+        return list(map(self._edge, self._adjacent("dst", node_id, label)))
 
     def out_nodes(self, node_id: int, label: str):
-        return [self._nodes[e.dst] for e in self.out_edges(node_id, label)]
+        return [self._nodes[self._dst[i]] for i in self._adjacent("src", node_id, label)]
 
     def in_nodes(self, node_id: int, label: str):
-        return [self._nodes[e.src] for e in self.in_edges(node_id, label)]
+        return [self._nodes[self._src[i]] for i in self._adjacent("dst", node_id, label)]
 
     def find_nodes(self, label: str, key: str, value):
         return [n for n in self.nodes(label) if n.get(key) == value]
@@ -446,7 +461,7 @@ class PropertyGraph:
         return len(self._nodes)
 
     def edge_count(self) -> int:
-        return len(self._edges)
+        return len(self._props)
 
     def validate(self) -> list[str]:
         """Whole-graph re-check; empty list when well-formed.
@@ -459,41 +474,43 @@ class PropertyGraph:
         from theirs). `analyses.tainted` relies on it. Problems come in
         edge-id order.
         """
-        problems = []
-        rule, checked, into = self._edge_label, set(), self.in_edges
-        calls = {(e.src, e.dst) for e in self._edges if e.label == "calls"}
-        for i, e in enumerate(self._edges):
+        problems, checked, into = [], set(), self.in_nodes
+        columns, calls = (self._src, self._dst, self._codes), _EDGE_CODE["calls"]
+        twins = {(s, d) for s, d, code in zip(*columns) if code == calls}
+        for i, (s, d, code, props) in enumerate(zip(*columns, self._props)):
+            # a code past the labels, written past `_append_edge`, is unknown
+            label = _EDGE_LABELS[code] if code < len(_EDGE_LABELS) else code
             try:
-                rule(e.src, e.dst, e.label)
+                self._edge_code(s, d, label)
                 # a shared mapping needs its check once
-                if (e.label, id(e.properties)) not in checked:
-                    _check_properties(e.label, e.properties.items())
-                    checked.add((e.label, id(e.properties)))
+                if (label, id(props)) not in checked:
+                    _check_properties(label, props.items())
+                    checked.add((label, id(props)))
             except (GraphError, TypeError) as exc:
                 problems.append(f"edge {i}: {exc}")
                 continue
-            if e.label != "calls":
+            if code != calls:
                 continue
-            for instr in into(e.src, "instr"):
-                for has_bb in into(instr.src, "has_bb"):
-                    fn = has_bb.src
-                    if (fn, e.dst) not in calls:
+            for block in into(s, "instr"):
+                for fn in into(block.id, "has_bb"):
+                    if (fn.id, d) not in twins:
                         problems.append(
-                            f"edge {i}: calls from instruction {e.src} "
-                            f"has no twin from its function {fn}"
+                            f"edge {i}: calls from instruction {s} "
+                            f"has no twin from its function {fn.id}"
                         )
         return problems
 
     def stats(self) -> dict:
         by_label = self._by_label
-        edges = Counter(e.label for e in self._edges)
+        # codes sort as their labels do
+        edges = Counter(self._codes)
         return {
             "nodes": {label: len(by_label[label]) for label in sorted(by_label)},
-            "edges": dict(sorted(edges.items())),
+            "edges": {_EDGE_LABELS[code]: edges[code] for code in sorted(edges)},
             "node_total": len(self._nodes),
-            "edge_total": len(self._edges),
+            "edge_total": len(self._props),
             "property_total": sum(len(n.values) for n in self._nodes)
-            + sum(len(e.properties) for e in self._edges),
+            + sum(map(len, self._props)),
         }
 
     # ---- persistence ----
@@ -507,12 +524,11 @@ class PropertyGraph:
             )
         # the text of each property mapping, which edges share
         texts: dict[int, str] = {}
-        for edge in self._edges:
-            props = edge.properties
+        for src, dst, code, props in zip(self._src, self._dst, self._codes, self._props):
             text = texts.get(id(props))
             if text is None:
                 text = texts[id(props)] = _format_props(props)
-            yield _EDGE_RECORD[edge.label] % (edge.dst, text, edge.src)
+            yield _EDGE_RECORD[code] % (dst, text, src)
 
     def dumps(self) -> str:
         return "".join(self._dump_lines())

@@ -227,22 +227,24 @@ def constant_paths_oracle(
       ("add" | "sub", d, n, imm12)   xd = xn + or - imm12, modulo 2^64
       ("mov", d, n)                  xd = xn
       ("addsp", d, k)                xd = sp + k
+      ("subsp", k)                   sp = sp - k
       ("str" | "ldr", d, k)          store xd at, or load xd from, [sp + k]
       ("cbz", k) | ("b", k)          to step k if x3 is zero, or always;
                                      k == len(program) is the end
 
-    A value is ("const", v) or ("frame", k), the address sp + k; a register
-    missing from a dict holds an unknown value, as every register does at
-    the start, and a load gives an unknown value. sp never changes. A `cbz`
+    A value is ("const", v) or ("frame", k), the address sp0 + k, where sp0
+    is sp at the start: each path tracks how far sp has moved from sp0. A
+    register missing from a dict holds an unknown value, as every register
+    does at the start, and a load gives an unknown value. A `cbz`
     on a register whose value is unknown or a frame address takes both
     ways, one on a constant only its own. A path is cut after `max_steps`
     steps, and the walk stops after `max_paths` paths, cut ones included.
     """
     ends: list[dict[int, tuple]] = []
     walked = 0
-    pending = [(0, 0, {})]  # (step index, steps taken, registers)
+    pending = [(0, 0, {}, 0)]  # (step index, steps taken, registers, sp - sp0)
     while pending and walked < max_paths:
-        i, taken, regs = pending.pop()
+        i, taken, regs, sp = pending.pop()
         if i == len(program) or taken == max_steps:
             walked += 1
             if i == len(program):
@@ -257,6 +259,8 @@ def constant_paths_oracle(
                 nexts = [k]
             elif x3 is None or x3[0] == "frame":
                 nexts = [i + 1, k]
+        elif op == "subsp":
+            sp -= args[0]
         elif op != "str":
             regs, d = dict(regs), args[0]
             if op == "movz":
@@ -270,14 +274,14 @@ def constant_paths_oracle(
             elif op == "mov":
                 value = regs.get(args[1])
             elif op == "addsp":
-                value = ("frame", args[1])
+                value = ("frame", sp + args[1])
             else:  # ldr
                 value = None
             if value is None:
                 regs.pop(d, None)
             else:
                 regs[d] = value
-        pending.extend((j, taken + 1, regs) for j in nexts)
+        pending.extend((j, taken + 1, regs, sp) for j in nexts)
     return ends
 
 

@@ -1,6 +1,7 @@
 """Taint engine, detectors, rule files, and the query verb."""
 
 import json
+import logging
 
 import pytest
 
@@ -338,6 +339,27 @@ class TestWebviewBridge:
     def test_suite_has_no_bridge_findings(self, suite):
         _m, _i, _mo, _f, g = suite
         assert detect_webview_bridge(g) == []
+
+    def test_a_walk_the_budget_stops_warns_and_names_its_site(
+        self, listing, monkeypatch, caplog
+    ):
+        manifest, image, model, functions, g = listing
+        delegate_ea = manifest["function_ranges"][manifest["delegate_function"]][0]
+        (fn,) = g.find_nodes("Function", "ea", delegate_ea)
+        caplog.set_level(logging.WARNING, logger="lios.analyses")
+        hits = tainted(g, fn, analyses._BRIDGE_SPEC)
+        assert hits and caplog.records == []
+        # each hit's walk took more than one step
+        sites = {(h.sink.callee, h.sink.arg, h.sink_instr) for h in hits}
+        assert all(len(h.path) > 1 for h in hits)
+        monkeypatch.setattr(analyses, "_TAINT_STEP_BUDGET", 1)
+        tainted(g, fn, analyses._BRIDGE_SPEC)
+        named = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        for callee, arg, instr in sites:
+            ea = g.node(instr).get("ea")
+            site = f"from {callee} argument x{arg} at instruction {instr} (ea {ea:#x})"
+            assert sum(site in m for m in named) == 1, (site, named)
+        assert all(m.endswith("stopped after 1 steps with work left") for m in named)
 
 
 class TestInvokeReachable:

@@ -899,6 +899,21 @@ class TestEffects:
         assert eff.assign[load] == (reg("x0"), ("load", stack_slot(8)))
         assert (load, store, stack_slot(8)) in compute_use_def(fn, eff)
 
+    def test_loop_back_to_the_entry_forgets_a_moved_sp(self):
+        # around the loop sp is sp-32, sp-48, ...: no slot is known
+        fn = fn_from_asm("head:\nsub sp, sp, #16\ncbz x3, head\nldr x2, [sp]\nret")
+        load = ORIGIN + 8
+        eff = compute_effects(fn)
+        assert eff.eff_uses[load] == {reg("sp")}
+        assert eff.assign[load] == ()
+
+    def test_loop_back_to_the_entry_keeps_an_unmoved_sp(self):
+        fn = fn_from_asm("head:\nadd x0, x0, #1\ncbz x3, head\nldr x2, [sp, #8]\nret")
+        load = ORIGIN + 8
+        eff = compute_effects(fn)
+        assert eff.eff_uses[load] == {reg("sp"), stack_slot(8)}
+        assert eff.assign[load] == (reg("x2"), ("load", stack_slot(8)))
+
     def test_block_order_cannot_make_the_rounds_swing(self):
         # `body` lies before its only predecessor `tail`; started from the
         # empty state, it would make the rounds swing between two states
@@ -1152,6 +1167,7 @@ class TestConstantsOnEveryPath:
         ),
         st.tuples(st.just("mov"), _register, _register),
         st.tuples(st.just("addsp"), _register, _slot),
+        st.tuples(st.just("subsp"), _slot),
         st.tuples(st.sampled_from(["str", "ldr"]), _register, _slot),
         st.tuples(st.sampled_from(["cbz", "b"]), st.integers(0, 10)),
     )
@@ -1162,6 +1178,7 @@ class TestConstantsOnEveryPath:
         "sub": "sub x{0}, x{1}, #{2}",
         "mov": "mov x{0}, x{1}",
         "addsp": "add x{0}, sp, #{1}",
+        "subsp": "sub sp, sp, #{0}",
         "str": "str x{0}, [sp, #{1}]",
         "ldr": "ldr x{0}, [sp, #{1}]",
         "cbz": "cbz x3, L{0}",
@@ -1170,6 +1187,8 @@ class TestConstantsOnEveryPath:
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(_step, min_size=10, max_size=10))
+    # a loop back to the first step that moves sp
+    @example([("subsp", 16), ("cbz", 0), ("addsp", 0, 0), *[("movz", 1, 0)] * 7])
     def test_constants_hold_on_every_path(self, program):
         """Where `compute_effects` gives a trailing load a constant address or
         a frame slot, every path to it, around loops too, holds that value."""

@@ -1,8 +1,10 @@
 """Graph store invariants, frontend assembly, passes, and persistence."""
 
 import base64
+import gc
 import io
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -379,8 +381,8 @@ def _adjacency_ops(draw):
 def _check_adjacency(g, edges):
     """Every adjacency read of `g` against `edges`, the (src, dst, label) of
     each edge in id order, one list per node and direction."""
-    stored = g.edges()
-    assert [(e.src, e.dst, e.label) for e in stored] == edges
+    stored = [(e.src, e.dst, e.label, id(e.properties)) for e in g.edges()]
+    assert [e[:3] for e in stored] == edges
     n = g.node_count()
     for node in range(-2, n + 2):
         for end, read, neighbours in ((0, g.out_edges, g.out_nodes), (1, g.in_edges, g.in_nodes)):
@@ -389,7 +391,8 @@ def _check_adjacency(g, edges):
                     i for i, edge in enumerate(edges)
                     if edge[end] == node and label in (None, edge[2])
                 ]
-                assert [id(e) for e in read(node, label)] == [id(stored[i]) for i in want]
+                got = [(e.src, e.dst, e.label, id(e.properties)) for e in read(node, label)]
+                assert got == [stored[i] for i in want]
                 if label is not None:
                     assert [m.id for m in neighbours(node, label)] == [
                         edges[i][1 - end] for i in want
@@ -412,6 +415,17 @@ class TestAdjacency:
         _check_adjacency(g, edges)
         _check_adjacency(PropertyGraph.loads(g.dumps()), edges)
 
+    def test_reads_keep_no_edge_and_the_columns_stay_small(self):
+        # an edge read is a view made for its caller: once every out-edge
+        # of every node has been read and let go, no `Edge` is left
+        _m, _i, _mo, _f, g = graph_bundle(corpus.perf_app, linked=True, functions=20)
+        for node in range(g.node_count()):
+            g.out_edges(node)
+        gc.collect()
+        assert not any(type(o) is Edge for o in gc.get_objects())
+        columns = (g._src, g._dst, g._codes, g._props)
+        assert sum(map(sys.getsizeof, columns)) <= 32 * g.edge_count()
+
 
 # one malformed edge per case, (src, dst, label, properties), in a store of
 # a Class node 0 and a Protocol node 1, and the error `add_edge` raises
@@ -422,6 +436,17 @@ MALFORMED_EDGES = {
     "domain-violation": ((1, 0, "isa", {}), LabelDomainViolation),
     "non-scalar-property": ((0, 0, "isa", {"k": [1]}), TypeError),
 }
+
+
+def append_past_the_writer(g, src, dst, label, props):
+    """Append an edge to the store's columns without the edge rule: a bool
+    endpoint is stored as its int, and an unknown label as a code past
+    every label's."""
+    labels = lios.graph._EDGE_LABELS
+    g._src.append(src)
+    g._dst.append(dst)
+    g._codes.append(labels.index(label) if label in labels else len(labels))
+    g._props.append(props)
 
 
 def class_and_protocol():
@@ -454,8 +479,7 @@ class TestEdgeRule:
         g = class_and_protocol()
         g.add_edge(0, 0, "isa")
         assert g.validate() == []
-        # an edge written past the store's writer
-        g._edges.append(Edge(src, dst, label, props))
+        append_past_the_writer(g, src, dst, label, props)
         problems = g.validate()
         assert len(problems) == 1 and problems[0].startswith("edge 1: "), problems
 
@@ -470,9 +494,9 @@ class TestEdgeRule:
         g.add_edge(block, call, "instr")
         g.add_edge(call, fn, "calls")
         g.add_edge(fn, fn, "calls")
-        # written past the store's writer before any read, so that the twin
-        # walk's in-edge reads index the store with this edge in it
-        g._edges.append(Edge(src, dst, label, props))
+        # written before any read, so that the twin walk's in-edge reads
+        # index the store with this edge in it
+        append_past_the_writer(g, src, dst, label, props)
         problems = g.validate()
         assert len(problems) == 1 and problems[0].startswith("edge 4: "), problems
 
