@@ -567,6 +567,7 @@ def _fuse_xrefs(fn: FunctionBody) -> None:
 
 _SP = ("sp", 0)
 _RETURN_LOCS = _locs(X0)
+_CALL_CLOBBERS = (*_X_LOCS[:18], LINK_REG)
 _COPIED = {None: ("const", 0), **{r: ("copy", r) for r in _REGS.values()}}
 
 
@@ -635,12 +636,13 @@ def _step(state: dict, ins: Instruction) -> tuple:
     before it: a loaded register's slot, a stored slot's register (xzr:
     ("const", 0)), a call's x0 ("call",), what a move, constant or ADD/SUB
     immediate copies; a written-back base, x30 at a call and all else get
-    no entry.  A load or store through a known register reads or writes its slot."""
+    no entry.  A load or store through a known register reads or writes its
+    slot.  A call forgets what AAPCS64 lets a callee change, x0-x17 and x30."""
     m = ins.mnemonic
     defs, uses = ins.defs, ins.uses
     if ins.kind == "call":
-        state.pop(X0, None)
-        state.pop(LINK_REG, None)
+        for loc in _CALL_CLOBBERS:
+            state.pop(loc, None)
         return defs | _RETURN_LOCS, uses | _RETURN_LOCS, (X0, ("call",))
     if ins.is_load or ins.is_store:
         base = state.get(ins.mem_base)
@@ -716,7 +718,7 @@ def compute_effects(fn: FunctionBody, call_uses: dict | None = None) -> _Effects
     still waits in the last round, which no predecessor state reaches, has
     its effects recorded from the empty state and passes no state on.
 
-    A call clobbers x0 and x30 and reads x0, plus any argument registers
+    A call defines x0 and x30 and reads x0, plus any argument registers
     `call_uses` (from `call_effects_from_sites`) adds; those change no
     block state, so the fixpoint does not depend on them."""
     preds = fn.predecessors
@@ -860,10 +862,14 @@ def backtrace(
     depth: int = 2,
     functions: Mapping[int, FunctionBody] | None = None,
     effects: _Effects | None = None,
+    summaries: dict[tuple[int, int], frozenset] | None = None,
 ) -> set[ResolvedValue]:
     """Possible values of `location` immediately before `addr` executes: one
-    lookup per write in `effects.assign`, where no entry is UNKNOWN."""
+    lookup per write in `effects.assign`, where no entry is UNKNOWN.  `summaries`
+    maps (callee entry, depth) to what a traced in-image callee returns; one
+    dict shared by a lift's traces saves recomputing them, never changes a result."""
     eff = effects if effects is not None else compute_effects(fn)
+    summaries = {} if summaries is None else summaries
     blocks, preds = fn.blocks, fn.predecessors
     starts = [b.ea for b in blocks]
 
@@ -905,7 +911,7 @@ def backtrace(
         info = row[row.index(loc) + 1]
         if info[0] == "call":
             ins = block.instructions[(ea - block.ea) // 4]
-            results |= _trace_through_call(fn, ins, model, depth, functions, eff)
+            results |= _trace_through_call(fn, ins, model, depth, functions, eff, summaries)
         elif info[0] == "const":
             text = _resolve_memory(model, info[1]) if info[1] else None
             results.add(UNKNOWN if text is None else CONST_STRING(text))
@@ -917,26 +923,31 @@ def backtrace(
     return results or {UNKNOWN}
 
 
-def _trace_through_call(fn, ins, model, depth, functions, eff):
+def _trace_through_call(fn, ins, model, depth, functions, eff, summaries):
     """Values of x0 after the call at `ins`: what an in-image callee returns,
-    or a message send composed of its receiver and selector."""
+    or a message send composed of its receiver and selector.  The first trace
+    of a callee at a depth stores what it returns in `summaries`, which later
+    ones read: depth falls at each descent, so no key is read while computed."""
     target = ins.branch_target
     if depth <= 0 or target is None:
         return {UNKNOWN}
     if functions is not None and target in functions:
-        callee = functions[target]
-        returns = [i.ea for i in callee.instructions() if i.kind == "return"]
-        callee_eff = compute_effects(callee) if returns else None
-        out: set[ResolvedValue] = set()
-        for ret_ea in returns:
-            out |= backtrace(callee, X0, ret_ea, model, depth - 1, functions, callee_eff)
-        return out or {UNKNOWN}
+        if (target, depth) not in summaries:
+            callee = functions[target]
+            returns = [i.ea for i in callee.instructions() if i.kind == "return"]
+            callee_eff = compute_effects(callee) if returns else None
+            out: set[ResolvedValue] = set()
+            for ret_ea in returns:
+                out |= backtrace(callee, X0, ret_ea, model, depth - 1, functions,
+                                 callee_eff, summaries)
+            summaries[target, depth] = frozenset(out or {UNKNOWN})
+        return summaries[target, depth]
     image = model.image if model is not None else None
     stub = _stub_name(image, target) if image is not None else None
     if stub is None or not stub.startswith("objc_msgSend"):
         return {UNKNOWN}
-    receivers = backtrace(fn, X0, ins.ea, model, depth - 1, functions, eff)
-    selectors = backtrace(fn, X1, ins.ea, model, depth - 1, functions, eff)
+    receivers = backtrace(fn, X0, ins.ea, model, depth - 1, functions, eff, summaries)
+    selectors = backtrace(fn, X1, ins.ea, model, depth - 1, functions, eff, summaries)
     return {composed(r, s) for r in receivers for s in selectors}
 
 
@@ -1001,9 +1012,11 @@ def devirtualize(
     functions: Mapping[int, FunctionBody] | None = None,
     depth: int = 2,
     effects: _Effects | None = None,
+    summaries: dict[tuple[int, int], frozenset] | None = None,
 ) -> list[CallSite]:
     """Resolve direct calls, stubs, and objc_msgSend dispatches to targets;
-    every msgSend backtrace reads `effects`, by default `compute_effects(fn)`."""
+    every msgSend backtrace reads `effects`, by default `compute_effects(fn)`,
+    and `summaries` (see `backtrace`)."""
     image = model.image if model is not None else None
     if effects is None:
         effects = compute_effects(fn)
@@ -1020,7 +1033,7 @@ def devirtualize(
             sites.append(CallSite(ins.ea, "in_image", target, name))
             continue
         if stub.startswith("objc_msgSend"):
-            sites.extend(_resolve_msgsend(fn, ins, model, depth, functions, effects))
+            sites.extend(_resolve_msgsend(fn, ins, model, depth, functions, effects, summaries))
         else:
             sites.append(CallSite(ins.ea, "external", None, stub))
     return sites
@@ -1034,9 +1047,9 @@ def _text(value: ResolvedValue, stand_in: ResolvedValue, own: str | None):
     return own if value == stand_in else None
 
 
-def _resolve_msgsend(fn, ins, model, depth, functions, eff) -> list[CallSite]:
-    receivers = backtrace(fn, X0, ins.ea, model, depth, functions, eff)
-    selectors = backtrace(fn, X1, ins.ea, model, depth, functions, eff)
+def _resolve_msgsend(fn, ins, model, depth, functions, eff, summaries) -> list[CallSite]:
+    receivers = backtrace(fn, X0, ins.ea, model, depth, functions, eff, summaries)
+    selectors = backtrace(fn, X1, ins.ea, model, depth, functions, eff, summaries)
     hit = model.class_of_impl(fn.entry_ea)
     own_class, own_sel = (hit[0].name, hit[1].selector) if hit else (None, None)
     classes = {

@@ -477,6 +477,64 @@ def spill_suite() -> tuple[bytes, dict]:
     return blob, manifest
 
 
+def shared_callee_app(sites: int) -> tuple[bytes, dict]:
+    """One factory, `make_worker`, whose return value `sites` functions each
+    send a message to.
+
+    `make_worker` runs 1,000 ADDs, then loads the `Worker` class and
+    returns it.  Each `site_<i>` calls it, loads a selector into x1 and
+    calls objc_msgSend, so its send resolves only through what `make_worker`
+    returns.  A lift that traces that afresh at every site costs `sites`
+    times the factory's size.
+    """
+    worker = ClassSpec(name="Worker", methods=[MethodSpec("doWork", "impl_work")])
+    (work,) = worker.methods
+    # a function that implements a method is named after it, wherever called
+    method_name = f"-[{worker.name} {work.selector}]"
+    b = _SuiteBuilder()
+    s = b.scaffold
+    s.stub("objc_msgSend")
+    s.selref(work.selector)
+    s.classref(worker.name)
+    b.raw(work.impl, RET_WORD)
+    b.func(
+        "make_worker",
+        "\n".join([
+            *["add x2, x2, #1"] * 1000,
+            f"adrp x0, classref_{worker.name}@page",
+            f"ldr x0, [x0, classref_{worker.name}@pageoff]",
+            "ret",
+        ]),
+        calls=[],
+    )
+    names = [f"site_{i}" for i in range(sites)]
+    for name in names:
+        b.func(
+            name,
+            f"""
+            bl make_worker
+            adrp x1, sel_{work.selector}@page
+            ldr x1, [x1, sel_{work.selector}@pageoff]
+            bl stub_objc_msgSend
+            ret
+            """,
+            calls=[
+                _site(_in_image("make_worker", "make_worker")),
+                _site(_in_image(work.impl, method_name, work.selector)),
+            ],
+        )
+    b.func(
+        "main",
+        "\n".join([*(f"bl {name}" for name in names), "ret"]),
+        calls=[_site(_in_image(name, name)) for name in names],
+        exported=True,
+    )
+    s.add_class(worker)
+    blob, manifest = b.finish()
+    manifest["entry_functions"] = ["main"]
+    return blob, manifest
+
+
 # ---------------------------------------------------------------------------
 # WebView bridge pair
 

@@ -686,6 +686,7 @@ def build_from_frontends(
     *,
     program_name: str = "program",
     info_json: str | None = None,
+    info_error: str | None = None,
     entitlements: str | None = None,
     depth: int = 2,
 ) -> PropertyGraph:
@@ -693,7 +694,8 @@ def build_from_frontends(
 
     `functions` holds bodies decoded from `image`, named by `function_name`.
     Each is looked up once and let go after its dataflow and assembly, so
-    bodies decoded at lookup cost the store plus one function.
+    bodies decoded at lookup cost the store plus one function; a callee whose
+    return values a call site traces is decoded again once per traced depth.
     """
     g = PropertyGraph()
     functions = functions or {}
@@ -703,10 +705,8 @@ def build_from_frontends(
         program_props["ea"] = image.image_base
         if entitlements is None:
             entitlements = image.entitlements
-    if entitlements:
-        program_props["entltl"] = entitlements
-    if info_json is not None:
-        program_props["info"] = info_json
+    optional = {"entltl": entitlements, "info": info_json, "info_error": info_error}
+    program_props.update((key, value) for key, value in optional.items() if value)
     program = g.add_node("Program", program_props)
 
     symbols = image.symbols if image is not None else ()
@@ -734,13 +734,13 @@ def build_from_frontends(
     # has it
     uses_text: dict[frozenset, str] = {}
     intern = {}.setdefault
+    # what traced callees return, by (entry, depth): see `disasm.backtrace`
+    summaries: dict[tuple[int, int], frozenset] = {}
     for entry in sorted(functions):
         fn = functions[entry]
         fid = fn_nodes[entry]
         effects = compute_effects(fn)
-        sites = devirtualize(
-            fn, model, functions=functions, depth=depth, effects=effects
-        )
+        sites = devirtualize(fn, model, functions, depth, effects, summaries)
         effects.add_call_uses(call_effects_from_sites(sites))
         use_def = compute_use_def(fn, effects)
 

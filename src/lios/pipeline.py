@@ -258,13 +258,11 @@ def lift(config: AnalysisConfig):
         functions,
         program_name=ingested.name,
         info_json=canonical_json(ingested.info) if ingested.info is not None else None,
+        info_error=ingested.info_error,
         entitlements=entitlements,
         depth=config.depth,
     )
     graph.warnings.extend(skipped)
-    program = graph.nodes("Program")[0]
-    if ingested.info_error:
-        graph.set_node_prop(program.id, "info_error", ingested.info_error)
     log.info("link pass: %s", link_pass(graph))
     log.info("entrypoint pass: %s", mark_entrypoints(graph))
     timings["graph"] = time.perf_counter() - t - functions.seconds

@@ -231,6 +231,9 @@ def constant_paths_oracle(
       ("str" | "ldr", d, k)          store xd at, or load xd from, [sp + k]
       ("cbz", k) | ("b", k)          to step k if x3 is zero, or always;
                                      k == len(program) is the end
+      ("bl",)                        call a function that returns; AAPCS64
+                                     lets it change x0-x17 and x30, so
+                                     after it they hold unknown values
 
     A value is ("const", v) or ("frame", k), the address sp0 + k, where sp0
     is sp at the start: each path tracks how far sp has moved from sp0. A
@@ -261,6 +264,8 @@ def constant_paths_oracle(
                 nexts = [i + 1, k]
         elif op == "subsp":
             sp -= args[0]
+        elif op == "bl":
+            regs = {r: v for r, v in regs.items() if 18 <= r <= 29}
         elif op != "str":
             regs, d = dict(regs), args[0]
             if op == "movz":

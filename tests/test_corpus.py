@@ -102,6 +102,23 @@ def test_spill_suite_call_sets_match_manifest():
     assert_call_sets_match(manifest, *lift(blob, manifest)[1:])
 
 
+def test_shared_callee_call_sets_match_manifest():
+    """Every site resolves its send through the factory's return value, and
+    sharing one summary dict across the sites changes no call set."""
+    blob, manifest = corpus.shared_callee_app(sites=4)
+    _, model, functions = lift(blob, manifest)
+    assert_call_sets_match(manifest, model, functions)
+    summaries = {}
+    shared = {
+        name: set(devirtualize(functions[start], model, functions, summaries=summaries))
+        for name, (start, _) in manifest["function_ranges"].items()
+        if name in manifest["expected_calls"]
+    }
+    assert shared == {name: expected_sites(manifest, name) for name in shared}
+    make_worker = manifest["functions"]["make_worker"]
+    assert summaries == {(make_worker, 2): frozenset({CONST_STRING("Worker")})}
+
+
 @pytest.mark.parametrize(
     "builder, kwargs",
     [

@@ -1004,6 +1004,21 @@ class TestEffects:
         assert first.eff_defs[call.ea] == {reg("x0"), reg("x30")}
 
     @pytest.mark.parametrize(
+        "register, kept", [("x1", False), ("x17", False), ("x18", True), ("x19", True)]
+    )
+    def test_call_forgets_what_a_callee_may_change(self, register, kept):
+        # AAPCS64: a callee may change x0-x17; x18 is left alone
+        fn = fn_from_asm(f"mov {register}, #0x1000\nbl 0x100009000\nldr x2, [{register}]\nret")
+        load = ORIGIN + 8
+        eff = compute_effects(fn)
+        assert (mem(0x1000) in eff.eff_uses[load]) is kept
+        assert eff.assign[load] == ((reg("x2"), ("load", mem(0x1000))) if kept else ())
+
+    def test_call_forgets_a_constant_in_an_argument_register(self):
+        fn = fn_from_asm("mov x3, #5\nbl 0x100009000\nadd x4, x3, #0\nret")
+        assert compute_effects(fn).assign[ORIGIN + 8] == (reg("x4"), ("copy", reg("x3")))
+
+    @pytest.mark.parametrize(
         "setup, strays",
         [
             ((), (0xD28000BF,)),  # mov xzr, #5
@@ -1170,8 +1185,9 @@ class TestConstantsOnEveryPath:
         st.tuples(st.just("subsp"), _slot),
         st.tuples(st.sampled_from(["str", "ldr"]), _register, _slot),
         st.tuples(st.sampled_from(["cbz", "b"]), st.integers(0, 10)),
+        st.just(("bl",)),
     )
-    # label Lk is step k, and L10 the trailing loads
+    # label Lk is step k, L10 the trailing loads and Lstub the called `ret`
     _text = {
         "movz": "movz x{0}, #{1}",
         "add": "add x{0}, x{1}, #{2}",
@@ -1183,12 +1199,15 @@ class TestConstantsOnEveryPath:
         "ldr": "ldr x{0}, [sp, #{1}]",
         "cbz": "cbz x3, L{0}",
         "b": "b L{0}",
+        "bl": "bl Lstub",
     }
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(_step, min_size=10, max_size=10))
     # a loop back to the first step that moves sp
     @example([("subsp", 16), ("cbz", 0), ("addsp", 0, 0), *[("movz", 1, 0)] * 7])
+    # the callee may change x1, so the load through it has no known address
+    @example([("movz", 1, 0x1000), ("bl",), *[("movz", 3, 0)] * 8])
     def test_constants_hold_on_every_path(self, program):
         """Where `compute_effects` gives a trailing load a constant address or
         a frame slot, every path to it, around loops too, holds that value."""
@@ -1197,7 +1216,7 @@ class TestConstantsOnEveryPath:
             for i, (op, *args) in enumerate(program)
         ]
         loads = [f"ldr x9, [x{n}]" for n in range(4)]
-        fn = fn_from_asm("\n".join([*lines, "L10:", *loads, "ret"]))
+        fn = fn_from_asm("\n".join([*lines, "L10:", *loads, "ret", "Lstub:", "ret"]))
         eff = compute_effects(fn)
         ends = constant_paths_oracle(program)
         first = ORIGIN + 4 * len(program)

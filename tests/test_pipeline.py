@@ -546,6 +546,29 @@ class TestRunPipeline:
             (f.rule, f.severity) for f in result.findings
         ]
 
+    def test_info_error_is_set_when_the_program_node_is_made(self, tmp_path, monkeypatch):
+        written = []
+        real = PropertyGraph.set_node_prop
+
+        def recording(graph, node_id, key, value):
+            written.append(key)
+            real(graph, node_id, key, value)
+
+        monkeypatch.setattr(PropertyGraph, "set_node_prop", recording)
+        binary, _ = corpus.listing_one_app(sanitized=True)
+        path = custom_ipa(
+            tmp_path,
+            {
+                "Payload/App.app/Info.plist": b"<plist><dict>",
+                "Payload/App.app/App": binary,
+            },
+        )
+        graph, ingested, _ = lift(AnalysisConfig(input=str(path), out_dir=str(tmp_path)))
+        assert ingested.info_error
+        assert graph.nodes("Program")[0].get("info_error") == ingested.info_error
+        # after assembly, only the entrypoint pass writes a property
+        assert set(written) == {"is_ep"}
+
 
 class TestFatFile:
     ARMV7_PLACEHOLDER = b"\xce\xfa\xed\xfe" + bytes(60)  # never parsed
@@ -670,6 +693,54 @@ class TestFunctionBodies:
         plain = {start: build_function(image, s, e, model=model)
                  for start, (s, e) in ranges.items()}
         assert graph.dumps() == build_from_frontends(image, model, plain).dumps()
+
+
+class TestReturnSummaries:
+    """What a traced in-image callee returns is computed once per callee and
+    depth in a lift, not again at every call site that traces it."""
+
+    @pytest.fixture
+    def make_worker_lookups(self, tmp_path, monkeypatch):
+        """A function of S: lift `shared_callee_app(S)` and return the number
+        of times its `make_worker` body was decoded, and the graph."""
+        decoded = Counter()
+        real = lios.pipeline.build_function
+
+        def counting(image, start, end, **kwargs):
+            decoded[start] += 1
+            return real(image, start, end, **kwargs)
+
+        monkeypatch.setattr(lios.pipeline, "build_function", counting)
+
+        def lift_app(sites):
+            blob, manifest = corpus.shared_callee_app(sites)
+            path = tmp_path / f"shared_{sites}.bin"
+            path.write_bytes(blob)
+            decoded.clear()
+            graph, _, _ = lift(AnalysisConfig(input=str(path), out_dir=str(tmp_path)))
+            return decoded[manifest["functions"]["make_worker"]], graph
+
+        return lift_app
+
+    def test_callee_is_decoded_once_per_depth_whatever_the_sites(self, make_worker_lookups):
+        depth = AnalysisConfig(input="").depth
+        few, _ = make_worker_lookups(2)
+        many, _ = make_worker_lookups(8)
+        # its own decode for assembly, and at most one per traced depth
+        assert few == many <= 1 + depth
+
+    def test_every_site_resolves_through_the_callee(self, make_worker_lookups):
+        sites = 8
+        _, graph = make_worker_lookups(sites)
+        reached = {}
+        for fn in graph.nodes("Function"):
+            if fn.get("name", "").startswith("site_"):
+                reached[fn.get("name")] = {
+                    n.get("name") for n in graph.out_nodes(fn.id, "calls")
+                }
+        assert reached == {
+            f"site_{i}": {"make_worker", "-[Worker doWork]"} for i in range(sites)
+        }
 
 
 class TestPausedGc:

@@ -12,10 +12,12 @@ the same `findings.json`.
 `--against` lifts the same input files with REV's `src/`, which `git archive`
 extracts into the temporary directory, so nothing is written under `.git`.
 The inputs are written once, by this checkout's generators, so both sides
-lift the same bytes under the same file names.  The set, 9,495 inputs and
-18,990 lifts:
+lift the same bytes under the same file names.  The set, 9,496 inputs and
+18,992 lifts:
 
 - perf_app N=400 seed 1 and N=100 seed 7;
+- shared_callee_app with 64 sites, whose factory's return value each site
+  traces;
 - listing_one vulnerable and sanitized, msgsend_suite, benign_app and
   spill_suite, and 150 `mutate(blob, "anywhere", s)` mutants of each, s in
   5000..5149;
@@ -69,6 +71,7 @@ def write_inputs(dest: Path) -> None:
     for seed, functions in ((1, 400), (7, 100)):
         blob, _ = corpus.perf_app(seed=seed, functions=functions)
         (apps / f"perf_app_n{functions}_s{seed}.bin").write_bytes(blob)
+    (apps / "shared_callee_64.bin").write_bytes(corpus.shared_callee_app(sites=64)[0])
     fixtures = {
         "listing_one": corpus.listing_one_app(sanitized=False)[0],
         "listing_one_sanitized": corpus.listing_one_app(sanitized=True)[0],
